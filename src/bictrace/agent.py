@@ -130,14 +130,20 @@ class Transcript:
     turns: list = field(default_factory=list)  # {"step": ModelStep, "observation": Observation|None}
     tool_turns: int = 0
     total_turns: int = 0
-    total_tokens: int = 0
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
     wall_time: float = 0.0
     error: str | None = None
+
+    @property
+    def total_tokens(self) -> int:
+        return self.prompt_tokens + self.completion_tokens
 
     def add(self, step: ModelStep, observation: Observation | None):
         self.turns.append({"step": step, "observation": observation})
         self.total_turns += 1
-        self.total_tokens += step.prompt_tokens + step.completion_tokens
+        self.prompt_tokens += step.prompt_tokens
+        self.completion_tokens += step.completion_tokens
         # Only turns that produced an observation executed a tool; a stray
         # tool call on the forced-answer turn is recorded but never run.
         if step.kind == "tool_call" and observation is not None:

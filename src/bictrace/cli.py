@@ -206,6 +206,8 @@ def _investigate_one(case: CaseSpec, config: RunConfig, backend_factory, paths: 
         category_flags=flags,
         cost={
             "tokens": transcript.total_tokens,
+            "prompt_tokens": transcript.prompt_tokens,
+            "completion_tokens": transcript.completion_tokens,
             "turns": transcript.total_turns,
             "tool_turns": transcript.tool_turns,
             "seconds": elapsed,

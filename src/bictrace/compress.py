@@ -51,7 +51,7 @@ _TRAILER_RE = re.compile(
 
 
 class MalformedPorcelain(Exception):
-    """Blame output that does not parse as line-porcelain."""
+    """Blame output that does not parse as git blame porcelain."""
 
 
 @dataclass
@@ -99,19 +99,23 @@ class CompressionConfig:
 
 
 class CallCache:
-    """Case-scoped raw-output cache keyed by canonical tool arguments."""
+    """Case-scoped cache of finished observations keyed by canonical tool arguments.
+
+    An entry is the observation's (text, truncated) pair, so a hit costs no
+    git process, formatting or extraction.
+    """
 
     def __init__(self):
-        self._entries: dict[str, str] = {}
+        self._entries: dict[str, tuple[str, bool]] = {}
 
     def has(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str) -> str:
+    def get(self, key: str) -> tuple[str, bool]:
         return self._entries[key]
 
-    def store(self, key: str, raw: str):
-        self._entries[key] = raw
+    def store(self, key: str, text: str, truncated: bool):
+        self._entries[key] = (text, truncated)
 
     def __len__(self):
         return len(self._entries)
@@ -179,46 +183,58 @@ def format_show(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
 
 
 _PORCELAIN_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
+_COMMIT_KEYS = ("summary", "committer-time")
 
 
 def parse_blame_porcelain(raw: str) -> list[dict]:
-    """Line records from `git blame --line-porcelain` output."""
+    """Line records from `git blame --porcelain` or `--line-porcelain` output.
+
+    `--porcelain` prints a commit's header only on its first record, so the
+    header fields are remembered per commit and copied into every record.
+    """
     records = []
-    lines = raw.splitlines()
-    i = 0
-    while i < len(lines):
-        m = _PORCELAIN_HEAD_RE.match(lines[i])
+    commit_info: dict[str, dict] = {}
+    lines = iter(raw.splitlines())
+    for head in lines:
+        m = _PORCELAIN_HEAD_RE.match(head)
         if not m:
-            raise MalformedPorcelain(f"unexpected porcelain line: {lines[i]!r}")
-        rec = {"commit": m.group(1), "final_line": int(m.group(3))}
-        i += 1
-        while i < len(lines) and not lines[i].startswith("\t"):
-            key, _, value = lines[i].partition(" ")
-            if key in ("summary", "committer-time"):
-                rec[key] = value
-            i += 1
-        if i >= len(lines):
+            raise MalformedPorcelain(f"unexpected porcelain line: {head!r}")
+        commit = m.group(1)
+        info = commit_info.setdefault(commit, {})
+        # Header fields run up to the record's tab-prefixed content line.
+        for line in lines:
+            if line[:1] == "\t":
+                break
+            key, _, value = line.partition(" ")
+            if key in _COMMIT_KEYS:
+                info[key] = value
+        else:
             raise MalformedPorcelain("porcelain record missing content line")
-        rec["content"] = lines[i][1:]
-        i += 1
-        records.append(rec)
+        records.append(
+            {"commit": commit, "final_line": int(m.group(3)), **info, "content": line[1:]}
+        )
     return records
 
 
 def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    """`L{n}: {hash} | {code}` lines plus a commit legend."""
+    """`L{n}: {hash} | {code}` lines plus a commit legend.
+
+    Only the records within the line cap are rendered; the rest count
+    towards the truncation notice.
+    """
     if not raw.strip():
         return "", False
     records = parse_blame_porcelain(raw)
-    body = [
-        f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in records
-    ]
-    body, truncated = _cap_lines(body, cfg.line_caps[ToolName.BLAME])
-    shown = {rec["commit"][:12] for rec in records[: cfg.line_caps[ToolName.BLAME]]}
+    cap = cfg.line_caps[ToolName.BLAME]
+    shown = records[:cap]
+    body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
+    truncated = len(records) > cap
+    if truncated:
+        body.append(_truncation_notice(cap, len(records), "lines"))
     legend, seen = [], set()
-    for rec in records:
+    for rec in shown:
         short = rec["commit"][:12]
-        if short in shown and short not in seen:
+        if short not in seen:
             seen.add(short)
             when = datetime.fromtimestamp(
                 int(rec.get("committer-time", "0")), tz=timezone.utc
@@ -435,30 +451,29 @@ def execute_compressed(
 
     Tool failures come back as readable observations, never exceptions:
     the agent must be able to read the error and self-correct. Timed-out
-    calls are not cached so a narrower retry executes fresh.
+    calls and tool errors are not cached, so a retry executes fresh.
     """
     args = tk.enforce_search_bound(args, fix_date)
     key = canonicalize_args(args)
     if cache.has(key):
-        raw, cache_hit = cache.get(key), True
-    else:
-        try:
-            raw = execute_raw(repo, tool, args, default_commit)
-        except ToolTimeout:
-            return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False, source_tool=tool)
-        except ToolError as exc:
-            return Observation(
-                f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False, source_tool=tool
-            )
-        cache.store(key, raw)
-        cache_hit = False
+        text, truncated = cache.get(key)
+        return Observation(text, truncated=truncated, cache_hit=True, source_tool=tool)
+    try:
+        raw = execute_raw(repo, tool, args, default_commit)
+    except ToolTimeout:
+        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False, source_tool=tool)
+    except ToolError as exc:
+        return Observation(
+            f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False, source_tool=tool
+        )
     try:
         formatted, truncated = _FORMATTERS[tool](raw, cfg)
     except MalformedPorcelain as exc:
-        return Observation(
-            f"Error (malformed_output): {exc}", truncated=False, cache_hit=cache_hit, source_tool=tool
-        )
-    text, truncated = compress_formatted(tool, formatted, truncated, cfg)
-    if not text.strip():
-        text = "(no output)"
-    return Observation(text, truncated=truncated, cache_hit=cache_hit, source_tool=tool)
+        # Cached like any output git produced: a repeat is a hit.
+        text, truncated = f"Error (malformed_output): {exc}", False
+    else:
+        text, truncated = compress_formatted(tool, formatted, truncated, cfg)
+        if not text.strip():
+            text = "(no output)"
+    cache.store(key, text, truncated)
+    return Observation(text, truncated=truncated, cache_hit=False, source_tool=tool)

@@ -106,6 +106,7 @@ def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
             cmd,
             capture_output=True,
             text=True,
+            encoding="utf-8",
             errors="replace",
             timeout=timeout,
             env=_pinned_env(),

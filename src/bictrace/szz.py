@@ -30,7 +30,7 @@ def blame_candidates(repo: RepoHandle, fix: str) -> list[BlameCandidate]:
     counts: dict[tuple[str, str], int] = {}
     for path, removed in fc.deleted_or_modified_lines.items():
         out = gitio.run_git(
-            repo, ["blame", "--line-porcelain", fc.fix_parent, "--", path]
+            repo, ["blame", "--porcelain", fc.fix_parent, "--", path]
         )
         if out.status is not GitStatus.OK:
             continue

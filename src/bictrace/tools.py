@@ -278,13 +278,12 @@ def parse_date(text: str, end_of_day: bool) -> int:
     m = _EPOCH_RE.match(text)
     if m:
         return int(m.group(1))
+    # fromisoformat accepts a trailing Z only from Python 3.11 on.
+    iso = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
-        if re.match(r"^\d{4}-\d{2}-\d{2}$", text):
-            dt = datetime.fromisoformat(text)
-            if end_of_day:
-                dt = dt.replace(hour=23, minute=59, second=59)
-        else:
-            dt = datetime.fromisoformat(text)
+        dt = datetime.fromisoformat(iso)
+        if end_of_day and re.match(r"^\d{4}-\d{2}-\d{2}$", text):
+            dt = dt.replace(hour=23, minute=59, second=59)
     except ValueError:
         raise SchemaError(f"unparseable date: {text!r}") from None
     if dt.tzinfo is None:
@@ -335,7 +334,7 @@ def exec_git_show(repo: RepoHandle, args: ShowArgs) -> str:
 
 def exec_git_blame(repo: RepoHandle, args: BlameArgs, default_commit: str) -> str:
     rev = args.commit or default_commit
-    cmd = ["blame", "--line-porcelain"]
+    cmd = ["blame", "--porcelain"]
     if args.line_start is not None or args.line_end is not None:
         # Open ends default to the start/end of the file.
         start = args.line_start if args.line_start is not None else 1

@@ -97,6 +97,41 @@ class TestInvestigate:
         assert "not configured" in err
 
 
+class TestAgentCost:
+    def test_dollars_from_prompt_and_completion_tokens(self, cross_file_repo, tmp_path, capsys):
+        rb, info = cross_file_repo
+        script = write_script(
+            tmp_path / "script.json",
+            [
+                {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "driver/hotplug.c"},
+                 "usage": {"prompt_tokens": 2000, "completion_tokens": 100}},
+                {"kind": "final", "text": f"BIC: {info['bic']}\nConfidence: high\nReasoning: r",
+                 "usage": {"prompt_tokens": 1000, "completion_tokens": 200}},
+            ],
+        )
+        ds = write_dataset(
+            tmp_path / "ds.jsonl",
+            [{"repo": rb.path, "fix_commit": info["fix"], "bics": [info["bic"]],
+              "dataset_tag": "x", "case_id": "x:1"}],
+        )
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "priced"]) == 0
+        case = json.load(open(runs / "priced" / "cases" / "x_1.json"))
+        assert case["cost"]["prompt_tokens"] == 3000
+        assert case["cost"]["completion_tokens"] == 300
+        assert case["cost"]["tokens"] == 3300
+        config = tmp_path / "price.json"
+        config.write_text(json.dumps(
+            {"price_table": {"prompt_usd_per_1k": 1.0, "completion_usd_per_1k": 1.0}}
+        ))
+        reports = tmp_path / "reports"
+        assert main(["evaluate", "--dataset", ds, "--results", str(runs / "priced" / "results.jsonl"),
+                     "--config", str(config), "--out", str(reports)]) == 0
+        report = json.load(open(reports / "agent-scripted.report.json"))
+        assert report["cost_means"]["dollars"] == pytest.approx(3.30)
+
+
 class TestBaselineCmd:
     def test_b_szz_matches_oracle(self, cross_file_repo, tmp_path, capsys):
         rb, info = cross_file_repo

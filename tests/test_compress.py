@@ -142,6 +142,17 @@ def make_porcelain(records):
     return "".join(chunks)
 
 
+def make_short_porcelain(records):
+    """--porcelain text: each commit's header only on its first record."""
+    long = make_porcelain(records).splitlines(keepends=True)
+    chunks, seen = [], set()
+    for k, (sha, _, _) in enumerate(records):
+        block = long[k * 12 : (k + 1) * 12]
+        chunks += block if sha not in seen else [block[0], block[-1]]
+        seen.add(sha)
+    return "".join(chunks)
+
+
 class TestFormatBlame:
     def test_l_lines_and_legend(self):
         rng = random.Random(7)
@@ -173,6 +184,32 @@ class TestFormatBlame:
         assert truncated
         assert len(l_lines) == cfg.line_caps[ToolName.BLAME]
         assert any(ln.startswith("[output truncated") for ln in text.splitlines())
+
+    def test_short_porcelain_header_once(self):
+        rng = random.Random(12)
+        sha_a, sha_b = random_hash(rng), random_hash(rng)
+        records = [(sha_a, 1, "first")] + [(sha_b, i, f"line {i}") for i in range(2, 251)]
+        raw = make_short_porcelain(records)
+        assert raw.count(f"summary subject for {sha_b[:8]}") == 1
+        text, truncated = format_blame(raw, CompressionConfig())
+        lines = text.splitlines()
+        legend = lines[lines.index("Commits:") + 1 :]
+        assert legend == [
+            f"{sha_a[:12]} 2020-01-02 subject for {sha_a[:8]}",
+            f"{sha_b[:12]} 2020-01-02 subject for {sha_b[:8]}",
+        ]
+        assert truncated
+        assert "showing 200 of 250 lines" in text
+        assert (text, truncated) == format_blame(make_porcelain(records), CompressionConfig())
+
+    def test_malformed_record_past_cap_rejected(self):
+        rng = random.Random(13)
+        sha = random_hash(rng)
+        raw = make_short_porcelain([(sha, i, f"l{i}") for i in range(1, 301)])
+        with pytest.raises(compress.MalformedPorcelain):
+            format_blame(raw + "not a porcelain header\n\tcontent\n", CompressionConfig())
+        with pytest.raises(compress.MalformedPorcelain, match="missing content line"):
+            format_blame(raw + f"{sha} 301 301\n", CompressionConfig())
 
     def test_malformed_porcelain(self):
         with pytest.raises(compress.MalformedPorcelain):
@@ -322,6 +359,46 @@ class TestExecuteCompressed:
         assert not first.cache_hit and second.cache_hit
         assert first.text == second.text
 
+    def test_cache_hit_runs_no_formatter(self, pipeline_repo, monkeypatch):
+        repo, shas, _ = pipeline_repo
+        calls = []
+        for tool, formatter in list(compress._FORMATTERS.items()):
+            def counting(raw, cfg, tool=tool, formatter=formatter):
+                calls.append(tool)
+                return formatter(raw, cfg)
+            monkeypatch.setitem(compress._FORMATTERS, tool, counting)
+        cache, cfg = CallCache(), CompressionConfig()
+        for tool, args in (
+            (ToolName.BLAME, BlameArgs(file_path="f.c")),
+            (ToolName.SHOW, ShowArgs(commit=shas[0])),
+            (ToolName.GREP, GrepArgs(search_string="return")),
+        ):
+            first = execute_compressed(repo, tool, args, 2_000_000_000, cache, cfg, shas[1])
+            assert calls == [tool]
+            second = execute_compressed(repo, tool, args, 2_000_000_000, cache, cfg, shas[1])
+            assert calls == [tool]
+            assert second.cache_hit and not first.cache_hit
+            assert (second.text, second.truncated) == (first.text, first.truncated)
+            calls.clear()
+
+    def test_malformed_output_cached(self, pipeline_repo, monkeypatch):
+        repo, shas, _ = pipeline_repo
+        runs = []
+        monkeypatch.setattr(
+            compress, "execute_raw", lambda *a: runs.append(a) or "not porcelain\n"
+        )
+        cache, args = CallCache(), BlameArgs(file_path="f.c")
+        first = execute_compressed(
+            repo, ToolName.BLAME, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
+        )
+        second = execute_compressed(
+            repo, ToolName.BLAME, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
+        )
+        assert first.text.startswith("Error (malformed_output)")
+        assert second.text == first.text
+        assert not first.cache_hit and second.cache_hit
+        assert len(runs) == 1
+
     def test_timeout_hint_and_no_caching(self, slow_repo):
         head = slow_repo.head()
         slow = RepoHandle(slow_repo.path, default_timeout=0.001)
@@ -356,11 +433,15 @@ class TestExecuteCompressed:
 
     def test_error_becomes_observation(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
-        obs = execute_compressed(
-            repo, ToolName.SHOW, ShowArgs(commit="deadbeef" * 5), 2_000_000_000,
-            CallCache(), CompressionConfig(), shas[1],
-        )
-        assert obs.text.startswith("Error (commit_not_found)")
+        cache = CallCache()
+        for _ in range(2):
+            obs = execute_compressed(
+                repo, ToolName.SHOW, ShowArgs(commit="deadbeef" * 5), 2_000_000_000,
+                cache, CompressionConfig(), shas[1],
+            )
+            assert obs.text.startswith("Error (commit_not_found)")
+            assert not obs.cache_hit
+        assert len(cache) == 0
 
     def test_search_bound_enforced_in_pipeline(self, pipeline_repo):
         repo, shas, _ = pipeline_repo

@@ -1,10 +1,13 @@
 """Gateway behavior: allow-list, timeouts, resolution, read-only output."""
 
+import subprocess
+
 import pytest
 
-from repo_helpers import object_set_digest
+from repo_helpers import RepoBuilder, object_set_digest
 
 from bictrace import gitio
+from bictrace.compress import parse_blame_porcelain
 from bictrace.gitio import (
     GitStatus,
     NonAllowlistedCommand,
@@ -131,3 +134,25 @@ def test_process_count_instrumentation(linear_handle):
     gitio.run_git(repo, ["rev-parse", "HEAD"])
     gitio.run_git(repo, ["rev-parse", "HEAD"])
     assert repo.process_count == start + 2
+
+
+def test_output_decoded_as_utf8(tmp_path, monkeypatch):
+    rb = RepoBuilder(tmp_path / "utf8")
+    line = "naïve café — 日本語 ✓"
+    rb.commit({"u.txt": f"{line}\n"}, "añadir ü")
+    seen = []
+    real_run = subprocess.run
+
+    def recording_run(*args, **kwargs):
+        seen.append(kwargs)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(gitio.subprocess, "run", recording_run)
+    repo = RepoHandle(rb.path)
+    out = gitio.run_git(repo, ["blame", "--porcelain", "HEAD", "--", "u.txt"])
+    assert seen and all(
+        kw["text"] and kw["encoding"] == "utf-8" and kw["errors"] == "replace" for kw in seen
+    )
+    [record] = parse_blame_porcelain(out.stdout)
+    assert record["content"] == line
+    assert record["summary"] == "añadir ü"

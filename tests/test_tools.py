@@ -1,13 +1,15 @@
 """Tool schemas, argument validation, bound enforcement, git execution."""
 
 import json
+from datetime import datetime
 
 import pytest
 
 from repo_helpers import BASE_EPOCH, RepoBuilder
 
 from bictrace import tools
-from bictrace.gitio import RepoHandle
+from bictrace.compress import parse_blame_porcelain
+from bictrace.gitio import GitStatus, RepoHandle, run_git
 from bictrace.tools import (
     BlameArgs,
     GrepArgs,
@@ -93,6 +95,22 @@ class TestDates:
 
     def test_epoch_form(self):
         assert parse_date("@12345", end_of_day=False) == 12345
+
+    def test_zulu_suffix(self, monkeypatch):
+        assert parse_date("2020-01-02T03:04:05Z", end_of_day=False) == 1577934245
+
+        # Python 3.10's fromisoformat rejects a trailing Z.
+        class StrictDatetime(datetime):
+            @classmethod
+            def fromisoformat(cls, text):
+                if text.endswith("Z"):
+                    raise ValueError(f"Invalid isoformat string: {text!r}")
+                return datetime.fromisoformat(text)
+
+        monkeypatch.setattr(tools, "datetime", StrictDatetime)
+        assert parse_date("2020-01-02T03:04:05Z", end_of_day=True) == 1577934245
+        with pytest.raises(SchemaError, match="unparseable date: 'soonZ'"):
+            parse_date("soonZ", end_of_day=False)
 
 
 class TestSearchBound:
@@ -269,8 +287,6 @@ class TestBlameSubsetProperty:
     def test_range_blame_is_subset_of_full_blame(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        from bictrace.compress import parse_blame_porcelain
-
         full = parse_blame_porcelain(
             tools.exec_git_blame(repo, BlameArgs(file_path="a.c"), shas[2])
         )
@@ -282,3 +298,55 @@ class TestBlameSubsetProperty:
         full_map = {rec["final_line"]: rec["commit"] for rec in full}
         for rec in ranged:
             assert full_map[rec["final_line"]] == rec["commit"]
+
+
+@pytest.fixture
+def renamed_repo(tmp_path):
+    """Root import of a.c, an edit, a rename to src/b.c, another edit."""
+    rb = RepoBuilder(tmp_path / "renamed")
+    lines = [f"line {i} of the original import" for i in range(1, 9)]
+    root = rb.commit({"a.c": "\n".join(lines) + "\n"}, "import a.c")
+    lines[1], lines[5] = "edited line 2", "edited line 6"
+    edit = rb.commit({"a.c": "\n".join(lines) + "\n"}, "edit a.c")
+    rename = rb.move("a.c", "src/b.c", "move a.c to src/b.c")
+    lines[2] = "edited line 3 after the move"
+    tip = rb.commit({"src/b.c": "\n".join(lines) + "\n"}, "edit src/b.c")
+    return RepoHandle(rb.path), {"root": root, "edit": edit, "rename": rename, "tip": tip}
+
+
+class TestPorcelainEquivalence:
+    """`--porcelain` parses to the same records as `--line-porcelain`."""
+
+    def blame(self, repo, fmt, rev, path, line_range=None):
+        cmd = ["blame", fmt] + (["-L", line_range] if line_range else []) + [rev, "--", path]
+        out = run_git(repo, cmd)
+        assert out.status is GitStatus.OK, out.stderr
+        return out.stdout
+
+    @pytest.mark.parametrize(
+        "rev, path, line_range",
+        [
+            ("tip", "src/b.c", None),  # full file, lines from every commit
+            ("tip", "src/b.c", "2,4"),  # ranged
+            ("edit", "a.c", None),  # older revision, before the rename
+            ("rename", "src/b.c", None),  # renamed in history
+            ("root", "a.c", "3,5"),  # boundary (root) commit only
+        ],
+        ids=["full", "ranged", "older_revision", "renamed", "boundary"],
+    )
+    def test_records_match(self, renamed_repo, rev, path, line_range):
+        repo, shas = renamed_repo
+        short = self.blame(repo, "--porcelain", shas[rev], path, line_range)
+        long = self.blame(repo, "--line-porcelain", shas[rev], path, line_range)
+        records = parse_blame_porcelain(long)
+        assert parse_blame_porcelain(short) == records
+        assert all("summary" in rec and "committer-time" in rec for rec in records)
+        # Each commit's header appears once, however many lines it owns.
+        summaries = [ln for ln in short.splitlines() if ln.startswith("summary ")]
+        assert len(summaries) == len({rec["commit"] for rec in records})
+        assert "boundary" in short
+
+    def test_tool_reads_porcelain(self, renamed_repo):
+        repo, shas = renamed_repo
+        raw = tools.exec_git_blame(repo, BlameArgs(file_path="src/b.c"), shas["tip"])
+        assert raw == self.blame(repo, "--porcelain", shas["tip"], "src/b.c")

@@ -13,15 +13,13 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import requests
 
-from dataclasses import asdict
-
-from . import gitio, resolve
-from .caseprep import CaseSpec, InitialContext, RootCommit
-from .compress import CallCache, CompressionConfig, Observation, execute_compressed
+from . import resolve
+from .caseprep import CaseSpec, FixContext, InitialContext
+from .compress import CompressionConfig, Observation, execute_compressed
 from .gitio import RepoHandle
 from .resolve import ResolutionTrace
 from .tools import SchemaError, ToolName, ToolSchema, enforce_search_bound, parse_args
@@ -325,6 +323,8 @@ def _finalize(repo: RepoHandle, fix_date: int, final_text: str) -> Prediction:
 
 def run_investigation(
     case: CaseSpec,
+    repo: RepoHandle,
+    fc: FixContext,
     ctx: InitialContext,
     backend,
     max_turns: int = DEFAULT_MAX_TURNS,
@@ -334,20 +334,15 @@ def run_investigation(
 ) -> tuple[Prediction, Transcript]:
     """Run the full loop for one case and return its prediction + transcript.
 
+    `repo` and `fc` are the case's handle and fix context as the caller
+    loaded them; the loop takes the fix id, parent and date from `fc`.
+
     Tool-executing turns are hard-capped at max_turns; corrective and
     forced-answer round-trips are counted separately in total_turns.
     """
     cfg = cfg or CompressionConfig()
-    repo = RepoHandle(case.repo_path)
-    fix_id = gitio.resolve_commit(repo, case.fix_commit)
-    if fix_id is None:
-        raise gitio.CommitNotFound(f"fix commit {case.fix_commit!r} does not resolve")
-    fix_parent = gitio.parent_of(repo, fix_id, 1)
-    if fix_parent is None:
-        raise RootCommit(f"fix commit {fix_id} has no parent to investigate from")
-    fix_date = gitio.commit_timestamp(repo, fix_id)
-    cache = CallCache()
-    transcript = Transcript(case_id=case.case_id, repo_path=case.repo_path, fix_commit=fix_id)
+    cache: dict[str, tuple[str, bool]] = {}
+    transcript = Transcript(case_id=case.case_id, repo_path=case.repo_path, fix_commit=fc.fix_id)
     conversation: list[dict] = [
         {"role": "system", "content": ctx.system_prompt},
         {"role": "user", "content": "Begin the investigation."},
@@ -362,7 +357,7 @@ def run_investigation(
             if step.kind == "tool_call":
                 consecutive_malformed = 0
                 try:
-                    args = enforce_search_bound(parse_args(step.tool, step.args), fix_date)
+                    args = enforce_search_bound(parse_args(step.tool, step.args), fc.fix_date)
                 except SchemaError as exc:
                     observation = Observation(
                         f"Error (schema): {exc}", truncated=False, cache_hit=False,
@@ -381,7 +376,7 @@ def run_investigation(
                         completion_tokens=step.completion_tokens,
                     )
                     observation = execute_compressed(
-                        repo, step.tool, args, fix_date, cache, cfg, default_commit=fix_parent
+                        repo, step.tool, args, fc.fix_date, cache, cfg, default_commit=fc.fix_parent
                     )
                 call_id = f"call_{transcript.total_turns + 1}"
                 conversation.append(
@@ -407,7 +402,7 @@ def run_investigation(
             elif step.kind == "final":
                 conversation.append({"role": "assistant", "content": step.text})
                 transcript.add(step, None)
-                prediction = _finalize(repo, fix_date, step.text)
+                prediction = _finalize(repo, fc.fix_date, step.text)
                 break
             else:
                 consecutive_malformed += 1
@@ -422,7 +417,7 @@ def run_investigation(
             step = backend.send(conversation, [])
             transcript.add(step, None)
             if step.kind == "final":
-                prediction = _finalize(repo, fix_date, step.text)
+                prediction = _finalize(repo, fc.fix_date, step.text)
     except BackendUnavailable as exc:
         transcript.error = str(exc)
         prediction = Prediction("", "unstated", "", "no_prediction")
@@ -473,7 +468,3 @@ def record_transcript(transcript: Transcript, prediction: Prediction, path: str)
     with open(path, "w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def replay_backend(path: str) -> ReplayBackend:
-    return ReplayBackend(path)

@@ -24,6 +24,7 @@ from .agent import (
     DesyncError,
     LiveBackend,
     ModelStep,
+    Prediction,
     ReplayBackend,
     SchemaMismatch,
     ScriptedBackend,
@@ -31,13 +32,7 @@ from .agent import (
     run_investigation,
 )
 from .caseprep import CaseSpec, RootCommit, assemble_initial_context, load_fix_context
-from .compress import (
-    CallCache,
-    CompressionConfig,
-    execute_compressed,
-    execute_raw,
-    format_raw,
-)
+from .compress import CompressionConfig, execute_compressed, execute_raw, format_raw
 from .evaluate import CaseResult, Dataset, load_dataset
 from .gitio import RepoHandle
 from .prompts import default_template
@@ -161,11 +156,17 @@ def _run_paths(config: RunConfig) -> dict:
     return paths
 
 
+def _clone_name(url: str) -> str | None:
+    """Directory name of a remote repository's clone; None for a local path."""
+    if not (re.match(r"^[a-z+]+://", url) or url.startswith("git@")):
+        return None
+    name = url.rstrip("/").rsplit("/", 1)[-1]
+    return name[:-4] if name.endswith(".git") else name
+
+
 def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
-    if re.match(r"^[a-z+]+://", repo_field) or repo_field.startswith("git@"):
-        name = repo_field.rstrip("/").rsplit("/", 1)[-1]
-        if name.endswith(".git"):
-            name = name[:-4]
+    name = _clone_name(repo_field)
+    if name is not None:
         if not repos_dir:
             raise ev.DatasetError(
                 f"dataset refers to remote repo {repo_field}; pass --repos-dir "
@@ -178,13 +179,17 @@ def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
     return repo_field
 
 
-def _investigate_one(case: CaseSpec, config: RunConfig, backend_factory, paths: dict) -> CaseResult:
+def _investigate_one(
+    case: CaseSpec, config: RunConfig, backend_factory, paths: dict
+) -> tuple[Prediction, CaseResult]:
     start = time.monotonic()
     repo = RepoHandle(case.repo_path)
     fc = load_fix_context(repo, case.fix_commit)
     ctx = assemble_initial_context(fc, tool_schemas(), default_template())
     prediction, transcript = run_investigation(
         case,
+        repo,
+        fc,
         ctx,
         backend_factory(),
         max_turns=config.max_turns,
@@ -220,7 +225,7 @@ def _investigate_one(case: CaseSpec, config: RunConfig, backend_factory, paths: 
     with open(case_path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    return result
+    return prediction, result
 
 
 def cmd_investigate(args: argparse.Namespace) -> int:
@@ -229,17 +234,15 @@ def cmd_investigate(args: argparse.Namespace) -> int:
     try:
         backend_factory = make_backend(config)
         paths = _run_paths(config)
-        result = _investigate_one(case, config, backend_factory, paths)
+        prediction, result = _investigate_one(case, config, backend_factory, paths)
     except (BackendUnavailable, gitio.GitGatewayError, RootCommit, SchemaMismatch,
             DesyncError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with open(os.path.join(paths["cases"], _safe_name(case.case_id) + ".json"), encoding="utf-8") as f:
-        prediction = json.load(f)["prediction"]
     print(f"case: {case.case_id}")
-    print(f"status: {prediction['status']}")
-    print(f"bic: {prediction['resolved_id'] or '(none)'}")
-    print(f"confidence: {prediction['confidence']}")
+    print(f"status: {prediction.status}")
+    print(f"bic: {prediction.resolved_id or '(none)'}")
+    print(f"confidence: {prediction.confidence}")
     print(f"transcript: {result.transcript_ref}")
     if result.error:
         print(f"error: {result.error}", file=sys.stderr)
@@ -266,7 +269,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             case_id=case.case_id,
         )
         try:
-            return _investigate_one(local, config, backend_factory, paths)
+            return _investigate_one(local, config, backend_factory, paths)[1]
         except Exception as exc:  # noqa: BLE001 - batch must survive any case
             return CaseResult(case_id=case.case_id, error=str(exc))
 
@@ -300,7 +303,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             repo_path = _materialize_repo(case.repo_path, args.repos_dir)
             repo = RepoHandle(repo_path)
             fc = load_fix_context(repo, case.fix_commit)
-            outcome = algorithm(repo, case.fix_commit)
+            outcome = algorithm(repo, fc)
             predicted = sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else [])
             flags = {
                 "ghost": ev.classify_ghost(fc),
@@ -420,7 +423,7 @@ def cmd_tool(args: argparse.Namespace) -> int:
         print(formatted)
         return 0
     obs = execute_compressed(
-        repo, tool, tool_args, fix_date, CallCache(), cfg, default_commit=default_commit
+        repo, tool, tool_args, fix_date, {}, cfg, default_commit=default_commit
     )
     print(obs.text)
     return 0
@@ -440,14 +443,12 @@ def cmd_fetch_datasets(args: argparse.Namespace) -> int:
         if url in seen:
             continue
         seen.add(url)
-        if not (re.match(r"^[a-z+]+://", url) or url.startswith("git@")):
+        name = _clone_name(url)
+        if name is None:
             if not os.path.isdir(url):
                 print(f"missing local repo: {url}", file=sys.stderr)
                 failures += 1
             continue
-        name = url.rstrip("/").rsplit("/", 1)[-1]
-        if name.endswith(".git"):
-            name = name[:-4]
         target = os.path.join(args.dest, name)
         if os.path.isdir(target):
             print(f"exists: {target}")

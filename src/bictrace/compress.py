@@ -98,29 +98,6 @@ class CompressionConfig:
         }
 
 
-class CallCache:
-    """Case-scoped cache of finished observations keyed by canonical tool arguments.
-
-    An entry is the observation's (text, truncated) pair, so a hit costs no
-    git process, formatting or extraction.
-    """
-
-    def __init__(self):
-        self._entries: dict[str, tuple[str, bool]] = {}
-
-    def has(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> tuple[str, bool]:
-        return self._entries[key]
-
-    def store(self, key: str, text: str, truncated: bool):
-        self._entries[key] = (text, truncated)
-
-    def __len__(self):
-        return len(self._entries)
-
-
 @dataclass
 class Observation:
     text: str
@@ -443,11 +420,14 @@ def execute_compressed(
     tool: ToolName,
     args: ToolArgs,
     fix_date: int,
-    cache: CallCache,
+    cache: dict[str, tuple[str, bool]],
     cfg: CompressionConfig,
     default_commit: str,
 ) -> Observation:
     """Run one tool call through bound capping, cache, format and extract.
+
+    `cache` is case-scoped: canonical arguments -> the finished observation's
+    (text, truncated), so a hit costs no git process, formatting or extraction.
 
     Tool failures come back as readable observations, never exceptions:
     the agent must be able to read the error and self-correct. Timed-out
@@ -455,8 +435,8 @@ def execute_compressed(
     """
     args = tk.enforce_search_bound(args, fix_date)
     key = canonicalize_args(args)
-    if cache.has(key):
-        text, truncated = cache.get(key)
+    if key in cache:
+        text, truncated = cache[key]
         return Observation(text, truncated=truncated, cache_hit=True, source_tool=tool)
     try:
         raw = execute_raw(repo, tool, args, default_commit)
@@ -475,5 +455,5 @@ def execute_compressed(
         text, truncated = compress_formatted(tool, formatted, truncated, cfg)
         if not text.strip():
             text = "(no output)"
-    cache.store(key, text, truncated)
+    cache[key] = (text, truncated)
     return Observation(text, truncated=truncated, cache_hit=False, source_tool=tool)

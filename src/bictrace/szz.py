@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gitio
-from .caseprep import load_fix_context
+from .caseprep import FixContext
 from .compress import parse_blame_porcelain
 from .gitio import GitStatus, RepoHandle
 
@@ -22,47 +22,49 @@ class BlameCandidate:
     commit: str
     file: str
     lines_attributed: int
+    committer_time: int
 
 
-def blame_candidates(repo: RepoHandle, fix: str) -> list[BlameCandidate]:
+def blame_candidates(repo: RepoHandle, fc: FixContext) -> list[BlameCandidate]:
     """Blame attribution counts for the fix's pre-image lines, per file."""
-    fc = load_fix_context(repo, fix)
     counts: dict[tuple[str, str], int] = {}
+    times: dict[str, int] = {}
     for path, removed in fc.deleted_or_modified_lines.items():
         out = gitio.run_git(
             repo, ["blame", "--porcelain", fc.fix_parent, "--", path]
         )
         if out.status is not GitStatus.OK:
             continue
-        by_line = {rec["final_line"]: rec["commit"] for rec in parse_blame_porcelain(out.stdout)}
+        by_line = {rec["final_line"]: rec for rec in parse_blame_porcelain(out.stdout)}
         for line_no, _ in removed:
-            commit = by_line.get(line_no)
-            if commit:
-                key = (commit, path)
+            rec = by_line.get(line_no)
+            if rec:
+                key = (rec["commit"], path)
                 counts[key] = counts.get(key, 0) + 1
+                times[rec["commit"]] = int(rec["committer-time"])
     return [
-        BlameCandidate(commit=c, file=p, lines_attributed=n)
+        BlameCandidate(commit=c, file=p, lines_attributed=n, committer_time=times[c])
         for (c, p), n in sorted(counts.items())
     ]
 
 
-def b_szz(repo: RepoHandle, fix: str) -> set[str]:
+def b_szz(repo: RepoHandle, fc: FixContext) -> set[str]:
     """All commits that last touched a line deleted or modified by the fix."""
-    return {cand.commit for cand in blame_candidates(repo, fix)}
+    return {cand.commit for cand in blame_candidates(repo, fc)}
 
 
-def r_szz(repo: RepoHandle, fix: str) -> str | None:
-    """Most recent blame candidate; equal timestamps break to smallest id."""
-    candidates = b_szz(repo, fix)
+def r_szz(repo: RepoHandle, fc: FixContext) -> str | None:
+    """Most recent blame candidate by committer time; ties break to smallest id."""
+    candidates = blame_candidates(repo, fc)
     if not candidates:
         return None
-    return min(candidates, key=lambda c: (-gitio.commit_timestamp(repo, c), c))
+    return min(candidates, key=lambda c: (-c.committer_time, c.commit)).commit
 
 
-def l_szz(repo: RepoHandle, fix: str) -> str | None:
+def l_szz(repo: RepoHandle, fc: FixContext) -> str | None:
     """Candidate owning the most traced lines; ties break to smallest id."""
     per_commit: dict[str, int] = {}
-    for cand in blame_candidates(repo, fix):
+    for cand in blame_candidates(repo, fc):
         per_commit[cand.commit] = per_commit.get(cand.commit, 0) + cand.lines_attributed
     if not per_commit:
         return None

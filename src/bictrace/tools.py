@@ -183,21 +183,6 @@ class ToolSchema:
         }
 
 
-def schema_from_wire(payload: dict) -> ToolSchema:
-    fn = payload["function"]
-    name = ToolName(fn["name"])
-    required = set(fn["parameters"].get("required", []))
-    spec = {
-        pname: {
-            "type": prop["type"],
-            "required": pname in required,
-            "description": prop.get("description", ""),
-        }
-        for pname, prop in fn["parameters"]["properties"].items()
-    }
-    return ToolSchema(name=name, description=fn["description"], parameter_spec=spec)
-
-
 def tool_schemas() -> list[ToolSchema]:
     """Schemas for all five tools, in stable order."""
     return [
@@ -315,8 +300,6 @@ def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:
             raise ToolError("commit_not_found", f"{context}: {err}")
         if "no such path" in low or "does not exist" in low or "exists on disk, but not in" in low:
             raise ToolError("file_not_found", f"{context}: {err}")
-        if "no match" in low:
-            raise ToolError(not_found_kind, f"{context}: {err}")
         raise ToolError(not_found_kind, f"{context}: {err}")
     return out.stdout
 

@@ -29,7 +29,6 @@ from bictrace.agent import (
 from bictrace.caseprep import CaseSpec, assemble_initial_context, load_fix_context
 from bictrace.compress import (
     MAX_OBS_OVERHEAD,
-    CallCache,
     CompressionConfig,
     compress_formatted,
     _FORMATTERS,
@@ -48,7 +47,7 @@ HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 def make_ctx(repo_path, fix):
     repo = RepoHandle(repo_path)
     fc = load_fix_context(repo, fix)
-    return fc, assemble_initial_context(fc, tool_schemas(), default_template())
+    return repo, fc, assemble_initial_context(fc, tool_schemas(), default_template())
 
 
 def test_c01_baseline_oracle_equivalence(tmp_path):
@@ -64,7 +63,8 @@ def test_c01_baseline_oracle_equivalence(tmp_path):
         fixes = commits[1:][-4:]
         for fix in fixes:
             expected = oracle.last_writer_b_szz(fix)
-            got = b_szz(repo, fix)
+            fc = load_fix_context(repo, fix)
+            got = b_szz(repo, fc)
             assert got == expected, (i, fix)
             checked_fixes += 1
             if not expected:
@@ -75,16 +75,16 @@ def test_c01_baseline_oracle_equivalence(tmp_path):
             if expected:
                 stamps = {c: gitio.commit_timestamp(repo, c) for c in expected}
                 expect_r = min(expected, key=lambda c: (-stamps[c], c))
-                assert r_szz(repo, fix) == expect_r, (i, fix)
+                assert r_szz(repo, fc) == expect_r, (i, fix)
 
                 per_commit = {}
-                for cand in blame_candidates(repo, fix):
+                for cand in blame_candidates(repo, fc):
                     per_commit[cand.commit] = per_commit.get(cand.commit, 0) + cand.lines_attributed
                 expect_l = min(per_commit, key=lambda c: (-per_commit[c], c))
-                assert l_szz(repo, fix) == expect_l, (i, fix)
+                assert l_szz(repo, fc) == expect_l, (i, fix)
             else:
-                assert r_szz(repo, fix) is None
-                assert l_szz(repo, fix) is None
+                assert r_szz(repo, fc) is None
+                assert l_szz(repo, fc) is None
     elapsed = time.monotonic() - started
     assert checked_fixes >= 2 * n_repos
     assert addition_only_seen >= 1, "generator produced no addition-only fixes"
@@ -120,7 +120,7 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
     rb.commit({"f.c": "int f(void) {\n  return 1;\n}\n"}, "seed")
     head = rb.commit({"f.c": "int f(void) {\n  return 2;\n}\n"}, "update")
     repo = RepoHandle(rb.path)
-    cache = CallCache()
+    cache = {}
     cfg = CompressionConfig()
     fix_date = 2_000_000_000
 
@@ -144,7 +144,7 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
         assert second.cache_hit and third.cache_hit and not first.cache_hit
 
     slow = RepoHandle(slow_repo.path, default_timeout=0.001)
-    timeout_cache = CallCache()
+    timeout_cache = {}
     obs = execute_compressed(
         slow, ToolName.LOG_S, LogSArgs(search_string="return"), fix_date, timeout_cache,
         cfg, slow_repo.head(),
@@ -157,13 +157,13 @@ def test_c04_turn_bound_and_determinism(cross_file_repo, tmp_path):
     """Unlimited tool calls stop at 15; scripted runs are byte-identical."""
     rb, info = cross_file_repo
     case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="acc")
-    _, ctx = make_ctx(rb.path, info["fix"])
+    repo, fc, ctx = make_ctx(rb.path, info["fix"])
 
     def run_once(out_path):
         backend = ScriptedBackend(
             [tool_step(ToolName.GREP, search_string="core_alloc_event")], repeat_last=True
         )
-        prediction, transcript = run_investigation(case, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         record_transcript(transcript, prediction, out_path)
         return prediction, transcript
 
@@ -183,7 +183,7 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
         repo_path=rb.path, fix_commit=info["fix"], ground_truth={info["bic"]},
         dataset_tag="acc",
     )
-    fc, ctx = make_ctx(rb.path, info["fix"])
+    repo, fc, ctx = make_ctx(rb.path, info["fix"])
     steps = [
         tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
         tool_step(ToolName.SHOW, commit=info["refactor"][:12]),
@@ -191,7 +191,7 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
         tool_step(ToolName.LOG_S, search_string="dyn_alloc_event"),
         final_step(f"BIC: {info['bic']}\nConfidence: high\nReasoning: allocation rewrite"),
     ]
-    prediction, transcript = run_investigation(case, ctx, ScriptedBackend(steps))
+    prediction, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
     assert prediction.status == "resolved"
     assert prediction.resolved_id == info["bic"]
     # The trajectory is grounded: blame surfaced the refactor, the pickaxe
@@ -200,7 +200,6 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
     assert info["refactor"][:12] in blame_obs
     pickaxe_obs = transcript.turns[3]["observation"].text
     assert info["bic"][:7] in pickaxe_obs
-    repo = RepoHandle(rb.path)
     assert classify_cross_file(repo, case, fc) is True
     assert classify_ghost(fc) is False
 
@@ -210,16 +209,15 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
         repo_path=grb.path, fix_commit=ginfo["fix"], ground_truth={ginfo["bic"]},
         dataset_tag="acc",
     )
-    gfc, gctx = make_ctx(grb.path, ginfo["fix"])
+    grepo, gfc, gctx = make_ctx(grb.path, ginfo["fix"])
     gsteps = [
         tool_step(ToolName.LOG_S, search_string="entry->weight"),
         final_step(f"BIC: {ginfo['bic']}\nConfidence: high\nReasoning: unguarded use"),
     ]
-    gprediction, gtranscript = run_investigation(gcase, gctx, ScriptedBackend(gsteps))
+    gprediction, gtranscript = run_investigation(gcase, grepo, gfc, gctx, ScriptedBackend(gsteps))
     assert gprediction.status == "resolved"
     assert gprediction.resolved_id == ginfo["bic"]
     assert ginfo["bic"][:7] in gtranscript.turns[0]["observation"].text
-    grepo = RepoHandle(grb.path)
     assert classify_ghost(gfc) is True
     assert classify_cross_file(grepo, gcase, gfc) is False
 
@@ -300,7 +298,7 @@ def test_c08_leakage_freedom(cross_file_repo, ghost_repo, tmp_path):
     fixtures.append((leaky.path, fix, {bic}))
 
     for repo_path, fix_commit, ground_truth in fixtures:
-        _, ctx = make_ctx(repo_path, fix_commit)
+        _, _, ctx = make_ctx(repo_path, fix_commit)
         blob = "\n".join([ctx.system_prompt, ctx.fix_block, ctx.constraints_block])
         assert not re.search(r"(?im)^\s*Fixes:", blob)
         for gt in ground_truth:
@@ -317,7 +315,7 @@ def test_c09_read_only_guarantee(tmp_path):
     before = object_set_digest(rb.path)
 
     case = CaseSpec(repo_path=rb.path, fix_commit=fix, ground_truth={bic}, dataset_tag="ro")
-    fc, ctx = make_ctx(rb.path, fix)
+    repo, fc, ctx = make_ctx(rb.path, fix)
     steps = [
         tool_step(ToolName.BLAME, file_path="lib/a.c"),
         tool_step(ToolName.SHOW, commit=bic[:10]),
@@ -326,13 +324,12 @@ def test_c09_read_only_guarantee(tmp_path):
         tool_step(ToolName.LOG_FUNC, function_name="one", file_path="lib/a.c"),
         final_step(f"BIC: {bic}\nConfidence: high\nReasoning: direct"),
     ]
-    prediction, _ = run_investigation(case, ctx, ScriptedBackend(steps))
+    prediction, _ = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
     assert prediction.resolved_id == bic
 
-    repo = RepoHandle(rb.path)
-    assert b_szz(repo, fix) == {bic}
-    assert r_szz(repo, fix) == bic
-    assert l_szz(repo, fix) == bic
+    assert b_szz(repo, fc) == {bic}
+    assert r_szz(repo, fc) == bic
+    assert l_szz(repo, fc) == bic
     classify_ghost(fc)
     classify_cross_file(repo, case, fc)
     resolve_prediction(repo, bic[:12])
@@ -352,8 +349,8 @@ def test_c10_live_smoke(cross_file_repo):
     """With a configured endpoint, one real investigation completes cleanly."""
     rb, info = cross_file_repo
     case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="live")
-    _, ctx = make_ctx(rb.path, info["fix"])
-    prediction, transcript = run_investigation(case, ctx, LiveBackend())
+    repo, fc, ctx = make_ctx(rb.path, info["fix"])
+    prediction, transcript = run_investigation(case, repo, fc, ctx, LiveBackend())
     assert transcript.tool_turns <= 15
     assert transcript.error is None
     assert prediction.status in ("resolved", "discarded")

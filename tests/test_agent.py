@@ -15,7 +15,6 @@ from bictrace.agent import (
     final_step,
     parse_final_output,
     record_transcript,
-    replay_backend,
     run_investigation,
     tool_step,
 )
@@ -28,7 +27,7 @@ from bictrace.tools import ToolName
 def make_ctx(repo_path, fix):
     repo = RepoHandle(repo_path)
     fc = load_fix_context(repo, fix)
-    return assemble_initial_context(fc, __import__("bictrace.tools", fromlist=["tool_schemas"]).tool_schemas(), default_template())
+    return repo, fc, assemble_initial_context(fc, __import__("bictrace.tools", fromlist=["tool_schemas"]).tool_schemas(), default_template())
 
 
 class TestParseFinalOutput:
@@ -74,13 +73,13 @@ class TestLoop:
     def test_scripted_end_to_end(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         steps = [
             tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
             tool_step(ToolName.SHOW, commit=info["refactor"][:12]),
             final_step(f"BIC: {info['bic']}\nConfidence: high\nReasoning: traced"),
         ]
-        prediction, transcript = run_investigation(case, ctx, ScriptedBackend(steps))
+        prediction, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
         assert prediction.status == "resolved"
         assert prediction.resolved_id == info["bic"]
         assert prediction.confidence == "high"
@@ -93,11 +92,11 @@ class TestLoop:
     def test_turn_budget_with_unbounded_backend(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         backend = ScriptedBackend(
             [tool_step(ToolName.GREP, search_string="core_alloc_event")], repeat_last=True
         )
-        prediction, transcript = run_investigation(case, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         assert transcript.tool_turns == 15
         assert transcript.total_turns <= 16  # budget + forced answer
         assert prediction.status == "no_prediction"
@@ -105,19 +104,34 @@ class TestLoop:
     def test_final_with_no_hash_is_no_prediction(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         prediction, transcript = run_investigation(
-            case, ctx, ScriptedBackend([final_step("BIC: unknown\nReasoning: lost")])
+            case, repo, fc, ctx, ScriptedBackend([final_step("BIC: unknown\nReasoning: lost")])
         )
         assert prediction.status == "no_prediction"
         assert transcript.total_turns == 1
 
+    def test_loop_spawns_no_git_of_its_own(self, cross_file_repo, monkeypatch):
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
+        from bictrace import gitio
+
+        spawned = []
+        real_spawn = gitio._spawn
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a) or real_spawn(*a))
+        prediction, _ = run_investigation(
+            case, repo, fc, ctx, ScriptedBackend([final_step("no hash here")])
+        )
+        assert prediction.status == "no_prediction"
+        assert spawned == []
+
     def test_unresolvable_hash_discarded(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         prediction, _ = run_investigation(
-            case, ctx, ScriptedBackend([final_step("BIC: " + "f" * 40)])
+            case, repo, fc, ctx, ScriptedBackend([final_step("BIC: " + "f" * 40)])
         )
         assert prediction.status == "discarded"
         assert prediction.trace is not None
@@ -125,23 +139,23 @@ class TestLoop:
     def test_malformed_retries_then_gives_up(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         backend = ScriptedBackend([ModelStep(kind="malformed", raw="???")], repeat_last=True)
-        prediction, transcript = run_investigation(case, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         assert prediction.status == "no_prediction"
         assert transcript.total_turns == 3  # original + two corrective retries
 
     def test_malformed_then_recovery(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         backend = ScriptedBackend(
             [
                 ModelStep(kind="malformed", raw="oops"),
                 final_step(f"BIC: {info['bic'][:12]}\nConfidence: low\nReasoning: r"),
             ]
         )
-        prediction, transcript = run_investigation(case, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         assert prediction.status == "resolved"
         assert prediction.resolved_id == info["bic"]
         assert transcript.total_turns == 2
@@ -149,14 +163,14 @@ class TestLoop:
     def test_invalid_tool_args_become_error_observation(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         backend = ScriptedBackend(
             [
                 tool_step(ToolName.BLAME, commit="HEAD"),  # missing file_path
                 final_step("BIC: unknown"),
             ]
         )
-        prediction, transcript = run_investigation(case, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         obs = transcript.turns[0]["observation"]
         assert obs.text.startswith("Error (schema)")
         assert "file_path" in obs.text
@@ -165,34 +179,34 @@ class TestLoop:
     def test_token_accounting(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         steps = [
             ModelStep(kind="tool_call", tool=ToolName.SHOW, args={"commit": info["fix"][:10]},
                       prompt_tokens=100, completion_tokens=10),
             ModelStep(kind="final", text=f"BIC: {info['bic']}", prompt_tokens=200,
                       completion_tokens=20),
         ]
-        _, transcript = run_investigation(case, ctx, ScriptedBackend(steps))
+        _, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
         assert transcript.total_tokens == 330
 
     def test_forced_answer_can_be_disabled(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         backend = ScriptedBackend(
             [tool_step(ToolName.GREP, search_string="dispatch")], repeat_last=True
         )
-        prediction, transcript = run_investigation(case, ctx, backend, forced_answer=False)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend, forced_answer=False)
         assert transcript.total_turns == 15
         assert prediction.status == "no_prediction"
 
     def test_forced_answer_extracts_prediction(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         steps = [tool_step(ToolName.GREP, search_string="dispatch")] * 15
         steps.append(final_step(f"BIC: {info['bic']}\nConfidence: medium\nReasoning: forced"))
-        prediction, transcript = run_investigation(case, ctx, ScriptedBackend(steps))
+        prediction, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
         assert prediction.status == "resolved"
         assert transcript.tool_turns == 15
         assert transcript.total_turns == 16
@@ -202,7 +216,7 @@ class TestSearchBoundInTranscript:
     def test_late_before_is_capped_in_recorded_args(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         backend = ScriptedBackend(
             [
                 tool_step(ToolName.LOG_S, search_string="dyn_alloc_event", before="2031-01-01"),
@@ -214,7 +228,7 @@ class TestSearchBoundInTranscript:
         from bictrace.tools import parse_date
 
         fix_date = gitio.commit_timestamp(RepoHandle(rb.path), info["fix"])
-        prediction, transcript = run_investigation(case, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         recorded = transcript.turns[0]["step"].args
         assert parse_date(recorded["before"], end_of_day=True) <= fix_date
         # The planted commit predates the fix, so the capped search finds it.
@@ -356,21 +370,21 @@ class TestRecordReplay:
     def _run_and_record(self, repo_info, path):
         rb, info = repo_info
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         steps = [
             tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
             tool_step(ToolName.GREP, search_string="core_alloc_event"),
             final_step(f"BIC: {info['bic']}\nConfidence: high\nReasoning: r"),
         ]
-        prediction, transcript = run_investigation(case, ctx, ScriptedBackend(steps))
+        prediction, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
         record_transcript(transcript, prediction, path)
-        return case, ctx, prediction, transcript
+        return case, repo, fc, ctx, prediction, transcript
 
     def test_record_then_replay_identical(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        case, ctx, prediction, _ = self._run_and_record(cross_file_repo, path)
+        case, repo, fc, ctx, prediction, _ = self._run_and_record(cross_file_repo, path)
         replay_prediction, replay_transcript = run_investigation(
-            case, ctx, replay_backend(path)
+            case, repo, fc, ctx, ReplayBackend(path)
         )
         assert replay_prediction.to_dict() == prediction.to_dict()
         replay_path = str(tmp_path / "replay.jsonl")
@@ -386,18 +400,18 @@ class TestRecordReplay:
     def test_replay_detects_repo_drift(self, cross_file_repo, tmp_path):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        ctx = make_ctx(rb.path, info["fix"])
+        repo, fc, ctx = make_ctx(rb.path, info["fix"])
         # Blame at HEAD depends on repository state beyond the fix.
         steps = [
             tool_step(ToolName.BLAME, file_path="driver/hotplug.c", commit="HEAD"),
             final_step(f"BIC: {info['bic']}"),
         ]
-        prediction, transcript = run_investigation(case, ctx, ScriptedBackend(steps))
+        prediction, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
         path = str(tmp_path / "drift.jsonl")
         record_transcript(transcript, prediction, path)
         rb.commit({"driver/hotplug.c": "void driver_phy_hotplug(int phy) {}\n"}, "drift")
         with pytest.raises(DesyncError):
-            run_investigation(case, ctx, replay_backend(path))
+            run_investigation(case, repo, fc, ctx, ReplayBackend(path))
 
     def test_truncated_file_schema_mismatch(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "trunc.jsonl")

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from oracle import AttributionOracle
-from repo_helpers import object_set_digest
+from repo_helpers import RepoBuilder, object_set_digest
 
 from bictrace.cli import main
 from bictrace.evaluate import read_results
@@ -161,6 +161,23 @@ class TestBaselineCmd:
         _, r_results = read_results(r_out)
         assert len(r_results[0].predicted) <= 1
         assert set(r_results[0].predicted) <= set(b_results[0].predicted)
+
+    def test_remote_urls_map_to_clone_names(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "clones" / "name")
+        rb.commit({"m.c": "keep\nold line\n"}, "seed")
+        bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
+        fix = rb.commit({"m.c": "keep\nfixed line\n"}, "fix")
+        urls = ["https://host/org/name.git", "git@host:org/name.git"]
+        ds = write_dataset(
+            tmp_path / "ds.jsonl",
+            [{"repo": url, "fix_commit": fix, "bics": [bic], "dataset_tag": "x",
+              "case_id": f"x:{i}"} for i, url in enumerate(urls)],
+        )
+        out_path = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path,
+                     "--repos-dir", str(tmp_path / "clones")]) == 0
+        _, results = read_results(out_path)
+        assert [(r.error, r.predicted) for r in results] == [(None, [bic])] * len(urls)
 
     def test_empty_dataset(self, tmp_path, capsys):
         ds = write_dataset(tmp_path / "empty.jsonl", [])

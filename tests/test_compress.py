@@ -11,7 +11,6 @@ from repo_helpers import RepoBuilder
 
 from bictrace import compress
 from bictrace.compress import (
-    CallCache,
     CompressionConfig,
     MAX_OBS_OVERHEAD,
     TIMEOUT_HINT,
@@ -348,7 +347,7 @@ def pipeline_repo(tmp_path):
 class TestExecuteCompressed:
     def test_cache_hit_spawns_no_process(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
-        cache = CallCache()
+        cache = {}
         cfg = CompressionConfig()
         args = BlameArgs(file_path="f.c")
         fix_date = 2_000_000_000
@@ -367,7 +366,7 @@ class TestExecuteCompressed:
                 calls.append(tool)
                 return formatter(raw, cfg)
             monkeypatch.setitem(compress._FORMATTERS, tool, counting)
-        cache, cfg = CallCache(), CompressionConfig()
+        cache, cfg = {}, CompressionConfig()
         for tool, args in (
             (ToolName.BLAME, BlameArgs(file_path="f.c")),
             (ToolName.SHOW, ShowArgs(commit=shas[0])),
@@ -387,7 +386,7 @@ class TestExecuteCompressed:
         monkeypatch.setattr(
             compress, "execute_raw", lambda *a: runs.append(a) or "not porcelain\n"
         )
-        cache, args = CallCache(), BlameArgs(file_path="f.c")
+        cache, args = {}, BlameArgs(file_path="f.c")
         first = execute_compressed(
             repo, ToolName.BLAME, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
         )
@@ -402,7 +401,7 @@ class TestExecuteCompressed:
     def test_timeout_hint_and_no_caching(self, slow_repo):
         head = slow_repo.head()
         slow = RepoHandle(slow_repo.path, default_timeout=0.001)
-        cache = CallCache()
+        cache = {}
         obs = execute_compressed(
             slow, ToolName.LOG_S, LogSArgs(search_string="f"), 2_000_000_000, cache,
             CompressionConfig(), head,
@@ -420,7 +419,7 @@ class TestExecuteCompressed:
     def test_small_output_unchanged_by_layer3(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         obs = execute_compressed(
-            repo, ToolName.SHOW, ShowArgs(commit=shas[0]), 2_000_000_000, CallCache(),
+            repo, ToolName.SHOW, ShowArgs(commit=shas[0]), 2_000_000_000, {},
             CompressionConfig(), shas[1],
         )
         from bictrace.tools import exec_git_show
@@ -433,7 +432,7 @@ class TestExecuteCompressed:
 
     def test_error_becomes_observation(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
-        cache = CallCache()
+        cache = {}
         for _ in range(2):
             obs = execute_compressed(
                 repo, ToolName.SHOW, ShowArgs(commit="deadbeef" * 5), 2_000_000_000,
@@ -450,7 +449,7 @@ class TestExecuteCompressed:
         fix_date = BASE_EPOCH + 86400  # only c1 is within bound
         obs = execute_compressed(
             repo, ToolName.LOG_S, LogSArgs(search_string="return"), fix_date,
-            CallCache(), CompressionConfig(), shas[1],
+            {}, CompressionConfig(), shas[1],
         )
         assert shas[0][:7] in obs.text
         assert shas[1][:7] not in obs.text

@@ -5,8 +5,16 @@ import pytest
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, generate_random_repo
 
+from bictrace import gitio
+from bictrace.caseprep import load_fix_context
 from bictrace.gitio import RepoHandle
 from bictrace.szz import b_szz, blame_candidates, l_szz, r_szz
+
+
+def loaded(path, fix):
+    """Handle and fix context, as the CLI loads them once per case."""
+    repo = RepoHandle(path)
+    return repo, load_fix_context(repo, fix)
 
 
 @pytest.fixture
@@ -22,11 +30,11 @@ def three_commit_repo(tmp_path):
 class TestBSzz:
     def test_single_introducer(self, three_commit_repo):
         rb, shas = three_commit_repo
-        assert b_szz(RepoHandle(rb.path), shas[2]) == {shas[1]}
+        assert b_szz(*loaded(rb.path, shas[2])) == {shas[1]}
 
     def test_addition_only_fix_empty(self, ghost_repo):
         rb, info = ghost_repo
-        assert b_szz(RepoHandle(rb.path), info["fix"]) == set()
+        assert b_szz(*loaded(rb.path, info["fix"])) == set()
 
     def test_two_introducers_match_oracle(self, tmp_path):
         rb = RepoBuilder(tmp_path / "two")
@@ -34,8 +42,8 @@ class TestBSzz:
         c2 = rb.commit({"m.c": "alpha changed\nbeta original\ngamma original\n"}, "change alpha")
         c3 = rb.commit({"m.c": "alpha changed\nbeta changed\ngamma original\n"}, "change beta")
         fix = rb.commit({"m.c": "alpha fixed\nbeta fixed\ngamma original\n"}, "fix both")
-        repo = RepoHandle(rb.path)
-        got = b_szz(repo, fix)
+        repo, fc = loaded(rb.path, fix)
+        got = b_szz(repo, fc)
         oracle = AttributionOracle(rb.path)
         assert got == oracle.last_writer_b_szz(fix) == {c2, c3}
         assert c1 not in got
@@ -48,9 +56,9 @@ class TestSelectors:
         early = rb.commit({"m.c": "one v2\ntwo v1\n"}, "early change")
         late = rb.commit({"m.c": "one v2\ntwo v2\n"}, "late change")
         fix = rb.commit({"m.c": "one v3\ntwo v3\n"}, "fix both lines")
-        repo = RepoHandle(rb.path)
-        assert b_szz(repo, fix) == {early, late}
-        assert r_szz(repo, fix) == late
+        repo, fc = loaded(rb.path, fix)
+        assert b_szz(repo, fc) == {early, late}
+        assert r_szz(repo, fc) == late
 
     def test_l_szz_picks_most_lines(self, tmp_path):
         rb = RepoBuilder(tmp_path / "lsel")
@@ -60,25 +68,25 @@ class TestSelectors:
         fix = rb.commit(
             {"m.c": "a v3\nb v3\nc v3\nd v3\ne v3\nf v3\ng v3\n"}, "rewrite all"
         )
-        repo = RepoHandle(rb.path)
+        repo, fc = loaded(rb.path, fix)
         per_commit = {}
-        for cand in blame_candidates(repo, fix):
+        for cand in blame_candidates(repo, fc):
             per_commit[cand.commit] = per_commit.get(cand.commit, 0) + cand.lines_attributed
         assert per_commit == {big: 5, small: 2}
-        assert l_szz(repo, fix) == big
+        assert l_szz(repo, fc) == big
 
     def test_ghost_fix_yields_none(self, ghost_repo):
         rb, info = ghost_repo
-        repo = RepoHandle(rb.path)
-        assert r_szz(repo, info["fix"]) is None
-        assert l_szz(repo, info["fix"]) is None
+        repo, fc = loaded(rb.path, info["fix"])
+        assert r_szz(repo, fc) is None
+        assert l_szz(repo, fc) is None
 
     def test_selectors_within_b_szz(self, three_commit_repo):
         rb, shas = three_commit_repo
-        repo = RepoHandle(rb.path)
-        full = b_szz(repo, shas[2])
-        assert r_szz(repo, shas[2]) in full
-        assert l_szz(repo, shas[2]) in full
+        repo, fc = loaded(rb.path, shas[2])
+        full = b_szz(repo, fc)
+        assert r_szz(repo, fc) in full
+        assert l_szz(repo, fc) in full
 
     def test_timestamp_tie_breaks_to_smallest_id(self, tmp_path):
         rb = RepoBuilder(tmp_path / "tie")
@@ -87,9 +95,38 @@ class TestSelectors:
         t1 = rb.commit({"m.c": "p v2\nq v1\n"}, "first same-time", date=shared)
         t2 = rb.commit({"m.c": "p v2\nq v2\n"}, "second same-time", date=shared)
         fix = rb.commit({"m.c": "p v3\nq v3\n"}, "fix", date=shared + 86400)
-        repo = RepoHandle(rb.path)
-        assert b_szz(repo, fix) == {t1, t2}
-        assert r_szz(repo, fix) == min(t1, t2)
+        repo, fc = loaded(rb.path, fix)
+        assert b_szz(repo, fc) == {t1, t2}
+        assert r_szz(repo, fc) == min(t1, t2)
+
+    def test_candidate_times_are_committer_times(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "times")
+        rb.commit({"m.c": "p v1\nq v1\n"}, "seed")
+        rb.commit({"m.c": "p v2\nq v1\n"}, "touch p")
+        rb.commit({"m.c": "p v2\nq v2\n"}, "touch q")
+        fix = rb.commit({"m.c": "p v3\nq v3\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        candidates = blame_candidates(repo, fc)
+        assert len(candidates) == 2
+        for cand in candidates:
+            assert cand.committer_time == gitio.commit_timestamp(repo, cand.commit)
+
+    def test_r_szz_spawns_as_many_as_b_szz(self, tmp_path, monkeypatch):
+        rb = RepoBuilder(tmp_path / "spawns")
+        rb.commit({"m.c": "a v1\nb v1\nc v1\n"}, "seed")
+        rb.commit({"m.c": "a v2\nb v1\nc v1\n"}, "touch a")
+        rb.commit({"m.c": "a v2\nb v2\nc v1\n"}, "touch b")
+        rb.commit({"m.c": "a v2\nb v2\nc v2\n"}, "touch c")
+        fix = rb.commit({"m.c": "a v3\nb v3\nc v3\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        spawned = []
+        real_spawn = gitio._spawn
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a) or real_spawn(*a))
+        assert len(b_szz(repo, fc)) == 3
+        b_spawns = len(spawned)
+        spawned.clear()
+        assert r_szz(repo, fc) is not None
+        assert len(spawned) == b_spawns == len(fc.deleted_or_modified_lines)
 
     def test_line_count_tie_breaks_to_smallest_id(self, tmp_path):
         rb = RepoBuilder(tmp_path / "ltie")
@@ -97,8 +134,8 @@ class TestSelectors:
         a = rb.commit({"m.c": "u v2\nv v1\n"}, "one line each A")
         b = rb.commit({"m.c": "u v2\nv v2\n"}, "one line each B")
         fix = rb.commit({"m.c": "u v3\nv v3\n"}, "fix")
-        repo = RepoHandle(rb.path)
-        assert l_szz(repo, fix) == min(a, b)
+        repo, fc = loaded(rb.path, fix)
+        assert l_szz(repo, fc) == min(a, b)
 
 
 class TestRenames:
@@ -107,8 +144,8 @@ class TestRenames:
         origin = rb.commit({"old.c": "stable line\nbuggy line v1\n"}, "seed old.c")
         rb.move("old.c", "lib/new.c", "move into lib/")
         fix = rb.commit({"lib/new.c": "stable line\n"}, "fix: drop buggy line")
-        repo = RepoHandle(rb.path)
-        assert b_szz(repo, fix) == {origin}
+        repo, fc = loaded(rb.path, fix)
+        assert b_szz(repo, fc) == {origin}
 
 
 class TestOracleEquivalence:
@@ -119,4 +156,5 @@ class TestOracleEquivalence:
         oracle = AttributionOracle(rb.path)
         fixes = [c for c in commits[1:]][-6:]
         for fix in fixes:
-            assert b_szz(repo, fix) == oracle.last_writer_b_szz(fix), (seed, fix)
+            fc = load_fix_context(repo, fix)
+            assert b_szz(repo, fc) == oracle.last_writer_b_szz(fix), (seed, fix)

@@ -22,7 +22,6 @@ from bictrace.tools import (
     enforce_search_bound,
     parse_args,
     parse_date,
-    schema_from_wire,
     tool_schemas,
 )
 
@@ -52,8 +51,14 @@ class TestSchemas:
 
     def test_wire_round_trip(self):
         for schema in tool_schemas():
-            wire = json.loads(json.dumps(schema.as_wire()))
-            assert schema_from_wire(wire) == schema
+            fn = json.loads(json.dumps(schema.as_wire()))["function"]
+            spec = tools._PARAM_SPECS[schema.name]
+            assert fn["name"] == schema.name.value
+            assert fn["parameters"]["type"] == "object"
+            props = fn["parameters"]["properties"]
+            assert list(props) == list(spec)
+            assert {p: props[p]["type"] for p in props} == {p: s[0] for p, s in spec.items()}
+            assert fn["parameters"]["required"] == [p for p, s in spec.items() if s[1]]
 
 
 class TestParseArgs:

@@ -115,25 +115,28 @@ def preimage_lines_from_diff(diff_text: str) -> dict[str, list[tuple[int, str]]]
 
 
 def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
+    """Everything the agent and the baselines know about the fix, in three git calls."""
     fix_id = gitio.resolve_commit(repo, fix)
     if fix_id is None:
         raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
-    parent = gitio.parent_of(repo, fix_id, 1)
-    if parent is None:
+    out = gitio.run_git(repo, ["show", "-s", "--format=%P%n%ct%n%B", fix_id])
+    if out.status is not gitio.GitStatus.OK:
+        raise gitio.CommitNotFound(f"cannot read fix commit {fix_id}: {out.stderr.strip()}")
+    parents, fix_date, message = out.stdout.split("\n", 2)
+    if not parents:
         raise RootCommit(f"fix commit {fix_id} has no parent")
-    fix_date = gitio.commit_timestamp(repo, fix_id)
+    parent = parents.split()[0]
 
-    message = gitio.run_git(repo, ["show", "-s", "--format=%B", fix_id]).stdout
-    diff = gitio.run_git(
-        repo, ["diff", "--no-color", "--unified=3", parent, fix_id]
-    ).stdout
-    names = gitio.run_git(repo, ["diff", "--name-only", parent, fix_id]).stdout
-    changed_files = [ln for ln in names.splitlines() if ln.strip()]
+    # --raw lines (one per changed file, path last), a blank line, the patch.
+    raw, _, diff = gitio.run_git(
+        repo, ["diff", "--no-color", "--unified=3", "--raw", "-p", parent, fix_id]
+    ).stdout.partition("\n\n")
+    changed_files = [ln.rsplit("\t", 1)[-1] for ln in raw.splitlines() if ln.startswith(":")]
 
     return FixContext(
         fix_id=fix_id,
         fix_parent=parent,
-        fix_date=fix_date,
+        fix_date=int(fix_date),
         message_redacted=redact_leakage(strip_trailers(message)),
         diff_text=diff,
         changed_files=changed_files,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from . import evaluate as ev
 from . import gitio, szz
 from .agent import (
+    TRANSCRIPT_SCHEMA,
     BackendUnavailable,
     DesyncError,
     LiveBackend,
@@ -54,7 +55,6 @@ class RunConfig:
     parallelism: int = 1
     run_dir: str = "runs"
     run_id: str = ""
-    price_table: dict | None = None
     forced_answer: bool = True
 
     def __post_init__(self):
@@ -89,9 +89,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[cfg_key] = value
     compression = CompressionConfig.from_dict(merged.pop("compression", {}))
-    price_table = merged.pop("price_table", None)
     known = {k: v for k, v in merged.items() if k in RunConfig.__dataclass_fields__}
-    cfg = RunConfig(compression=compression, price_table=price_table, **known)
+    cfg = RunConfig(compression=compression, **known)
     if not cfg.run_id:
         cfg.run_id = time.strftime("run-%Y%m%d-%H%M%S")
     return cfg
@@ -327,6 +326,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         dataset = load_dataset(args.dataset)
+        price = None
+        if args.config:
+            with open(args.config, encoding="utf-8") as f:
+                price = json.load(f).get("price_table")
     except (ev.DatasetError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -335,10 +338,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for results_path in args.results:
         try:
             method, results = ev.read_results(results_path)
-            price = None
-            if args.config:
-                with open(args.config, encoding="utf-8") as f:
-                    price = json.load(f).get("price_table")
             report = ev.aggregate_report(dataset, results, name=method, price_table=price)
         except (ev.DatasetError, ev.MissingGroundTruth, OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -373,7 +372,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         with open(args.transcript, encoding="utf-8") as f:
             header = json.loads(f.readline())
-        if header.get("schema") != "bictrace-transcript/v1":
+        if header.get("schema") != TRANSCRIPT_SCHEMA:
             raise SchemaMismatch(f"{args.transcript} is not a transcript file")
         setattr(args, "backend", f"replay:{args.transcript}")
         setattr(args, "repo", args.repo or header["repo"])
@@ -404,18 +403,14 @@ def cmd_tool(args: argparse.Namespace) -> int:
         return 2
     try:
         repo = RepoHandle(args.repo)
-        fix_id = gitio.resolve_commit(repo, args.fix)
-        if fix_id is None:
-            raise gitio.CommitNotFound(f"--fix {args.fix!r} does not resolve")
-        fix_date = gitio.commit_timestamp(repo, fix_id)
-        default_commit = gitio.parent_of(repo, fix_id, 1) or fix_id
-    except gitio.GitGatewayError as exc:
+        fc = load_fix_context(repo, args.fix)
+    except (gitio.GitGatewayError, RootCommit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     cfg = CompressionConfig()
     if args.raw:
         try:
-            raw = execute_raw(repo, tool, tool_args, default_commit)
+            raw = execute_raw(repo, tool, tool_args, fc.fix_parent)
         except ToolError as exc:
             print(f"Error ({exc.kind}): {exc}")
             return 2
@@ -423,7 +418,7 @@ def cmd_tool(args: argparse.Namespace) -> int:
         print(formatted)
         return 0
     obs = execute_compressed(
-        repo, tool, tool_args, fix_date, {}, cfg, default_commit=default_commit
+        repo, tool, tool_args, fc.fix_date, {}, cfg, default_commit=fc.fix_parent
     )
     print(obs.text)
     return 0

@@ -214,10 +214,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-class IncompleteResults(Exception):
-    """A report was requested over results missing dataset cases."""
-
-
 def aggregate_report(
     dataset: Dataset,
     results: list[CaseResult],

@@ -162,15 +162,3 @@ def commit_timestamp(repo: RepoHandle, commit: str) -> int:
         raise CommitNotFound(f"cannot read timestamp of {commit}: {out.stderr.strip()}")
     return int(out.stdout.strip().splitlines()[-1])
 
-
-def parent_of(repo: RepoHandle, commit: str, index: int = 1) -> str | None:
-    """index-th parent (1-based) of commit, or None if it has fewer parents."""
-    if index < 1:
-        raise ValueError("parent index is 1-based")
-    out = run_git(repo, ["rev-list", "--parents", "-n", "1", commit])
-    if out.status is not GitStatus.OK:
-        raise CommitNotFound(f"no such commit {commit}: {out.stderr.strip()}")
-    fields = out.stdout.split()
-    if len(fields) <= index:
-        return None
-    return fields[index]

@@ -5,6 +5,5 @@ from importlib import resources
 
 def default_template() -> str:
     """The investigation system-prompt template shipped with the package."""
-    return (
-        resources.files("bictrace").joinpath("assets/investigation_prompt.txt").read_text()
-    )
+    path = resources.files("bictrace").joinpath("assets/investigation_prompt.txt")
+    return path.read_text(encoding="utf-8")

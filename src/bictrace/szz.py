@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gitio
 from .caseprep import FixContext
 from .compress import parse_blame_porcelain
-from .gitio import GitStatus, RepoHandle
+from .gitio import RepoHandle
+from .tools import BlameArgs, ToolError, exec_git_blame
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,11 @@ def blame_candidates(repo: RepoHandle, fc: FixContext) -> list[BlameCandidate]:
     counts: dict[tuple[str, str], int] = {}
     times: dict[str, int] = {}
     for path, removed in fc.deleted_or_modified_lines.items():
-        out = gitio.run_git(
-            repo, ["blame", "--porcelain", fc.fix_parent, "--", path]
-        )
-        if out.status is not GitStatus.OK:
+        try:
+            raw = exec_git_blame(repo, BlameArgs(file_path=path), fc.fix_parent)
+        except ToolError:
             continue
-        by_line = {rec["final_line"]: rec for rec in parse_blame_porcelain(out.stdout)}
+        by_line = {rec["final_line"]: rec for rec in parse_blame_porcelain(raw)}
         for line_no, _ in removed:
             rec = by_line.get(line_no)
             if rec:

@@ -1,5 +1,6 @@
 """Fix-context loading, leakage redaction, initial-context assembly."""
 
+import os
 import re
 
 import pytest
@@ -67,6 +68,51 @@ class TestLoadFixContext:
         repo = RepoHandle(rb.path)
         with pytest.raises(gitio.CommitNotFound):
             load_fix_context(repo, "deadbeef" * 5)
+
+    def test_three_git_calls(self, deletion_repo):
+        rb, shas = deletion_repo
+        repo = RepoHandle(rb.path)
+        load_fix_context(repo, shas[1])
+        assert repo.process_count == 3
+
+    def test_files_and_diff_match_git(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "edges")
+        rb.commit({"old.c": "alpha\nbeta\ngamma\ndelta\n", "run.sh": "echo hi\n"}, "seed")
+        with open(os.path.join(rb.path, "blob.bin"), "wb") as f:
+            f.write(b"\x00\x01\x02 seed\n")
+        parent = rb.commit(message="add a binary")
+        rb.git("mv", "old.c", "new.c")
+        os.chmod(os.path.join(rb.path, "run.sh"), 0o755)
+        with open(os.path.join(rb.path, "blob.bin"), "wb") as f:
+            f.write(b"\x00\x01\x02 edited\n")
+        fix = rb.commit({"naïve.txt": "non-ascii path\n", "tab\tname.txt": "tab\n"}, "edge cases")
+
+        fc = load_fix_context(RepoHandle(rb.path), fix)
+        names = rb.git("diff", "--name-only", parent, fix)
+        assert fc.changed_files == names.splitlines()
+        assert '"na\\303\\257ve.txt"' in fc.changed_files and "new.c" in fc.changed_files
+        assert fc.diff_text == rb.git("diff", "--no-color", "--unified=3", parent, fix)
+
+    def test_empty_fix(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "empty")
+        rb.commit({"a.txt": "one\n"}, "seed")
+        rb.git("commit", "-q", "--allow-empty", "-m", "nothing", date=rb.next_date())
+        fc = load_fix_context(RepoHandle(rb.path), rb.head())
+        assert fc.changed_files == []
+        assert fc.diff_text == ""
+        assert fc.deleted_or_modified_lines == {}
+
+    def test_merge_fix_takes_first_parent(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "merge")
+        rb.commit({"a.txt": "one\n"}, "base")
+        rb.branch("side")
+        rb.commit({"b.txt": "two\n"}, "side work")
+        rb.checkout("main")
+        main = rb.commit({"c.txt": "three\n"}, "main work")
+        merge = rb.merge("side")
+        fc = load_fix_context(RepoHandle(rb.path), merge)
+        assert fc.fix_parent == main
+        assert fc.changed_files == ["b.txt"]
 
     def test_fix_message_trailers_removed(self, tmp_path):
         rb = RepoBuilder(tmp_path / "trailers")

@@ -296,6 +296,17 @@ class TestToolCmd:
         assert code == 0
         assert "[output truncated" in out
 
+    def test_root_fix_rejected(self, linear_repo, capsys):
+        rb, shas = linear_repo
+        code = main(
+            [
+                "tool", "git_grep", "--repo", rb.path, "--fix", shas[0],
+                "--args", json.dumps({"search_string": "add"}),
+            ]
+        )
+        assert code == 1
+        assert "has no parent" in capsys.readouterr().err
+
     def test_missing_required_arg_schema_text(self, linear_repo, capsys):
         rb, _ = linear_repo
         code = main(["tool", "git_blame", "--repo", rb.path, "--args", "{}"])

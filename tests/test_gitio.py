@@ -86,29 +86,6 @@ def test_commit_timestamp_known_dates(linear_repo):
         gitio.commit_timestamp(repo, "deadbeef" * 5)
 
 
-def test_parent_of(linear_handle):
-    repo, shas = linear_handle
-    assert gitio.parent_of(repo, shas[0], 1) is None
-    assert gitio.parent_of(repo, shas[1], 1) == shas[0]
-    assert gitio.parent_of(repo, shas[1], 2) is None
-
-
-def test_parent_of_merge(tmp_path):
-    from repo_helpers import RepoBuilder
-
-    rb = RepoBuilder(tmp_path / "merge")
-    base = rb.commit({"a.txt": "one\n"}, "base")
-    rb.branch("side")
-    side = rb.commit({"b.txt": "two\n"}, "side work")
-    rb.checkout("main")
-    main = rb.commit({"c.txt": "three\n"}, "main work")
-    merge = rb.merge("side")
-    repo = RepoHandle(rb.path)
-    assert gitio.parent_of(repo, merge, 1) == main
-    assert gitio.parent_of(repo, merge, 2) == side
-    assert base  # silence unused
-
-
 def test_run_git_deterministic_output(linear_handle):
     repo, shas = linear_handle
     first = gitio.run_git(repo, ["show", "--no-color", shas[1]])

@@ -13,7 +13,7 @@ import json
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import requests
 
@@ -22,11 +22,13 @@ from .caseprep import CaseSpec, FixContext, InitialContext
 from .compress import CompressionConfig, Observation, execute_compressed
 from .gitio import RepoHandle
 from .resolve import ResolutionTrace
-from .tools import SchemaError, ToolName, ToolSchema, enforce_search_bound, parse_args
+from .tools import SchemaError, ToolName, enforce_search_bound, parse_args
 
 TRANSCRIPT_SCHEMA = "bictrace-transcript/v1"
 
 DEFAULT_MAX_TURNS = 15
+MALFORMED_RETRIES = 2  # corrective prompts in a row before the case gives up
+ENDPOINT_TIMEOUT = 120.0  # seconds per model request
 
 CORRECTIVE_MESSAGE = (
     "Your last message was not a valid single tool call or final answer. "
@@ -109,16 +111,6 @@ class Prediction:
     resolved_id: str | None = None
     trace: ResolutionTrace | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "raw_hash_text": self.raw_hash_text,
-            "confidence": self.confidence,
-            "reasoning": self.reasoning,
-            "status": self.status,
-            "resolved_id": self.resolved_id,
-            "trace": self.trace.to_dict() if self.trace else None,
-        }
-
 
 @dataclass
 class Transcript:
@@ -156,7 +148,7 @@ class ScriptedBackend:
         self.repeat_last = repeat_last
         self.index = 0
 
-    def send(self, conversation: list[dict], tool_specs: list[ToolSchema]) -> ModelStep:
+    def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
         if self.index < len(self.steps):
             step = self.steps[self.index]
             self.index += 1
@@ -174,14 +166,10 @@ class LiveBackend:
         endpoint_url: str | None = None,
         model: str | None = None,
         api_key: str | None = None,
-        timeout: float = 120.0,
-        extra_params: dict | None = None,
     ):
         self.endpoint_url = endpoint_url or os.environ.get("BICTRACE_ENDPOINT", "")
         self.model = model or os.environ.get("BICTRACE_MODEL", "")
         self.api_key = api_key or os.environ.get("BICTRACE_API_KEY", "")
-        self.timeout = timeout
-        self.extra_params = extra_params or {}
         missing = [
             name
             for name, value in (
@@ -194,16 +182,16 @@ class LiveBackend:
         if missing:
             raise BackendUnavailable(f"live backend not configured: missing {', '.join(missing)}")
 
-    def send(self, conversation: list[dict], tool_specs: list[ToolSchema]) -> ModelStep:
-        body: dict = {"model": self.model, "messages": conversation, **self.extra_params}
+    def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
+        body: dict = {"model": self.model, "messages": conversation}
         if tool_specs:
-            body["tools"] = [schema.as_wire() for schema in tool_specs]
+            body["tools"] = tool_specs
         try:
             response = requests.post(
                 self.endpoint_url,
                 json=body,
                 headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
+                timeout=ENDPOINT_TIMEOUT,
             )
             response.raise_for_status()
             data = response.json()
@@ -264,7 +252,7 @@ class ReplayBackend:
             elif record.get("event") == "observation":
                 self.observations[len(self.steps) - 1] = record["text"]
 
-    def send(self, conversation: list[dict], tool_specs: list[ToolSchema]) -> ModelStep:
+    def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
         previous = self.index - 1
         if previous >= 0 and previous in self.observations:
             live = next(
@@ -330,7 +318,6 @@ def run_investigation(
     max_turns: int = DEFAULT_MAX_TURNS,
     cfg: CompressionConfig | None = None,
     forced_answer: bool = True,
-    malformed_retries: int = 2,
 ) -> tuple[Prediction, Transcript]:
     """Run the full loop for one case and return its prediction + transcript.
 
@@ -360,20 +347,13 @@ def run_investigation(
                     args = enforce_search_bound(parse_args(step.tool, step.args), fc.fix_date)
                 except SchemaError as exc:
                     observation = Observation(
-                        f"Error (schema): {exc}", truncated=False, cache_hit=False,
-                        source_tool=step.tool,
+                        f"Error (schema): {exc}", truncated=False, cache_hit=False
                     )
                 else:
                     # The transcript records the bound-enforced arguments:
                     # nothing later than the fix date ever reaches git or disk.
-                    step = ModelStep(
-                        kind=step.kind,
-                        tool=step.tool,
-                        args={k: v for k, v in asdict(args).items() if v is not None},
-                        text=step.text,
-                        raw=step.raw,
-                        prompt_tokens=step.prompt_tokens,
-                        completion_tokens=step.completion_tokens,
+                    step = replace(
+                        step, args={k: v for k, v in asdict(args).items() if v is not None}
                     )
                     observation = execute_compressed(
                         repo, step.tool, args, fc.fix_date, cache, cfg, default_commit=fc.fix_parent
@@ -408,7 +388,7 @@ def run_investigation(
                 consecutive_malformed += 1
                 conversation.append({"role": "user", "content": CORRECTIVE_MESSAGE})
                 transcript.add(step, None)
-                if consecutive_malformed > malformed_retries:
+                if consecutive_malformed > MALFORMED_RETRIES:
                     prediction = Prediction("", "unstated", "", "no_prediction")
                     break
 
@@ -449,7 +429,7 @@ def record_transcript(transcript: Transcript, prediction: Prediction, path: str)
             records.append(
                 {
                     "event": "observation",
-                    "tool": obs.source_tool.value if obs.source_tool else None,
+                    "tool": turn["step"].tool.value,
                     "text": obs.text,
                     "truncated": obs.truncated,
                     "cache_hit": obs.cache_hit,
@@ -458,7 +438,7 @@ def record_transcript(transcript: Transcript, prediction: Prediction, path: str)
     records.append(
         {
             "event": "result",
-            "prediction": prediction.to_dict(),
+            "prediction": asdict(prediction),
             "tool_turns": transcript.tool_turns,
             "total_turns": transcript.total_turns,
             "total_tokens": transcript.total_tokens,

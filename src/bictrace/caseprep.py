@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from . import gitio
 from .compress import strip_trailers
 from .gitio import RepoHandle
-from .tools import ToolSchema
+from .tools import tool_schemas
 
 HASH_PLACEHOLDER = "[commit-ref-removed]"
 
@@ -57,9 +57,7 @@ class FixContext:
 @dataclass
 class InitialContext:
     system_prompt: str
-    tool_specs: list[ToolSchema]
-    fix_block: str
-    constraints_block: str
+    tool_specs: list[dict]
 
 
 def redact_leakage(message: str, dataset_tag: str = "") -> str:
@@ -169,20 +167,11 @@ def render_constraints_block(fc: FixContext) -> str:
     )
 
 
-def assemble_initial_context(
-    fc: FixContext, schemas: list[ToolSchema], prompt_template: str
-) -> InitialContext:
-    fix_block = render_fix_block(fc)
-    constraints_block = render_constraints_block(fc)
+def assemble_initial_context(fc: FixContext, prompt_template: str) -> InitialContext:
     for slot in ("{{fix_block}}", "{{constraints_block}}"):
         if slot not in prompt_template:
             raise TemplateSlotMissing(f"prompt template is missing slot {slot}")
-    system_prompt = prompt_template.replace("{{fix_block}}", fix_block).replace(
-        "{{constraints_block}}", constraints_block
+    system_prompt = prompt_template.replace("{{fix_block}}", render_fix_block(fc)).replace(
+        "{{constraints_block}}", render_constraints_block(fc)
     )
-    return InitialContext(
-        system_prompt=system_prompt,
-        tool_specs=schemas,
-        fix_block=fix_block,
-        constraints_block=constraints_block,
-    )
+    return InitialContext(system_prompt=system_prompt, tool_specs=tool_schemas())

@@ -15,7 +15,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import evaluate as ev
 from . import gitio, szz
@@ -37,7 +37,8 @@ from .compress import CompressionConfig, execute_compressed, execute_raw, format
 from .evaluate import CaseResult, Dataset, load_dataset
 from .gitio import RepoHandle
 from .prompts import default_template
-from .tools import SchemaError, ToolError, ToolName, parse_args as parse_tool_args, tool_schemas
+from .tools import SchemaError, ToolError, ToolName, enforce_search_bound
+from .tools import parse_args as parse_tool_args
 
 ENV_ENDPOINT = "BICTRACE_ENDPOINT"
 ENV_API_KEY = "BICTRACE_API_KEY"
@@ -64,30 +65,29 @@ class RunConfig:
             raise ValueError("parallelism must be >= 1")
 
 
+def read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as f:
+        data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return data
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Assemble config with precedence: flags > environment > file > defaults."""
     merged: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as f:
-            merged.update(json.load(f))
+        merged.update(read_config(config_path))
     env_map = {"endpoint_url": ENV_ENDPOINT, "api_key": ENV_API_KEY, "model": ENV_MODEL}
     for key, env_name in env_map.items():
         if os.environ.get(env_name):
             merged[key] = os.environ[env_name]
-    flag_map = {
-        "backend": "backend",
-        "model": "model",
-        "endpoint_url": "endpoint_url",
-        "max_turns": "max_turns",
-        "parallelism": "parallelism",
-        "run_dir": "run_dir",
-        "run_id": "run_id",
-    }
-    for cfg_key, flag in flag_map.items():
-        value = getattr(args, flag, None)
+    flags = ("backend", "model", "endpoint_url", "max_turns", "parallelism", "run_dir", "run_id")
+    for key in flags:
+        value = getattr(args, key, None)
         if value is not None:
-            merged[cfg_key] = value
+            merged[key] = value
     compression = CompressionConfig.from_dict(merged.pop("compression", {}))
     known = {k: v for k, v in merged.items() if k in RunConfig.__dataclass_fields__}
     cfg = RunConfig(compression=compression, **known)
@@ -184,7 +184,7 @@ def _investigate_one(
     start = time.monotonic()
     repo = RepoHandle(case.repo_path)
     fc = load_fix_context(repo, case.fix_commit)
-    ctx = assemble_initial_context(fc, tool_schemas(), default_template())
+    ctx = assemble_initial_context(fc, default_template())
     prediction, transcript = run_investigation(
         case,
         repo,
@@ -220,7 +220,7 @@ def _investigate_one(
     )
     case_path = os.path.join(paths["cases"], _safe_name(case.case_id) + ".json")
     payload = result.to_dict()
-    payload["prediction"] = prediction.to_dict()
+    payload["prediction"] = asdict(prediction)
     with open(case_path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -228,9 +228,9 @@ def _investigate_one(
 
 
 def cmd_investigate(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
     case = CaseSpec(repo_path=args.repo, fix_commit=args.fix, dataset_tag=args.tag or "adhoc")
     try:
+        config = build_run_config(args)
         backend_factory = make_backend(config)
         paths = _run_paths(config)
         prediction, result = _investigate_one(case, config, backend_factory, paths)
@@ -250,8 +250,8 @@ def cmd_investigate(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
     try:
+        config = build_run_config(args)
         dataset = load_dataset(args.dataset)
         backend_factory = make_backend(config)
     except (ev.DatasetError, OSError, ValueError, json.JSONDecodeError) as exc:
@@ -260,14 +260,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     paths = _run_paths(config)
 
     def worker(case: CaseSpec) -> CaseResult:
-        local = CaseSpec(
-            repo_path=_materialize_repo(case.repo_path, args.repos_dir),
-            fix_commit=case.fix_commit,
-            ground_truth=case.ground_truth,
-            dataset_tag=case.dataset_tag,
-            case_id=case.case_id,
-        )
         try:
+            local = replace(case, repo_path=_materialize_repo(case.repo_path, args.repos_dir))
             return _investigate_one(local, config, backend_factory, paths)[1]
         except Exception as exc:  # noqa: BLE001 - batch must survive any case
             return CaseResult(case_id=case.case_id, error=str(exc))
@@ -326,11 +320,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         dataset = load_dataset(args.dataset)
-        price = None
-        if args.config:
-            with open(args.config, encoding="utf-8") as f:
-                price = json.load(f).get("price_table")
-    except (ev.DatasetError, OSError, json.JSONDecodeError) as exc:
+        price = read_config(args.config).get("price_table") if args.config else None
+        if price is not None and not (
+            isinstance(price, dict) and all(isinstance(v, (int, float)) for v in price.values())
+        ):
+            raise ValueError(f"{args.config}: price_table must map price names to numbers")
+    except (ev.DatasetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     reports = []
@@ -407,6 +402,7 @@ def cmd_tool(args: argparse.Namespace) -> int:
     except (gitio.GitGatewayError, RootCommit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    tool_args = enforce_search_bound(tool_args, fc.fix_date)
     cfg = CompressionConfig()
     if args.raw:
         try:

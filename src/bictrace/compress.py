@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import tools as tk
@@ -86,16 +86,8 @@ class CompressionConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "line_caps": {name.value: cap for name, cap in self.line_caps.items()},
-            "k1_head": self.k1_head,
-            "k1_tail": self.k1_tail,
-            "k2_head": self.k2_head,
-            "k2_tail": self.k2_tail,
-            "k3": self.k3,
-            "k4": self.k4,
-        }
+        caps = {name.value: cap for name, cap in self.line_caps.items()}
+        return {**asdict(self), "line_caps": caps}
 
 
 @dataclass
@@ -103,7 +95,6 @@ class Observation:
     text: str
     truncated: bool
     cache_hit: bool
-    source_tool: ToolName
 
 
 def canonicalize_args(args: ToolArgs) -> str:
@@ -437,15 +428,13 @@ def execute_compressed(
     key = canonicalize_args(args)
     if key in cache:
         text, truncated = cache[key]
-        return Observation(text, truncated=truncated, cache_hit=True, source_tool=tool)
+        return Observation(text, truncated=truncated, cache_hit=True)
     try:
         raw = execute_raw(repo, tool, args, default_commit)
     except ToolTimeout:
-        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False, source_tool=tool)
+        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False)
     except ToolError as exc:
-        return Observation(
-            f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False, source_tool=tool
-        )
+        return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False)
     try:
         formatted, truncated = _FORMATTERS[tool](raw, cfg)
     except MalformedPorcelain as exc:
@@ -456,4 +445,4 @@ def execute_compressed(
         if not text.strip():
             text = "(no output)"
     cache[key] = (text, truncated)
-    return Observation(text, truncated=truncated, cache_hit=False, source_tool=tool)
+    return Observation(text, truncated=truncated, cache_hit=False)

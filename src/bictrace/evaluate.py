@@ -8,7 +8,7 @@ baselines and single-answer agents are measured on the same scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import gitio
 from .caseprep import CaseSpec, FixContext
@@ -36,8 +36,9 @@ class Dataset:
         return {case.case_id: case for case in self.cases}
 
 
-def load_dataset(path: str, name: str | None = None) -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Read a line-delimited dataset file of fix commits and their BICs."""
+    name = None
     cases = []
     seen = set()
     with open(path, encoding="utf-8") as f:
@@ -144,19 +145,13 @@ def classify_ghost(fc: FixContext) -> bool:
     return not any(fc.deleted_or_modified_lines.values())
 
 
-def classify_cross_file(
-    repo: RepoHandle, case: CaseSpec, fc: FixContext, follow_renames: bool = True
-) -> bool:
+def classify_cross_file(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> bool:
     """True when no ground-truth BIC appears in any fix-touched file's history."""
     if not case.ground_truth:
         return False
     history: set[str] = set()
     for path in fc.changed_files:
-        cmd = ["log", "--format=%H"]
-        if follow_renames:
-            cmd.append("--follow")
-        cmd += [fc.fix_id, "--", path]
-        out = gitio.run_git(repo, cmd)
+        out = gitio.run_git(repo, ["log", "--format=%H", "--follow", fc.fix_id, "--", path])
         if out.status is GitStatus.OK:
             history.update(out.stdout.split())
     return all(bic not in history for bic in case.ground_truth)
@@ -173,30 +168,7 @@ class EvalReport:
     cost_means: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "name": self.name,
-            "n_cases": self.n_cases,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "category_recall": self.category_recall,
-            "cost_means": self.cost_means,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        if data.get("schema") != REPORT_SCHEMA:
-            raise DatasetError(f"not a {REPORT_SCHEMA} record")
-        return cls(
-            name=data["name"],
-            n_cases=data["n_cases"],
-            precision=data["precision"],
-            recall=data["recall"],
-            f1=data["f1"],
-            category_recall=data.get("category_recall", {}),
-            cost_means=data.get("cost_means", {}),
-        )
+        return {"schema": REPORT_SCHEMA, **asdict(self)}
 
     def render_table(self) -> str:
         lines = [
@@ -264,10 +236,9 @@ def aggregate_report(
     )
 
 
-def emit_report(report: EvalReport, path_json: str, path_text: str | None = None):
+def emit_report(report: EvalReport, path_json: str, path_text: str):
     with open(path_json, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    if path_text:
-        with open(path_text, "w", encoding="utf-8") as f:
-            f.write(report.render_table() + "\n")
+    with open(path_text, "w", encoding="utf-8") as f:
+        f.write(report.render_table() + "\n")

@@ -19,9 +19,7 @@ COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
 
 # Read-only subcommands the gateway will execute. Anything else is a bug in
 # the caller, not an agent-recoverable condition.
-ALLOWED_SUBCOMMANDS = frozenset(
-    {"show", "blame", "log", "grep", "rev-parse", "diff", "cat-file", "rev-list"}
-)
+ALLOWED_SUBCOMMANDS = frozenset({"show", "blame", "log", "grep", "rev-parse", "diff"})
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -119,7 +117,7 @@ def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
     return GitOutcome(status, proc.stdout, proc.stderr, elapsed)
 
 
-def run_git(repo: RepoHandle, args: list[str], timeout: float | None = None) -> GitOutcome:
+def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
     """Run an allow-listed git subcommand and capture its outcome.
 
     Raises NonAllowlistedCommand for anything outside the read-only set;
@@ -128,7 +126,7 @@ def run_git(repo: RepoHandle, args: list[str], timeout: float | None = None) -> 
     if not args or args[0] not in ALLOWED_SUBCOMMANDS:
         raise NonAllowlistedCommand(f"refusing git subcommand: {args[:1] or '(empty)'}")
     repo.process_count += 1
-    return _spawn(repo.root_path, args, timeout if timeout is not None else repo.default_timeout)
+    return _spawn(repo.root_path, args, repo.default_timeout)
 
 
 def probe_commit(repo: RepoHandle, ref_text: str) -> tuple[str, str | None]:

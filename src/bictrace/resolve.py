@@ -28,14 +28,6 @@ class ResolutionTrace:
     attempts: list[tuple[int, str]] = field(default_factory=list)
     result: str = "discarded"  # resolved | discarded
 
-    def to_dict(self) -> dict:
-        return {
-            "input_text": self.input_text,
-            "sanitized": self.sanitized,
-            "attempts": [list(a) for a in self.attempts],
-            "result": self.result,
-        }
-
 
 def sanitize_hash(raw: str) -> str:
     """Longest standalone hexadecimal token in the text, lowercased; '' if none."""

@@ -156,44 +156,26 @@ _PARAM_SPECS: dict[ToolName, dict[str, tuple[str, bool, str]]] = {
 _JSON_TYPES = {"string": str, "integer": int, "boolean": bool}
 
 
-@dataclass(frozen=True)
-class ToolSchema:
-    name: ToolName
-    description: str
-    parameter_spec: dict  # param -> {"type", "required", "description"}
-
-    def as_wire(self) -> dict:
-        """Chat-completions function-calling JSON for this tool."""
-        return {
+def tool_schemas() -> list[dict]:
+    """Chat-completions function-calling JSON for all five tools, in stable order."""
+    return [
+        {
             "type": "function",
             "function": {
-                "name": self.name.value,
-                "description": self.description,
+                "name": name.value,
+                "description": _TOOL_DESCRIPTIONS[name],
                 "parameters": {
                     "type": "object",
                     "properties": {
-                        pname: {"type": spec["type"], "description": spec["description"]}
-                        for pname, spec in self.parameter_spec.items()
+                        pname: {"type": jtype, "description": desc}
+                        for pname, (jtype, _, desc) in _PARAM_SPECS[name].items()
                     },
                     "required": [
-                        pname for pname, spec in self.parameter_spec.items() if spec["required"]
+                        pname for pname, (_, required, _) in _PARAM_SPECS[name].items() if required
                     ],
                 },
             },
         }
-
-
-def tool_schemas() -> list[ToolSchema]:
-    """Schemas for all five tools, in stable order."""
-    return [
-        ToolSchema(
-            name=name,
-            description=_TOOL_DESCRIPTIONS[name],
-            parameter_spec={
-                pname: {"type": jtype, "required": required, "description": desc}
-                for pname, (jtype, required, desc) in _PARAM_SPECS[name].items()
-            },
-        )
         for name in ToolName
     ]
 
@@ -219,11 +201,11 @@ def parse_args(tool: ToolName, payload: dict) -> ToolArgs:
             )
         kwargs[pname] = value
     args = ARGS_CLASS[tool](**kwargs)
-    _check_constraints(tool, args)
+    _check_constraints(args)
     return args
 
 
-def _check_constraints(tool: ToolName, args: ToolArgs):
+def _check_constraints(args: ToolArgs):
     if isinstance(args, ShowArgs):
         if args.context_lines is not None and args.context_lines < 0:
             raise SchemaError("git_show: context_lines must be >= 0")

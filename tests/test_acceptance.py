@@ -26,7 +26,13 @@ from bictrace.agent import (
     run_investigation,
     tool_step,
 )
-from bictrace.caseprep import CaseSpec, assemble_initial_context, load_fix_context
+from bictrace.caseprep import (
+    CaseSpec,
+    assemble_initial_context,
+    load_fix_context,
+    render_constraints_block,
+    render_fix_block,
+)
 from bictrace.compress import (
     MAX_OBS_OVERHEAD,
     CompressionConfig,
@@ -39,7 +45,7 @@ from bictrace.gitio import RepoHandle
 from bictrace.prompts import default_template
 from bictrace.resolve import resolve_prediction, sanitize_hash
 from bictrace.szz import b_szz, blame_candidates, l_szz, r_szz
-from bictrace.tools import LogSArgs, ToolName, tool_schemas
+from bictrace.tools import LogSArgs, ToolName
 
 HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 
@@ -47,7 +53,7 @@ HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 def make_ctx(repo_path, fix):
     repo = RepoHandle(repo_path)
     fc = load_fix_context(repo, fix)
-    return repo, fc, assemble_initial_context(fc, tool_schemas(), default_template())
+    return repo, fc, assemble_initial_context(fc, default_template())
 
 
 def test_c01_baseline_oracle_equivalence(tmp_path):
@@ -298,8 +304,8 @@ def test_c08_leakage_freedom(cross_file_repo, ghost_repo, tmp_path):
     fixtures.append((leaky.path, fix, {bic}))
 
     for repo_path, fix_commit, ground_truth in fixtures:
-        _, _, ctx = make_ctx(repo_path, fix_commit)
-        blob = "\n".join([ctx.system_prompt, ctx.fix_block, ctx.constraints_block])
+        _, fc, ctx = make_ctx(repo_path, fix_commit)
+        blob = "\n".join([ctx.system_prompt, render_fix_block(fc), render_constraints_block(fc)])
         assert not re.search(r"(?im)^\s*Fixes:", blob)
         for gt in ground_truth:
             for n in range(7, 41):

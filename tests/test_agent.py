@@ -27,7 +27,7 @@ from bictrace.tools import ToolName
 def make_ctx(repo_path, fix):
     repo = RepoHandle(repo_path)
     fc = load_fix_context(repo, fix)
-    return repo, fc, assemble_initial_context(fc, __import__("bictrace.tools", fromlist=["tool_schemas"]).tool_schemas(), default_template())
+    return repo, fc, assemble_initial_context(fc, default_template())
 
 
 class TestParseFinalOutput:
@@ -386,7 +386,7 @@ class TestRecordReplay:
         replay_prediction, replay_transcript = run_investigation(
             case, repo, fc, ctx, ReplayBackend(path)
         )
-        assert replay_prediction.to_dict() == prediction.to_dict()
+        assert replay_prediction == prediction
         replay_path = str(tmp_path / "replay.jsonl")
         record_transcript(replay_transcript, replay_prediction, replay_path)
         assert open(path).read() == open(replay_path).read()

@@ -18,10 +18,11 @@ from bictrace.caseprep import (
     load_fix_context,
     preimage_lines_from_diff,
     redact_leakage,
+    render_constraints_block,
+    render_fix_block,
 )
 from bictrace.gitio import RepoHandle
 from bictrace.prompts import default_template
-from bictrace.tools import tool_schemas
 
 
 @pytest.fixture
@@ -191,14 +192,14 @@ class TestAssemble:
         rb, shas = deletion_repo
         repo = RepoHandle(rb.path)
         fc = load_fix_context(repo, shas[1])
-        ctx = assemble_initial_context(fc, tool_schemas(), default_template())
+        ctx = assemble_initial_context(fc, default_template())
         prompt = ctx.system_prompt
         assert "would the bug exist if this commit had not been introduced?" in prompt
         assert "are not considered BICs" in prompt
         assert "expose or trigger" in prompt
-        assert ctx.constraints_block in prompt
-        assert str(fc.fix_date) in ctx.constraints_block
-        assert ctx.fix_block in prompt
+        assert render_constraints_block(fc) in prompt
+        assert str(fc.fix_date) in render_constraints_block(fc)
+        assert render_fix_block(fc) in prompt
         assert len(ctx.tool_specs) == 5
 
     def test_workflow_steps_present(self):
@@ -211,7 +212,7 @@ class TestAssemble:
         repo = RepoHandle(rb.path)
         fc = load_fix_context(repo, shas[1])
         with pytest.raises(TemplateSlotMissing):
-            assemble_initial_context(fc, tool_schemas(), "no slots at all")
+            assemble_initial_context(fc, "no slots at all")
 
     def test_fix_date_matches_gateway(self, deletion_repo):
         rb, shas = deletion_repo
@@ -223,8 +224,8 @@ class TestAssemble:
 class TestLeakageFreedom:
     def _assert_no_gt_leak(self, repo, fix, ground_truth):
         fc = load_fix_context(repo, fix)
-        ctx = assemble_initial_context(fc, tool_schemas(), default_template())
-        blob = ctx.system_prompt + ctx.fix_block + ctx.constraints_block
+        ctx = assemble_initial_context(fc, default_template())
+        blob = ctx.system_prompt + render_fix_block(fc) + render_constraints_block(fc)
         for gt in ground_truth:
             for n in range(7, 41):
                 assert gt[:n] not in blob

@@ -96,6 +96,45 @@ class TestInvestigate:
         assert code == 1
         assert "not configured" in err
 
+    def test_missing_config_file_is_an_error(self, linear_repo, tmp_path, capsys):
+        rb, shas = linear_repo
+        code = main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                     "--config", str(tmp_path / "nope.json"), "--run-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_max_turns_is_an_error(self, linear_repo, tmp_path, capsys):
+        rb, shas = linear_repo
+        code = main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                     "--max-turns", "0", "--run-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert "error: max_turns must be >= 1" in capsys.readouterr().err
+
+
+class TestBatchCmd:
+    def test_missing_clone_is_a_case_error(self, linear_repo, tmp_path):
+        rb, shas = linear_repo
+        script = write_script(
+            tmp_path / "script.json",
+            [{"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"}],
+        )
+        ds = write_dataset(
+            tmp_path / "ds.jsonl",
+            [
+                {"repo": "https://host/org/absent.git", "fix_commit": shas[2], "bics": [shas[1]],
+                 "dataset_tag": "x", "case_id": "x:remote"},
+                {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]],
+                 "dataset_tag": "x", "case_id": "x:local"},
+            ],
+        )
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        _, results = read_results(str(runs / "b" / "results.jsonl"))
+        assert [r.case_id for r in results] == ["x:remote", "x:local"]
+        assert "--repos-dir" in results[0].error
+        assert results[1].error is None and results[1].predicted == [shas[1]]
+
 
 class TestAgentCost:
     def test_dollars_from_prompt_and_completion_tokens(self, cross_file_repo, tmp_path, capsys):
@@ -262,6 +301,23 @@ class TestEvaluateCmd:
         assert main(["evaluate", "--dataset", ds, "--results", results]) == 3
         assert "infrastructure errors" in capsys.readouterr().err
 
+    def test_config_not_an_object_is_an_error(self, linear_repo, tmp_path, capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        config = tmp_path / "cfg.json"
+        config.write_text("[]")
+        assert main(["evaluate", "--dataset", ds, "--results", results,
+                     "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_numeric_price_is_an_error(self, linear_repo, tmp_path, capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"price_table": {"prompt_usd_per_1k": "x"}}))
+        assert main(["evaluate", "--dataset", ds, "--results", results,
+                     "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "price_table" in err
+
 
 class TestToolCmd:
     def test_blame_compressed_golden(self, linear_repo, capsys):
@@ -329,6 +385,18 @@ class TestToolCmd:
         compressed = capsys.readouterr().out
         assert len(compressed) < len(raw_out)
         assert "padline 0" not in compressed or "[output truncated" in compressed
+
+    def test_raw_mode_bounded_by_fix_date(self, tmp_path, capsys):
+        rb = RepoBuilder(tmp_path / "later")
+        rb.commit({"f.txt": "early\n"}, "seed")
+        fix = rb.commit({"f.txt": "fixed\n"}, "fix")
+        rb.commit({"f.txt": "fixed\nLATER\n"}, "add LATER after the fix",
+                  date=rb.next_date() + 2 * 86400)
+        args = json.dumps({"search_string": "LATER"})
+        for extra in ([], ["--raw"]):
+            code = main(["tool", "git_log_s", "--repo", rb.path, "--fix", fix, "--args", args, *extra])
+            assert code == 0
+            assert "after the fix" not in capsys.readouterr().out
 
 
 class TestConfigPrecedence:

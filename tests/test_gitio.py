@@ -25,14 +25,15 @@ def test_run_git_identity_probe(linear_handle):
 
 def test_run_git_rejects_write_commands(linear_handle):
     repo, _ = linear_handle
-    for args in (["push"], ["commit", "-m", "x"], ["gc"], []):
+    for args in (["push"], ["commit", "-m", "x"], ["gc"], ["rev-list", "HEAD"],
+                 ["cat-file", "-p", "HEAD"], []):
         with pytest.raises(NonAllowlistedCommand):
             gitio.run_git(repo, args)
 
 
 def test_run_git_timeout(slow_repo):
-    repo = RepoHandle(slow_repo.path)
-    out = gitio.run_git(repo, ["log", "-Sx", "--all"], timeout=0.001)
+    repo = RepoHandle(slow_repo.path, default_timeout=0.001)
+    out = gitio.run_git(repo, ["log", "-Sx", "--all"])
     assert out.status is GitStatus.TIMED_OUT
     assert out.elapsed >= 0.001
     assert out.stdout == ""

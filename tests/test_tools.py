@@ -30,12 +30,13 @@ class TestSchemas:
     def test_five_tools(self):
         schemas = tool_schemas()
         assert len(schemas) == 5
-        assert {s.name for s in schemas} == set(ToolName)
+        assert {s["function"]["name"] for s in schemas} == {t.value for t in ToolName}
 
     def test_blame_required_fields(self):
-        blame = next(s for s in tool_schemas() if s.name is ToolName.BLAME)
-        assert blame.parameter_spec["file_path"]["required"] is True
-        assert blame.parameter_spec["commit"]["required"] is False
+        blame = next(s for s in tool_schemas() if s["function"]["name"] == "git_blame")
+        assert "file_path" in blame["function"]["parameters"]["required"]
+        assert "commit" not in blame["function"]["parameters"]["required"]
+        assert "commit" in blame["function"]["parameters"]["properties"]
 
     def test_required_markers_match_contract(self):
         required = {
@@ -46,14 +47,16 @@ class TestSchemas:
             ToolName.GREP: {"search_string"},
         }
         for schema in tool_schemas():
-            marked = {p for p, s in schema.parameter_spec.items() if s["required"]}
-            assert marked == required[schema.name]
+            fn = schema["function"]
+            assert set(fn["parameters"]["required"]) == required[ToolName(fn["name"])]
 
     def test_wire_round_trip(self):
-        for schema in tool_schemas():
-            fn = json.loads(json.dumps(schema.as_wire()))["function"]
-            spec = tools._PARAM_SPECS[schema.name]
-            assert fn["name"] == schema.name.value
+        for schema, name in zip(tool_schemas(), ToolName):
+            assert schema["type"] == "function"
+            fn = json.loads(json.dumps(schema))["function"]
+            spec = tools._PARAM_SPECS[name]
+            assert fn["name"] == name.value
+            assert fn["description"] == tools._TOOL_DESCRIPTIONS[name]
             assert fn["parameters"]["type"] == "object"
             props = fn["parameters"]["properties"]
             assert list(props) == list(spec)

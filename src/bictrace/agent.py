@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import requests
@@ -122,7 +121,6 @@ class Transcript:
     total_turns: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    wall_time: float = 0.0
     error: str | None = None
 
     @property
@@ -336,7 +334,6 @@ def run_investigation(
     ]
     prediction: Prediction | None = None
     consecutive_malformed = 0
-    start = time.monotonic()
 
     try:
         while transcript.tool_turns < max_turns:
@@ -404,7 +401,6 @@ def run_investigation(
 
     if prediction is None:
         prediction = Prediction("", "unstated", "", "no_prediction")
-    transcript.wall_time = time.monotonic() - start
     return prediction, transcript
 
 

@@ -103,19 +103,17 @@ def preimage_lines_from_diff(diff_text: str) -> dict[str, list[tuple[int, str]]]
         if ln.startswith("-"):
             result.setdefault(current_file, []).append((old_line, ln[1:]))
             old_line += 1
-        elif ln.startswith("+"):
-            pass
-        elif ln.startswith("\\"):
-            pass
-        else:
+        elif not ln.startswith(("+", "\\")):
             old_line += 1
     return result
 
 
 def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
     """Everything the agent and the baselines know about the fix, in three git calls."""
-    fix_id = gitio.resolve_commit(repo, fix)
-    if fix_id is None:
+    # --verify accepts exactly one revision: a range or an ambiguous ref fails here.
+    out = gitio.run_git(repo, ["rev-parse", "--verify", f"{fix}^{{commit}}"])
+    fix_id = out.stdout.strip()
+    if out.status is not gitio.GitStatus.OK or not gitio.COMMIT_ID_RE.match(fix_id):
         raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
     out = gitio.run_git(repo, ["show", "-s", "--format=%P%n%ct%n%B", fix_id])
     if out.status is not gitio.GitStatus.OK:

@@ -59,10 +59,10 @@ class RunConfig:
     forced_answer: bool = True
 
     def __post_init__(self):
-        if self.max_turns < 1:
-            raise ValueError("max_turns must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        for name in ("max_turns", "parallelism"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be >= 1, not {value!r}")
 
 
 def read_config(path: str) -> dict:

@@ -75,14 +75,16 @@ class CompressionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompressionConfig":
-        cfg = cls()
-        for f in fields(cls):
-            if f.name == "line_caps":
-                continue
-            if f.name in data:
-                setattr(cfg, f.name, int(data[f.name]))
-        for name, cap in data.get("line_caps", {}).items():
-            cfg.line_caps[ToolName(name)] = int(cap)
+        caps = data.get("line_caps", {}) if isinstance(data, dict) else None
+        if not isinstance(caps, dict):
+            raise ValueError("compression and its line_caps must be JSON objects")
+        scalars = {f.name for f in fields(cls)} - {"line_caps"}
+        try:  # int() raises TypeError for null, a list or an object
+            cfg = cls(**{k: int(v) for k, v in data.items() if k in scalars})
+            for name, cap in caps.items():
+                cfg.line_caps[ToolName(name)] = int(cap)
+        except TypeError as exc:
+            raise ValueError(f"compression values must be integers: {exc}") from None
         return cfg
 
     def to_dict(self) -> dict:

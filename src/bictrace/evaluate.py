@@ -8,7 +8,7 @@ baselines and single-answer agents are measured on the same scale.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import gitio
 from .caseprep import CaseSpec, FixContext
@@ -47,9 +47,13 @@ def load_dataset(path: str) -> Dataset:
             if not line or line.startswith("#"):
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise DatasetError(f"{path}:{i}: record is not a JSON object")
             if record.get("schema") == DATASET_SCHEMA:
                 name = name or record.get("name")
                 continue
+            if not all(isinstance(record.get(k), str) for k in ("repo", "fix_commit")):
+                raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields")
             bics = record.get("bics") or []
             if not bics:
                 raise DatasetError(f"{path}:{i}: case without ground-truth bics")
@@ -77,25 +81,11 @@ class CaseResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "predicted": sorted(self.predicted),
-            "transcript_ref": self.transcript_ref,
-            "category_flags": self.category_flags,
-            "cost": self.cost,
-            "error": self.error,
-        }
+        return {**asdict(self), "predicted": sorted(self.predicted)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseResult":
-        return cls(
-            case_id=data["case_id"],
-            predicted=list(data.get("predicted", [])),
-            transcript_ref=data.get("transcript_ref"),
-            category_flags=data.get("category_flags", {}),
-            cost=data.get("cost", {}),
-            error=data.get("error"),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def write_results(path: str, method: str, results: list[CaseResult]):

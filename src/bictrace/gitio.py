@@ -23,6 +23,9 @@ ALLOWED_SUBCOMMANDS = frozenset({"show", "blame", "log", "grep", "rev-parse", "d
 
 DEFAULT_TIMEOUT = 30.0
 
+# How git's stderr starts when the handle's path is no repository at all.
+_NO_REPO_ERRORS = ("fatal: not a git repository", "fatal: cannot change to")
+
 
 class GitGatewayError(Exception):
     """Base class for gateway failures."""
@@ -56,10 +59,12 @@ class GitOutcome:
 
 @dataclass
 class RepoHandle:
-    """A validated local repository plus per-call defaults.
+    """A local repository path plus per-call defaults.
 
-    Safe for concurrent read-only use; the only mutable state is the spawn
-    counter, which exists for cost accounting and cache tests.
+    Construction starts no process: a path that is not a repository is
+    reported by the first git call (RepoUnavailable). Safe for concurrent
+    read-only use; the only mutable state is the spawn counter, which
+    exists for cost accounting and cache tests.
     """
 
     root_path: str
@@ -68,13 +73,6 @@ class RepoHandle:
 
     def __post_init__(self):
         self.root_path = os.path.abspath(self.root_path)
-        # Validity probe always gets a sane deadline; default_timeout may be
-        # tuned very low by tests exercising the timeout-recovery path.
-        probe = _spawn(self.root_path, ["rev-parse", "--git-dir"], max(self.default_timeout, DEFAULT_TIMEOUT))
-        if probe.status is not GitStatus.OK:
-            raise RepoUnavailable(
-                f"{self.root_path} is not a git repository: {probe.stderr.strip()}"
-            )
 
 
 def _pinned_env() -> dict:
@@ -121,42 +119,33 @@ def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
     """Run an allow-listed git subcommand and capture its outcome.
 
     Raises NonAllowlistedCommand for anything outside the read-only set;
-    that is a programming error, never surfaced to the agent.
+    that is a programming error, never surfaced to the agent. Raises
+    RepoUnavailable when the path is not a repository (or not a directory).
     """
     if not args or args[0] not in ALLOWED_SUBCOMMANDS:
         raise NonAllowlistedCommand(f"refusing git subcommand: {args[:1] or '(empty)'}")
     repo.process_count += 1
-    return _spawn(repo.root_path, args, repo.default_timeout)
+    out = _spawn(repo.root_path, args, repo.default_timeout)
+    if out.status is GitStatus.NONZERO_EXIT and out.stderr.startswith(_NO_REPO_ERRORS):
+        raise RepoUnavailable(f"{repo.root_path} is not a git repository: {out.stderr.strip()}")
+    return out
 
 
-def probe_commit(repo: RepoHandle, ref_text: str) -> tuple[str, str | None]:
-    """Resolve ref_text to a commit, distinguishing ambiguity from absence.
+def probe_commit(repo: RepoHandle, ref_text: str) -> tuple[str, str | None, int | None]:
+    """Resolve ref_text to a commit and read its committer time, in one call.
 
-    Returns ("resolved", full_id), ("ambiguous", None) or ("not_found", None).
+    Returns ("resolved", full_id, committer_time), ("ambiguous", None, None)
+    or ("not_found", None, None). With the trailing "--" a missing commit is
+    a bad revision, so only a short-id collision reads as ambiguous.
     """
     if not ref_text:
         raise ValueError("empty ref text")
-    out = run_git(repo, ["rev-parse", "--verify", f"{ref_text}^{{commit}}"])
+    out = run_git(repo, ["show", "-s", "--format=%H%n%ct", f"{ref_text}^{{commit}}", "--"])
     if out.status is GitStatus.OK:
-        full = out.stdout.strip()
+        full, _, stamp = out.stdout.partition("\n")
         if COMMIT_ID_RE.match(full):
-            return "resolved", full
-        return "not_found", None
+            return "resolved", full, int(stamp)
+        return "not_found", None, None
     if "ambiguous" in out.stderr:
-        return "ambiguous", None
-    return "not_found", None
-
-
-def resolve_commit(repo: RepoHandle, ref_text: str) -> str | None:
-    """Full 40-hex commit id for ref_text, or None (absent or ambiguous)."""
-    outcome, full = probe_commit(repo, ref_text)
-    return full if outcome == "resolved" else None
-
-
-def commit_timestamp(repo: RepoHandle, commit: str) -> int:
-    """Committer timestamp (seconds since epoch); the temporal search bound."""
-    out = run_git(repo, ["show", "-s", "--format=%ct", commit])
-    if out.status is not GitStatus.OK:
-        raise CommitNotFound(f"cannot read timestamp of {commit}: {out.stderr.strip()}")
-    return int(out.stdout.strip().splitlines()[-1])
-
+        return "ambiguous", None, None
+    return "not_found", None, None

@@ -53,10 +53,10 @@ def resolve_prediction(
 
     lengths = [len(sanitized)] + [n for n in PREFIX_LADDER if n < len(sanitized)]
     for n in lengths:
-        outcome, full = gitio.probe_commit(repo, sanitized[:n])
+        outcome, full, committed = gitio.probe_commit(repo, sanitized[:n])
         trace.attempts.append((n, outcome))
         if outcome == "resolved":
-            if fix_date is not None and gitio.commit_timestamp(repo, full) > fix_date:
+            if fix_date is not None and committed > fix_date:
                 trace.attempts.append((n, "rejected_postdates_fix"))
                 return "discarded", None, trace
             trace.result = "resolved"

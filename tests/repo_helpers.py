@@ -116,6 +116,15 @@ class RepoBuilder:
         return proc.stdout.decode().strip()
 
 
+def committer_time(repo_path: str, commit: str) -> int:
+    """Committer timestamp read with git directly, not through bictrace."""
+    proc = subprocess.run(
+        ["git", "-C", str(repo_path), "show", "-s", "--format=%ct", commit],
+        capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
 def object_set_digest(repo_path: str) -> str:
     """Digest of the repository's object database and refs."""
     digest = hashlib.sha256()

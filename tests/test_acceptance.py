@@ -15,9 +15,8 @@ from fractions import Fraction
 import pytest
 
 from oracle import AttributionOracle
-from repo_helpers import RepoBuilder, generate_random_repo, object_set_digest
+from repo_helpers import RepoBuilder, committer_time, generate_random_repo, object_set_digest
 
-from bictrace import gitio
 from bictrace.agent import (
     LiveBackend,
     ScriptedBackend,
@@ -79,7 +78,7 @@ def test_c01_baseline_oracle_equivalence(tmp_path):
             # Selectors per their heuristics, tie-break = smallest id,
             # derived independently from oracle attribution counts.
             if expected:
-                stamps = {c: gitio.commit_timestamp(repo, c) for c in expected}
+                stamps = {c: committer_time(rb.path, c) for c in expected}
                 expect_r = min(expected, key=lambda c: (-stamps[c], c))
                 assert r_szz(repo, fc) == expect_r, (i, fix)
 

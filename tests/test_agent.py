@@ -223,11 +223,11 @@ class TestSearchBoundInTranscript:
                 final_step(f"BIC: {info['bic']}"),
             ]
         )
-        from bictrace import gitio
-        from bictrace.gitio import RepoHandle
+        from repo_helpers import committer_time
+
         from bictrace.tools import parse_date
 
-        fix_date = gitio.commit_timestamp(RepoHandle(rb.path), info["fix"])
+        fix_date = committer_time(rb.path, info["fix"])
         prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
         recorded = transcript.turns[0]["step"].args
         assert parse_date(recorded["before"], end_of_day=True) <= fix_date

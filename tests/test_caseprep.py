@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repo_helpers import RepoBuilder
+from repo_helpers import RepoBuilder, committer_time
 
 from bictrace import caseprep, gitio
 from bictrace.caseprep import (
@@ -50,7 +50,7 @@ class TestLoadFixContext:
         assert fc.deleted_or_modified_lines == {
             "a.c": [(5, "line five"), (6, "line six")]
         }
-        assert fc.fix_date == gitio.commit_timestamp(repo, shas[1])
+        assert fc.fix_date == committer_time(rb.path, shas[1])
 
     def test_addition_only_fix_is_ghost_shaped(self, ghost_repo):
         rb, info = ghost_repo
@@ -218,7 +218,7 @@ class TestAssemble:
         rb, shas = deletion_repo
         repo = RepoHandle(rb.path)
         fc = load_fix_context(repo, shas[1])
-        assert fc.fix_date == gitio.commit_timestamp(repo, fc.fix_id)
+        assert fc.fix_date == committer_time(rb.path, fc.fix_id)
 
 
 class TestLeakageFreedom:

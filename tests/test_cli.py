@@ -8,6 +8,7 @@ import pytest
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
+from bictrace import gitio
 from bictrace.cli import main
 from bictrace.evaluate import read_results
 
@@ -110,6 +111,23 @@ class TestInvestigate:
         assert code == 1
         assert "error: max_turns must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"max_turns": "x"},
+        {"parallelism": None},
+        {"compression": []},
+        {"compression": {"line_caps": []}},
+        {"compression": {"tau": None}},
+        {"compression": {"line_caps": {"git_grep": [1]}}},
+    ])
+    def test_wrongly_typed_config_is_an_error(self, linear_repo, tmp_path, capsys, config):
+        rb, shas = linear_repo
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                     "--config", str(path), "--run-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBatchCmd:
     def test_missing_clone_is_a_case_error(self, linear_repo, tmp_path):
@@ -134,6 +152,96 @@ class TestBatchCmd:
         assert [r.case_id for r in results] == ["x:remote", "x:local"]
         assert "--repos-dir" in results[0].error
         assert results[1].error is None and results[1].predicted == [shas[1]]
+
+
+class TestNotARepository:
+    """A plain directory as --repo is reported by the first git call."""
+
+    @pytest.fixture
+    def plain(self, tmp_path):
+        path = tmp_path / "plain"
+        path.mkdir()
+        return str(path)
+
+    def test_investigate(self, plain, tmp_path, capsys):
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": "no answer"}])
+        code = main(["investigate", "--repo", plain, "--fix", "HEAD",
+                     "--backend", f"scripted:{script}", "--run-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"error: {plain} is not a git repository" in capsys.readouterr().err
+
+    def test_tool(self, plain, capsys):
+        code = main(["tool", "git_grep", "--repo", plain, "--args", '{"search_string": "x"}'])
+        assert code == 1
+        assert f"error: {plain} is not a git repository" in capsys.readouterr().err
+
+    def test_batch_and_baseline_record_the_case(self, plain, linear_repo, tmp_path):
+        rb, shas = linear_repo
+        script = write_script(
+            tmp_path / "s.json",
+            [{"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"}],
+        )
+        ds = write_dataset(
+            tmp_path / "ds.jsonl",
+            [{"repo": repo, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
+             for i, repo in enumerate([plain, rb.path])],
+        )
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")]) == 0
+        for path in (runs / "b" / "results.jsonl", tmp_path / "b.jsonl"):
+            _, results = read_results(str(path))
+            assert f"{plain} is not a git repository" in results[0].error
+            assert results[1].error is None and results[1].predicted == [shas[1]]
+
+
+class TestSpawnBudget:
+    """Git processes per case, counted where every one of them starts."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        subcommands = []
+        real_spawn = gitio._spawn
+        monkeypatch.setattr(
+            gitio, "_spawn", lambda *a: subcommands.append(a[1][0]) or real_spawn(*a)
+        )
+        return subcommands
+
+    def test_scripted_batch_case(self, linear_repo, tmp_path, spawned):
+        rb, shas = linear_repo
+        script = write_script(
+            tmp_path / "s.json",
+            [
+                {"kind": "tool_call", "tool": "git_show", "args": {"commit": shas[1]}},
+                {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "a.c"}},
+                {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "a.c"}},
+                {"kind": "tool_call", "tool": "git_log_s", "args": {"search_string": "b + 1"}},
+                {"kind": "tool_call", "tool": "git_log_func",
+                 "args": {"function_name": "add", "file_path": "a.c"}},
+                {"kind": "tool_call", "tool": "git_grep", "args": {"search_string": "return"}},
+                {"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"},
+            ],
+        )
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(tmp_path / "runs"), "--run-id", "b"]) == 0
+        # The fix read (3), five tool calls (the repeated blame is a cache
+        # hit), one show -s for the answer, one history read for cross_file.
+        assert spawned == ["rev-parse", "show", "diff",
+                           "show", "blame", "log", "log", "grep",
+                           "show", "log"]
+
+    def test_baseline_op(self, linear_repo, tmp_path, spawned):
+        rb, shas = linear_repo
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")]) == 0
+        # The fix read (3), one blame per changed file, one history read.
+        assert spawned == ["rev-parse", "show", "diff", "blame", "log"]
 
 
 class TestAgentCost:
@@ -217,6 +325,14 @@ class TestBaselineCmd:
                      "--repos-dir", str(tmp_path / "clones")]) == 0
         _, results = read_results(out_path)
         assert [(r.error, r.predicted) for r in results] == [(None, [bic])] * len(urls)
+
+    @pytest.mark.parametrize("record", [{"fix_commit": "a" * 40, "bics": ["b" * 40]}, [1]])
+    def test_malformed_dataset_is_an_error(self, tmp_path, capsys, record):
+        ds = write_dataset(tmp_path / "bad.jsonl", [record])
+        code = main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {ds}:2: ")
 
     def test_empty_dataset(self, tmp_path, capsys):
         ds = write_dataset(tmp_path / "empty.jsonl", [])

@@ -1,6 +1,7 @@
 """Metrics exactness, hard-case classifiers, dataset and report codecs."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,29 @@ class TestDatasetIO:
         path.write_text(json.dumps({"repo": "/r", "fix_commit": "a" * 40, "bics": []}) + "\n")
         with pytest.raises(ev.DatasetError, match="ground-truth"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("record", [
+        {"fix_commit": "a" * 40, "bics": ["b" * 40]},
+        {"repo": "/r", "bics": ["b" * 40]},
+        {"repo": "/r", "fix_commit": 7, "bics": ["b" * 40]},
+        ["not", "an", "object"],
+        "a string",
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        good = {"repo": "/r", "fix_commit": "a" * 40, "bics": ["b" * 40], "case_id": "ok"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ev.DatasetError, match=re.escape(f"{path}:2: ")):
+            load_dataset(str(path))
+
+    def test_case_result_dict_defaults_and_order(self):
+        assert CaseResult.from_dict({"case_id": "x:1"}) == CaseResult(case_id="x:1")
+        result = CaseResult(case_id="x:1", predicted=["c" * 40, "a" * 40])
+        assert result.to_dict() == {
+            "case_id": "x:1", "predicted": ["a" * 40, "c" * 40], "transcript_ref": None,
+            "category_flags": {}, "cost": {}, "error": None,
+        }
+        assert result.predicted == ["c" * 40, "a" * 40]
 
     def test_results_round_trip(self, tmp_path):
         results = [

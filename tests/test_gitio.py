@@ -1,10 +1,11 @@
 """Gateway behavior: allow-list, timeouts, resolution, read-only output."""
 
+import re
 import subprocess
 
 import pytest
 
-from repo_helpers import RepoBuilder, object_set_digest
+from repo_helpers import BASE_EPOCH, RepoBuilder, committer_time, object_set_digest
 
 from bictrace import gitio
 from bictrace.compress import parse_blame_porcelain
@@ -39,52 +40,68 @@ def test_run_git_timeout(slow_repo):
     assert out.stdout == ""
 
 
+def test_handle_construction_starts_no_process(tmp_path, monkeypatch):
+    spawned = []
+    monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
+    repo = RepoHandle(str(tmp_path / "anything"))
+    assert spawned == [] and repo.process_count == 0
+
+
 def test_repo_unavailable(tmp_path):
-    with pytest.raises(RepoUnavailable):
-        RepoHandle(str(tmp_path / "not-a-repo"))
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for path in (tmp_path / "not-a-repo", plain):
+        repo = RepoHandle(str(path))
+        with pytest.raises(RepoUnavailable, match=re.escape(f"{path} is not a git repository")):
+            gitio.run_git(repo, ["rev-parse", "--verify", "HEAD^{commit}"])
+        assert repo.process_count == 1
 
 
 def test_resolve_commit_identity_and_prefix(linear_handle):
     repo, shas = linear_handle
     full = shas[0]
-    assert gitio.resolve_commit(repo, full) == full
-    assert gitio.resolve_commit(repo, full[:12]) == full
-    assert gitio.resolve_commit(repo, "zzzz") is None
-    assert gitio.resolve_commit(repo, "deadbeef" * 5) is None
+    stamp = committer_time(repo.root_path, full)
+    assert gitio.probe_commit(repo, full) == ("resolved", full, stamp)
+    assert gitio.probe_commit(repo, full[:12]) == ("resolved", full, stamp)
+    assert gitio.probe_commit(repo, "zzzz") == ("not_found", None, None)
+    assert gitio.probe_commit(repo, "deadbeef" * 5) == ("not_found", None, None)
 
 
 def test_resolve_commit_idempotent(linear_handle):
     repo, shas = linear_handle
     for sha in shas:
-        resolved = gitio.resolve_commit(repo, sha)
-        assert resolved == sha
-        assert gitio.resolve_commit(repo, resolved) == resolved
+        outcome, resolved, stamp = gitio.probe_commit(repo, sha)
+        assert (outcome, resolved) == ("resolved", sha)
+        assert gitio.probe_commit(repo, resolved) == ("resolved", resolved, stamp)
 
 
 def test_resolve_rejects_empty(linear_handle):
     repo, _ = linear_handle
     with pytest.raises(ValueError):
-        gitio.resolve_commit(repo, "")
+        gitio.probe_commit(repo, "")
 
 
 def test_probe_commit_ambiguous(prefix_repo):
     rb, info = prefix_repo
     repo = RepoHandle(rb.path)
-    outcome, full = gitio.probe_commit(repo, info["prefix"])
-    assert outcome == "ambiguous"
-    assert full is None
+    assert gitio.probe_commit(repo, info["prefix"]) == ("ambiguous", None, None)
+
+
+def test_probe_commit_rejects_tree(linear_repo):
+    rb, _ = linear_repo
+    tree = rb.git("rev-parse", "HEAD^{tree}").strip()
+    assert gitio.probe_commit(RepoHandle(rb.path), tree) == ("not_found", None, None)
 
 
 def test_commit_timestamp_known_dates(linear_repo):
     rb, shas = linear_repo
     repo = RepoHandle(rb.path)
-    from repo_helpers import BASE_EPOCH
-
-    assert gitio.commit_timestamp(repo, shas[0]) == BASE_EPOCH + 86400
-    stamps = [gitio.commit_timestamp(repo, sha) for sha in shas]
+    assert gitio.probe_commit(repo, shas[0])[2] == BASE_EPOCH + 86400
+    stamps = [gitio.probe_commit(repo, sha)[2] for sha in shas]
     assert stamps == sorted(stamps)
-    with pytest.raises(gitio.CommitNotFound):
-        gitio.commit_timestamp(repo, "deadbeef" * 5)
+    assert stamps == [committer_time(rb.path, sha) for sha in shas]
+    assert gitio.probe_commit(repo, "deadbeef" * 5) == ("not_found", None, None)
+    assert repo.process_count == 1 + len(shas) + 1
 
 
 def test_run_git_deterministic_output(linear_handle):

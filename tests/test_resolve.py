@@ -5,6 +5,8 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repo_helpers import committer_time
+
 from bictrace.gitio import RepoHandle
 from bictrace.resolve import resolve_prediction, sanitize_hash
 
@@ -62,12 +64,16 @@ class TestLadder:
     def test_ambiguous_prefix_discarded(self, prefix_repo):
         rb, info = prefix_repo
         repo = RepoHandle(rb.path)
-        twin = info["twins"][0]
-        fake = twin[:7] + "9" * 33  # shares only the ambiguous 7-char prefix
-        # Make sure the corrupted tail resolves at no longer rung first.
-        status, full, trace = resolve_prediction(repo, fake)
+        twins = info["twins"]
+        # A tail that neither twin has: the 40-character id and every longer
+        # prefix are missing, and only the shared 7-char prefix is ambiguous.
+        filler = next(c for c in "0123456789abcdef" if c not in {t[7] for t in twins})
+        status, full, trace = resolve_prediction(repo, info["prefix"] + filler * 33)
         assert status == "discarded"
-        assert trace.attempts[-1] == (7, "ambiguous")
+        assert trace.attempts == [
+            (40, "not_found"), (12, "not_found"), (10, "not_found"), (8, "not_found"),
+            (7, "ambiguous"),
+        ]
 
     def test_short_input_skips_longer_rungs(self, linear_handle):
         repo, shas = linear_handle
@@ -84,17 +90,30 @@ class TestLadder:
 
     def test_postdating_prediction_downgraded(self, linear_handle):
         repo, shas = linear_handle
-        from bictrace import gitio
-
-        early_date = gitio.commit_timestamp(repo, shas[0])
+        early_date = committer_time(repo.root_path, shas[0])
         status, full, trace = resolve_prediction(repo, shas[2], fix_date=early_date)
         assert status == "discarded" and full is None
         assert ("rejected_postdates_fix" in {o for _, o in trace.attempts})
 
+    def test_each_rung_costs_one_spawn(self, linear_handle):
+        repo, shas = linear_handle
+        fix_date = committer_time(repo.root_path, shas[1])
+        corrupted = shas[1][:12] + ("0" if shas[1][12] != "0" else "1") * 28
+        cases = [
+            ("f" * 40, "discarded", 5),  # five rungs, none resolves
+            (corrupted, "resolved", 2),  # resolves at 12, within the bound
+            (shas[0], "resolved", 1),
+            (shas[2], "discarded", 1),  # resolves, then rejected_postdates_fix
+        ]
+        for text, expected, spawns in cases:
+            before = repo.process_count
+            status, _, trace = resolve_prediction(repo, text, fix_date=fix_date)
+            assert status == expected
+            assert repo.process_count - before == spawns == len({n for n, _ in trace.attempts})
+        assert trace.attempts == [(40, "resolved"), (40, "rejected_postdates_fix")]
+
     def test_within_bound_not_downgraded(self, linear_handle):
         repo, shas = linear_handle
-        from bictrace import gitio
-
-        late_date = gitio.commit_timestamp(repo, shas[2])
+        late_date = committer_time(repo.root_path, shas[2])
         status, full, _ = resolve_prediction(repo, shas[0], fix_date=late_date)
         assert status == "resolved" and full == shas[0]

@@ -3,7 +3,7 @@
 import pytest
 
 from oracle import AttributionOracle
-from repo_helpers import RepoBuilder, generate_random_repo
+from repo_helpers import RepoBuilder, committer_time, generate_random_repo
 
 from bictrace import gitio
 from bictrace.caseprep import load_fix_context
@@ -109,7 +109,7 @@ class TestSelectors:
         candidates = blame_candidates(repo, fc)
         assert len(candidates) == 2
         for cand in candidates:
-            assert cand.committer_time == gitio.commit_timestamp(repo, cand.commit)
+            assert cand.committer_time == committer_time(rb.path, cand.commit)
 
     def test_r_szz_spawns_as_many_as_b_szz(self, tmp_path, monkeypatch):
         rb = RepoBuilder(tmp_path / "spawns")

@@ -229,6 +229,7 @@ class ReplayBackend:
     """Plays back a recorded transcript, verifying observations en route."""
 
     def __init__(self, path: str):
+        self.header: dict = {}
         self.steps: list[ModelStep] = []
         self.observations: dict[int, str] = {}
         self._load(path)
@@ -240,8 +241,13 @@ class ReplayBackend:
                 lines = [json.loads(ln) for ln in f if ln.strip()]
         except (OSError, json.JSONDecodeError) as exc:
             raise SchemaMismatch(f"unreadable transcript {path}: {exc}") from exc
-        if not lines or lines[0].get("schema") != TRANSCRIPT_SCHEMA:
+        if not (lines and all(isinstance(r, dict) for r in lines)
+                and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
             raise SchemaMismatch(f"{path} is not a {TRANSCRIPT_SCHEMA} file")
+        header = self.header = lines[0]
+        if not (isinstance(header.get("repo"), str) and isinstance(header.get("fix"), str)
+                and isinstance(header.get("case_id", ""), str)):
+            raise SchemaMismatch(f"{path}: the header needs string 'repo', 'fix' and 'case_id'")
         if lines[-1].get("event") != "result":
             raise SchemaMismatch(f"{path} is truncated (no result record)")
         for record in lines[1:-1]:

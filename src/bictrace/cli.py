@@ -15,12 +15,11 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import evaluate as ev
 from . import gitio, szz
 from .agent import (
-    TRANSCRIPT_SCHEMA,
     BackendUnavailable,
     DesyncError,
     LiveBackend,
@@ -44,6 +43,13 @@ ENV_ENDPOINT = "BICTRACE_ENDPOINT"
 ENV_API_KEY = "BICTRACE_API_KEY"
 ENV_MODEL = "BICTRACE_MODEL"
 
+# Failures the user can cause. main reports each as one "error:" line and
+# exit 1; anything else (KeyError, TypeError, ...) is a bug and propagates.
+USER_ERRORS = (
+    OSError, ValueError, ev.DatasetError, ev.MissingGroundTruth, gitio.GitGatewayError,
+    RootCommit, BackendUnavailable, SchemaMismatch, DesyncError,
+)
+
 
 @dataclass
 class RunConfig:
@@ -59,10 +65,12 @@ class RunConfig:
     forced_answer: bool = True
 
     def __post_init__(self):
-        for name in ("max_turns", "parallelism"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be >= 1, not {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (type(value) is not int or value < 1):
+                raise ValueError(f"{f.name} must be >= 1, not {value!r}")
+            if f.type in ("str", "bool") and type(value).__name__ != f.type:
+                raise ValueError(f"{f.name} must be a {f.type}, not {value!r}")
 
 
 def read_config(path: str) -> dict:
@@ -99,10 +107,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def load_script(path: str) -> tuple[list[ModelStep], bool]:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    steps, repeat = data, False
     if isinstance(data, dict):
-        steps = [ModelStep.from_dict(s) for s in data["steps"]]
-        return steps, bool(data.get("repeat_last", False))
-    return [ModelStep.from_dict(s) for s in data], False
+        steps, repeat = data.get("steps"), bool(data.get("repeat_last", False))
+    if not (isinstance(steps, list)
+            and all(isinstance(s, dict) and isinstance(s.get("kind"), str) for s in steps)):
+        raise ValueError(f"{path}: a script is a list (or a {{\"steps\": [...]}} object) "
+                         "of step objects, each with a string 'kind'")
+    return [ModelStep.from_dict(s) for s in steps], repeat
 
 
 def make_backend(config: RunConfig):
@@ -200,14 +212,11 @@ def _investigate_one(
     transcript_path = os.path.join(paths["transcripts"], _safe_name(case.case_id) + ".jsonl")
     record_transcript(transcript, prediction, transcript_path)
 
-    flags = {"ghost": ev.classify_ghost(fc)}
-    if case.ground_truth:
-        flags["cross_file"] = ev.classify_cross_file(repo, case, fc)
     result = CaseResult(
         case_id=case.case_id,
         predicted=[prediction.resolved_id] if prediction.resolved_id else [],
         transcript_ref=transcript_path,
-        category_flags=flags,
+        category_flags=ev.category_flags(repo, case, fc),
         cost={
             "tokens": transcript.total_tokens,
             "prompt_tokens": transcript.prompt_tokens,
@@ -227,17 +236,8 @@ def _investigate_one(
     return prediction, result
 
 
-def cmd_investigate(args: argparse.Namespace) -> int:
-    case = CaseSpec(repo_path=args.repo, fix_commit=args.fix, dataset_tag=args.tag or "adhoc")
-    try:
-        config = build_run_config(args)
-        backend_factory = make_backend(config)
-        paths = _run_paths(config)
-        prediction, result = _investigate_one(case, config, backend_factory, paths)
-    except (BackendUnavailable, gitio.GitGatewayError, RootCommit, SchemaMismatch,
-            DesyncError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _investigate_and_print(case: CaseSpec, config: RunConfig, backend_factory) -> int:
+    prediction, result = _investigate_one(case, config, backend_factory, _run_paths(config))
     print(f"case: {case.case_id}")
     print(f"status: {prediction.status}")
     print(f"bic: {prediction.resolved_id or '(none)'}")
@@ -249,26 +249,32 @@ def cmd_investigate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
+def cmd_investigate(args: argparse.Namespace) -> int:
+    case = CaseSpec(repo_path=args.repo, fix_commit=args.fix, dataset_tag=args.tag or "adhoc")
+    config = build_run_config(args)
+    return _investigate_and_print(case, config, make_backend(config))
+
+
+def _case_result(case: CaseSpec, repos_dir: str | None, run_case) -> CaseResult:
+    """Run one dataset case on its local clone; any failure becomes the case's error."""
     try:
-        config = build_run_config(args)
-        dataset = load_dataset(args.dataset)
-        backend_factory = make_backend(config)
-    except (ev.DatasetError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return run_case(replace(case, repo_path=_materialize_repo(case.repo_path, repos_dir)))
+    except Exception as exc:  # noqa: BLE001 - a dataset run must survive any case
+        return CaseResult(case_id=case.case_id, error=str(exc))
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    config = build_run_config(args)
+    dataset = load_dataset(args.dataset)
+    backend_factory = make_backend(config)
     paths = _run_paths(config)
 
-    def worker(case: CaseSpec) -> CaseResult:
-        try:
-            local = replace(case, repo_path=_materialize_repo(case.repo_path, args.repos_dir))
-            return _investigate_one(local, config, backend_factory, paths)[1]
-        except Exception as exc:  # noqa: BLE001 - batch must survive any case
-            return CaseResult(case_id=case.case_id, error=str(exc))
+    def run_case(case: CaseSpec) -> CaseResult:
+        return _investigate_one(case, config, backend_factory, paths)[1]
 
     results: list[CaseResult] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        for result in pool.map(worker, dataset.cases):
+        for result in pool.map(lambda c: _case_result(c, args.repos_dir, run_case), dataset.cases):
             results.append(result)
             print(f"[{len(results)}/{len(dataset.cases)}] {result.case_id}: "
                   f"{'error: ' + result.error if result.error else ','.join(result.predicted) or 'no prediction'}")
@@ -282,61 +288,39 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    try:
-        dataset = load_dataset(args.dataset)
-    except (ev.DatasetError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    algorithms = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}
-    algorithm = algorithms[args.algorithm]
-    results = []
-    for case in dataset.cases:
+    dataset = load_dataset(args.dataset)
+    algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
+
+    def run_case(case: CaseSpec) -> CaseResult:
         start = time.monotonic()
-        try:
-            repo_path = _materialize_repo(case.repo_path, args.repos_dir)
-            repo = RepoHandle(repo_path)
-            fc = load_fix_context(repo, case.fix_commit)
-            outcome = algorithm(repo, fc)
-            predicted = sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else [])
-            flags = {
-                "ghost": ev.classify_ghost(fc),
-                "cross_file": ev.classify_cross_file(repo, case, fc),
-            }
-            results.append(
-                CaseResult(
-                    case_id=case.case_id,
-                    predicted=predicted,
-                    category_flags=flags,
-                    cost={"seconds": time.monotonic() - start},
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - per-case failures recorded
-            results.append(CaseResult(case_id=case.case_id, error=str(exc)))
+        repo = RepoHandle(case.repo_path)
+        fc = load_fix_context(repo, case.fix_commit)
+        outcome = algorithm(repo, fc)
+        return CaseResult(
+            case_id=case.case_id,
+            predicted=sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else []),
+            category_flags=ev.category_flags(repo, case, fc),
+            cost={"seconds": time.monotonic() - start},
+        )
+
+    results = [_case_result(case, args.repos_dir, run_case) for case in dataset.cases]
     ev.write_results(args.out, f"{args.algorithm}-szz", results)
     print(f"wrote {len(results)} case results to {args.out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        dataset = load_dataset(args.dataset)
-        price = read_config(args.config).get("price_table") if args.config else None
-        if price is not None and not (
-            isinstance(price, dict) and all(isinstance(v, (int, float)) for v in price.values())
-        ):
-            raise ValueError(f"{args.config}: price_table must map price names to numbers")
-    except (ev.DatasetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset = load_dataset(args.dataset)
+    price = read_config(args.config).get("price_table") if args.config else None
+    if price is not None and not (
+        isinstance(price, dict) and all(isinstance(v, (int, float)) for v in price.values())
+    ):
+        raise ValueError(f"{args.config}: price_table must map price names to numbers")
     reports = []
     infra_failures = 0
     for results_path in args.results:
-        try:
-            method, results = ev.read_results(results_path)
-            report = ev.aggregate_report(dataset, results, name=method, price_table=price)
-        except (ev.DatasetError, ev.MissingGroundTruth, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        method, results = ev.read_results(results_path)
+        report = ev.aggregate_report(dataset, results, name=method, price_table=price)
         infra_failures += sum(1 for r in results if r.error)
         reports.append(report)
         if args.out:
@@ -364,19 +348,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        with open(args.transcript, encoding="utf-8") as f:
-            header = json.loads(f.readline())
-        if header.get("schema") != TRANSCRIPT_SCHEMA:
-            raise SchemaMismatch(f"{args.transcript} is not a transcript file")
-        setattr(args, "backend", f"replay:{args.transcript}")
-        setattr(args, "repo", args.repo or header["repo"])
-        setattr(args, "fix", header["fix"])
-        setattr(args, "tag", header.get("case_id", "replay").split(":")[0])
-        return cmd_investigate(args)
-    except (OSError, json.JSONDecodeError, SchemaMismatch, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    backend = ReplayBackend(args.transcript)
+    header = backend.header
+    case = CaseSpec(
+        repo_path=args.repo or header["repo"],
+        fix_commit=header["fix"],
+        dataset_tag=header.get("case_id", "replay").split(":")[0] or "adhoc",
+    )
+    config = replace(build_run_config(args), backend=f"replay:{args.transcript}")
+    return _investigate_and_print(case, config, lambda: backend)
 
 
 def cmd_tool(args: argparse.Namespace) -> int:
@@ -387,8 +367,7 @@ def cmd_tool(args: argparse.Namespace) -> int:
               f"{', '.join(t.value for t in ToolName)}", file=sys.stderr)
         return 1
     try:
-        payload = json.loads(args.args)
-        tool_args = parse_tool_args(tool, payload)
+        tool_args = parse_tool_args(tool, json.loads(args.args))
     except json.JSONDecodeError as exc:
         print(f"error: --args is not valid JSON: {exc}", file=sys.stderr)
         return 1
@@ -396,12 +375,8 @@ def cmd_tool(args: argparse.Namespace) -> int:
         # Mirror exactly what the agent would observe.
         print(f"Error (schema): {exc}")
         return 2
-    try:
-        repo = RepoHandle(args.repo)
-        fc = load_fix_context(repo, args.fix)
-    except (gitio.GitGatewayError, RootCommit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    repo = RepoHandle(args.repo)
+    fc = load_fix_context(repo, args.fix)
     tool_args = enforce_search_bound(tool_args, fc.fix_date)
     cfg = CompressionConfig()
     if args.raw:
@@ -421,11 +396,7 @@ def cmd_tool(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch_datasets(args: argparse.Namespace) -> int:
-    try:
-        dataset = load_dataset(args.dataset)
-    except (ev.DatasetError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset = load_dataset(args.dataset)
     os.makedirs(args.dest, exist_ok=True)
     failures = 0
     seen = set()
@@ -498,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a recorded transcript")
     p.add_argument("--transcript", required=True)
     p.add_argument("--repo", help="override the repository path from the header")
-    p.add_argument("--tag", help=argparse.SUPPRESS)
     add_run_flags(p)
     p.set_defaults(func=cmd_replay)
 
@@ -520,7 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except USER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -97,11 +97,17 @@ def write_results(path: str, method: str, results: list[CaseResult]):
 
 def read_results(path: str) -> tuple[str, list[CaseResult]]:
     with open(path, encoding="utf-8") as f:
-        lines = [json.loads(ln) for ln in f if ln.strip()]
-    if not lines or lines[0].get("schema") != RESULTS_SCHEMA:
+        lines = [(i, json.loads(ln)) for i, ln in enumerate(f, start=1) if ln.strip()]
+    for i, record in lines:
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path}:{i}: record is not a JSON object")
+    if not lines or lines[0][1].get("schema") != RESULTS_SCHEMA:
         raise DatasetError(f"{path} is not a {RESULTS_SCHEMA} file")
-    method = lines[0].get("method", path)
-    return method, [CaseResult.from_dict(record) for record in lines[1:]]
+    for i, record in lines[1:]:
+        if not isinstance(record.get("case_id"), str):
+            raise DatasetError(f"{path}:{i}: result needs a string 'case_id'")
+    method = lines[0][1].get("method", path)
+    return method, [CaseResult.from_dict(record) for _, record in lines[1:]]
 
 
 def metrics(
@@ -145,6 +151,14 @@ def classify_cross_file(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> boo
         if out.status is GitStatus.OK:
             history.update(out.stdout.split())
     return all(bic not in history for bic in case.ground_truth)
+
+
+def category_flags(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> dict:
+    """Hard-case flags: ghost always, cross_file only when the case has ground truth."""
+    flags = {"ghost": classify_ghost(fc)}
+    if case.ground_truth:
+        flags["cross_file"] = classify_cross_file(repo, case, fc)
+    return flags
 
 
 @dataclass

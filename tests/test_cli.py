@@ -118,15 +118,81 @@ class TestInvestigate:
         {"compression": {"line_caps": []}},
         {"compression": {"tau": None}},
         {"compression": {"line_caps": {"git_grep": [1]}}},
+        {"backend": 5},
+        {"model": 5},
+        {"endpoint_url": ["http://host"]},
+        {"api_key": 1},
+        {"run_dir": 1},
+        {"run_id": None},
+        {"forced_answer": "no"},
+        {"forced_answer": 0},
     ])
     def test_wrongly_typed_config_is_an_error(self, linear_repo, tmp_path, capsys, config):
         rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": "no answer"}])
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        code = main(["investigate", "--repo", rb.path, "--fix", shas[2],
-                     "--config", str(path), "--run-dir", str(tmp_path / "runs")])
+        path.write_text(json.dumps(
+            {"backend": f"scripted:{script}", "run_dir": str(tmp_path / "runs"), **config}
+        ))
+        code = main(["investigate", "--repo", rb.path, "--fix", shas[2], "--config", str(path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("script", [
+        {},
+        {"steps": {"kind": "final"}},
+        [{"tool": "git_show"}],
+        [{"kind": 1}],
+        [1],
+        "final",
+    ])
+    def test_malformed_script_is_an_error(self, linear_repo, tmp_path, capsys, script):
+        rb, shas = linear_repo
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        code = main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                     "--backend", f"scripted:{path}", "--run-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: a script is a list")
+
+
+class TestReplayCmd:
+    @pytest.fixture
+    def recorded(self, linear_repo, tmp_path, capsys):
+        rb, shas = linear_repo
+        script = write_script(
+            tmp_path / "s.json",
+            [{"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"}],
+        )
+        assert main(["investigate", "--repo", rb.path, "--fix", shas[2], "--tag", "t",
+                     "--backend", f"scripted:{script}", "--run-dir", str(tmp_path / "runs"),
+                     "--run-id", "rec"]) == 0
+        capsys.readouterr()
+        return rb, str(tmp_path / "runs" / "rec" / "transcripts" / f"t_{shas[2][:12]}.jsonl")
+
+    def replay(self, transcript, tmp_path, *extra):
+        return main(["replay", "--transcript", transcript, "--run-dir", str(tmp_path / "runs"),
+                     "--run-id", "rep", *extra])
+
+    def test_writes_config_with_replay_backend(self, recorded, tmp_path, capsys):
+        rb, transcript = recorded
+        assert self.replay(transcript, tmp_path) == 0
+        assert "case: t:" in capsys.readouterr().out
+        config = json.load(open(tmp_path / "runs" / "rep" / "config.json"))
+        assert config["backend"] == f"replay:{transcript}"
+
+    @pytest.mark.parametrize("header", [[1], {"schema": "bictrace-transcript/v1", "repo": "r"}])
+    def test_bad_header_is_one_error_line(self, recorded, tmp_path, capsys, header):
+        rb, transcript = recorded
+        lines = open(transcript).read().splitlines()
+        if isinstance(header, dict):
+            header["repo"] = rb.path
+        with open(transcript, "w") as f:
+            f.write("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert self.replay(transcript, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {transcript}")
+        assert not (tmp_path / "runs" / "rep").exists()
 
 
 class TestBatchCmd:
@@ -424,6 +490,19 @@ class TestEvaluateCmd:
         assert main(["evaluate", "--dataset", ds, "--results", results,
                      "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["[1]"], 1),
+        (['{"schema": "bictrace-results/v1"}', '{"predicted": []}'], 2),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": 1}'], 2),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1"}', '"x:2"'], 3),
+    ])
+    def test_malformed_results_file_is_an_error(self, linear_repo, tmp_path, capsys, lines, bad):
+        ds, _ = self.make_inputs(tmp_path, linear_repo)
+        results = tmp_path / "bad.jsonl"
+        results.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--dataset", ds, "--results", str(results)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {results}:{bad}: ")
 
     def test_non_numeric_price_is_an_error(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)

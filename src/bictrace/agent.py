@@ -10,14 +10,13 @@ scripted step list, or from a recorded transcript.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import asdict, dataclass, field, replace
 
 import requests
 
 from . import resolve
-from .caseprep import CaseSpec, FixContext, InitialContext
+from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, InitialContext
 from .compress import CompressionConfig, Observation, execute_compressed
 from .gitio import RepoHandle
 from .resolve import ResolutionTrace
@@ -80,7 +79,10 @@ class ModelStep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelStep":
-        usage = data.get("usage", {})
+        usage = data.get("usage", {}) if isinstance(data, dict) else None
+        if not (isinstance(usage, dict) and isinstance(data.get("kind"), str)
+                and all(type(n) is int for n in usage.values())):
+            raise ValueError("a step is an object with a string 'kind' and a 'usage' object of integers")
         return cls(
             kind=data["kind"],
             tool=ToolName(data["tool"]) if data.get("tool") else None,
@@ -159,15 +161,10 @@ class ScriptedBackend:
 class LiveBackend:
     """Chat-completions endpoint with function calling."""
 
-    def __init__(
-        self,
-        endpoint_url: str | None = None,
-        model: str | None = None,
-        api_key: str | None = None,
-    ):
-        self.endpoint_url = endpoint_url or os.environ.get("BICTRACE_ENDPOINT", "")
-        self.model = model or os.environ.get("BICTRACE_MODEL", "")
-        self.api_key = api_key or os.environ.get("BICTRACE_API_KEY", "")
+    def __init__(self, endpoint_url: str, model: str, api_key: str):
+        self.endpoint_url = endpoint_url
+        self.model = model
+        self.api_key = api_key
         missing = [
             name
             for name, value in (
@@ -252,7 +249,10 @@ class ReplayBackend:
             raise SchemaMismatch(f"{path} is truncated (no result record)")
         for record in lines[1:-1]:
             if record.get("event") == "model_step":
-                self.steps.append(ModelStep.from_dict(record["step"]))
+                try:
+                    self.steps.append(ModelStep.from_dict(record.get("step")))
+                except ValueError as exc:
+                    raise SchemaMismatch(f"{path}: bad model_step record: {exc}") from None
             elif record.get("event") == "observation":
                 self.observations[len(self.steps) - 1] = record["text"]
 
@@ -277,7 +277,6 @@ class ReplayBackend:
 _BIC_FIELD_RE = re.compile(r"^[\s>*`#]*BIC\b[\s*`]*[:=][\s*`]*(.+)$", re.IGNORECASE | re.MULTILINE)
 _CONFIDENCE_RE = re.compile(r"\bconfidence\b[\s*`]*[:=][\s*`]*([A-Za-z]+)", re.IGNORECASE)
 _REASONING_RE = re.compile(r"\breasoning\b[\s*`]*[:=][\s*`]*(.*)", re.IGNORECASE | re.DOTALL)
-_ANY_HEX_RE = re.compile(r"\b[0-9a-fA-F]{7,40}\b")
 
 
 def parse_final_output(final_text: str) -> tuple[str, str, str]:
@@ -291,7 +290,7 @@ def parse_final_output(final_text: str) -> tuple[str, str, str]:
     if m:
         raw_hash_text = m.group(1).strip().strip("`")
     else:
-        any_hex = _ANY_HEX_RE.search(text)
+        any_hex = HEX_TOKEN_RE.search(text)
         raw_hash_text = any_hex.group(0) if any_hex else ""
     cm = _CONFIDENCE_RE.search(text)
     confidence = cm.group(1).lower() if cm else "unstated"
@@ -403,7 +402,6 @@ def run_investigation(
                 prediction = _finalize(repo, fc.fix_date, step.text)
     except BackendUnavailable as exc:
         transcript.error = str(exc)
-        prediction = Prediction("", "unstated", "", "no_prediction")
 
     if prediction is None:
         prediction = Prediction("", "unstated", "", "no_prediction")

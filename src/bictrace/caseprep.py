@@ -14,20 +14,17 @@ from datetime import datetime, timezone
 from . import gitio
 from .compress import strip_trailers
 from .gitio import RepoHandle
+from .prompts import default_template
 from .tools import tool_schemas
 
 HASH_PLACEHOLDER = "[commit-ref-removed]"
 
 _FIXES_LINE_RE = re.compile(r"^\s*Fixes:\s", re.IGNORECASE)
-_HEX_TOKEN_RE = re.compile(r"\b[0-9a-fA-F]{7,40}\b")
+HEX_TOKEN_RE = re.compile(r"\b[0-9a-fA-F]{7,40}\b")
 
 
 class RootCommit(Exception):
     """The fix commit has no parent, so there is no pre-fix state to blame."""
-
-
-class TemplateSlotMissing(Exception):
-    """The prompt template lacks a required placeholder."""
 
 
 @dataclass
@@ -60,7 +57,7 @@ class InitialContext:
     tool_specs: list[dict]
 
 
-def redact_leakage(message: str, dataset_tag: str = "") -> str:
+def redact_leakage(message: str) -> str:
     """Remove Fixes trailers and hash-like tokens from a commit message.
 
     Any standalone hexadecimal run of 7-40 characters could be (part of)
@@ -68,7 +65,7 @@ def redact_leakage(message: str, dataset_tag: str = "") -> str:
     """
     kept = [ln for ln in message.splitlines() if not _FIXES_LINE_RE.match(ln)]
     out = "\n".join(kept)
-    out = _HEX_TOKEN_RE.sub(HASH_PLACEHOLDER, out)
+    out = HEX_TOKEN_RE.sub(HASH_PLACEHOLDER, out)
     if message.endswith("\n") and out and not out.endswith("\n"):
         out += "\n"
     return out
@@ -165,11 +162,8 @@ def render_constraints_block(fc: FixContext) -> str:
     )
 
 
-def assemble_initial_context(fc: FixContext, prompt_template: str) -> InitialContext:
-    for slot in ("{{fix_block}}", "{{constraints_block}}"):
-        if slot not in prompt_template:
-            raise TemplateSlotMissing(f"prompt template is missing slot {slot}")
-    system_prompt = prompt_template.replace("{{fix_block}}", render_fix_block(fc)).replace(
+def assemble_initial_context(fc: FixContext) -> InitialContext:
+    system_prompt = default_template().replace("{{fix_block}}", render_fix_block(fc)).replace(
         "{{constraints_block}}", render_constraints_block(fc)
     )
     return InitialContext(system_prompt=system_prompt, tool_specs=tool_schemas())

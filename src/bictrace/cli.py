@@ -35,13 +35,8 @@ from .caseprep import CaseSpec, RootCommit, assemble_initial_context, load_fix_c
 from .compress import CompressionConfig, execute_compressed, execute_raw, format_raw
 from .evaluate import CaseResult, Dataset, load_dataset
 from .gitio import RepoHandle
-from .prompts import default_template
 from .tools import SchemaError, ToolError, ToolName, enforce_search_bound
 from .tools import parse_args as parse_tool_args
-
-ENV_ENDPOINT = "BICTRACE_ENDPOINT"
-ENV_API_KEY = "BICTRACE_API_KEY"
-ENV_MODEL = "BICTRACE_MODEL"
 
 # Failures the user can cause. main reports each as one "error:" line and
 # exit 1; anything else (KeyError, TypeError, ...) is a bug and propagates.
@@ -87,7 +82,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         merged.update(read_config(config_path))
-    env_map = {"endpoint_url": ENV_ENDPOINT, "api_key": ENV_API_KEY, "model": ENV_MODEL}
+    env_map = {"endpoint_url": "BICTRACE_ENDPOINT", "api_key": "BICTRACE_API_KEY", "model": "BICTRACE_MODEL"}
     for key, env_name in env_map.items():
         if os.environ.get(env_name):
             merged[key] = os.environ[env_name]
@@ -110,11 +105,13 @@ def load_script(path: str) -> tuple[list[ModelStep], bool]:
     steps, repeat = data, False
     if isinstance(data, dict):
         steps, repeat = data.get("steps"), bool(data.get("repeat_last", False))
-    if not (isinstance(steps, list)
-            and all(isinstance(s, dict) and isinstance(s.get("kind"), str) for s in steps)):
+    try:
+        if not isinstance(steps, list):
+            raise ValueError("found no step list")
+        return [ModelStep.from_dict(s) for s in steps], repeat
+    except ValueError as exc:
         raise ValueError(f"{path}: a script is a list (or a {{\"steps\": [...]}} object) "
-                         "of step objects, each with a string 'kind'")
-    return [ModelStep.from_dict(s) for s in steps], repeat
+                         f"of step objects: {exc}") from None
 
 
 def make_backend(config: RunConfig):
@@ -128,11 +125,7 @@ def make_backend(config: RunConfig):
         path = spec.split(":", 1)[1]
         return lambda: ReplayBackend(path)
     if spec == "live":
-        return lambda: LiveBackend(
-            endpoint_url=config.endpoint_url or None,
-            model=config.model or None,
-            api_key=config.api_key or None,
-        )
+        return lambda: LiveBackend(config.endpoint_url, config.model, config.api_key)
     raise ValueError(f"unknown backend spec: {spec}")
 
 
@@ -196,7 +189,7 @@ def _investigate_one(
     start = time.monotonic()
     repo = RepoHandle(case.repo_path)
     fc = load_fix_context(repo, case.fix_commit)
-    ctx = assemble_initial_context(fc, default_template())
+    ctx = assemble_initial_context(fc)
     prediction, transcript = run_investigation(
         case,
         repo,

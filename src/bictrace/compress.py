@@ -120,17 +120,17 @@ def strip_trailers(message: str) -> str:
     return "\n".join(ln for ln in message.split("\n") if not _TRAILER_RE.match(ln))
 
 
-def _truncation_notice(shown: int, total: int, unit: str) -> str:
+def _truncation_notice(shown: int, total: int) -> str:
     return (
-        f"{_NOTICE_PREFIX}: showing {shown} of {total} {unit}; "
+        f"{_NOTICE_PREFIX}: showing {shown} of {total} lines; "
         "retry with narrower parameters to see more]"
     )
 
 
-def _cap_lines(lines: list[str], cap: int, unit: str = "lines") -> tuple[list[str], bool]:
+def _cap_lines(lines: list[str], cap: int) -> tuple[str, bool]:
     if len(lines) <= cap:
-        return lines, False
-    return lines[:cap] + [_truncation_notice(cap, len(lines), unit)], True
+        return "\n".join(lines), False
+    return "\n".join(lines[:cap] + [_truncation_notice(cap, len(lines))]), True
 
 
 def _head_tail(lines: list[str], head: int, tail: int) -> tuple[list[str], bool]:
@@ -148,8 +148,7 @@ def format_show(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
         (i for i, ln in enumerate(lines) if ln.startswith("diff --git")), len(lines)
     )
     head = strip_trailers("\n".join(lines[:diff_start])).splitlines()
-    capped, truncated = _cap_lines(head + lines[diff_start:], cfg.line_caps[ToolName.SHOW])
-    return "\n".join(capped), truncated
+    return _cap_lines(head + lines[diff_start:], cfg.line_caps[ToolName.SHOW])
 
 
 _PORCELAIN_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
@@ -200,7 +199,7 @@ def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
     truncated = len(records) > cap
     if truncated:
-        body.append(_truncation_notice(cap, len(records), "lines"))
+        body.append(_truncation_notice(cap, len(records)))
     legend, seen = [], set()
     for rec in shown:
         short = rec["commit"][:12]
@@ -217,19 +216,15 @@ def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
 
 
 def format_log_s(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    capped, truncated = _cap_lines(raw.splitlines(), cfg.line_caps[ToolName.LOG_S])
-    return "\n".join(capped), truncated
+    return _cap_lines(raw.splitlines(), cfg.line_caps[ToolName.LOG_S])
 
 
 def format_log_func(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    stripped = strip_trailers(raw)
-    capped, truncated = _cap_lines(stripped.splitlines(), cfg.line_caps[ToolName.LOG_FUNC])
-    return "\n".join(capped), truncated
+    return _cap_lines(strip_trailers(raw).splitlines(), cfg.line_caps[ToolName.LOG_FUNC])
 
 
 def format_grep(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    capped, truncated = _cap_lines(raw.splitlines(), cfg.line_caps[ToolName.GREP])
-    return "\n".join(capped), truncated
+    return _cap_lines(raw.splitlines(), cfg.line_caps[ToolName.GREP])
 
 
 # -- Layer 3: structured extraction ------------------------------------------
@@ -385,9 +380,7 @@ def execute_raw(repo: RepoHandle, tool: ToolName, args: ToolArgs, default_commit
         return tk.exec_git_log_s(repo, args)
     if tool is ToolName.LOG_FUNC:
         return tk.exec_git_log_func(repo, args)
-    if tool is ToolName.GREP:
-        return tk.exec_git_grep(repo, args, default_commit)
-    raise ValueError(f"unknown tool {tool}")
+    return tk.exec_git_grep(repo, args, default_commit)
 
 
 _GENERIC_NOTICE = "[output truncated; retry with narrower parameters to see more]"

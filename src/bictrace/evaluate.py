@@ -32,9 +32,6 @@ class Dataset:
     name: str
     cases: list[CaseSpec] = field(default_factory=list)
 
-    def by_id(self) -> dict[str, CaseSpec]:
-        return {case.case_id: case for case in self.cases}
-
 
 def load_dataset(path: str) -> Dataset:
     """Read a line-delimited dataset file of fix commits and their BICs."""
@@ -103,10 +100,14 @@ def read_results(path: str) -> tuple[str, list[CaseResult]]:
             raise DatasetError(f"{path}:{i}: record is not a JSON object")
     if not lines or lines[0][1].get("schema") != RESULTS_SCHEMA:
         raise DatasetError(f"{path} is not a {RESULTS_SCHEMA} file")
-    for i, record in lines[1:]:
-        if not isinstance(record.get("case_id"), str):
-            raise DatasetError(f"{path}:{i}: result needs a string 'case_id'")
     method = lines[0][1].get("method", path)
+    if not isinstance(method, str):
+        raise DatasetError(f"{path}:{lines[0][0]}: 'method' must be a string")
+    for i, record in lines[1:]:
+        predicted = record.get("predicted", [])
+        if not (isinstance(record.get("case_id"), str) and isinstance(predicted, list)
+                and all(isinstance(p, str) for p in predicted)):
+            raise DatasetError(f"{path}:{i}: result needs a string 'case_id' and string 'predicted' ids")
     return method, [CaseResult.from_dict(record) for _, record in lines[1:]]
 
 
@@ -131,8 +132,6 @@ def metrics(
     precision = intersection / predicted_total if predicted_total else 0.0
     recall = intersection / truth_total if truth_total else 0.0
     f1 = 2 * intersection / (predicted_total + truth_total) if (predicted_total + truth_total) else 0.0
-    if intersection == 0:
-        f1 = 0.0
     return precision, recall, f1
 
 
@@ -196,7 +195,7 @@ def aggregate_report(
     name: str = "",
     price_table: dict | None = None,
 ) -> EvalReport:
-    by_case = dataset.by_id()
+    by_case = {case.case_id: case for case in dataset.cases}
     unknown = [r.case_id for r in results if r.case_id not in by_case]
     if unknown:
         raise MissingGroundTruth(f"results for unknown case ids: {', '.join(sorted(unknown))}")
@@ -206,11 +205,8 @@ def aggregate_report(
     category_recall = {}
     for category in ("ghost", "cross_file"):
         subset = [r for r in results if r.category_flags.get(category)]
-        if subset:
-            _, cat_recall, _ = metrics(subset, ground_truth)
-            category_recall[category] = {"n_cases": len(subset), "recall": cat_recall}
-        else:
-            category_recall[category] = {"n_cases": 0, "recall": 0.0}
+        _, cat_recall, _ = metrics(subset, ground_truth)
+        category_recall[category] = {"n_cases": len(subset), "recall": cat_recall}
 
     cost_means = {}
     for key in ("tokens", "turns", "seconds"):

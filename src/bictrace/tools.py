@@ -311,15 +311,20 @@ def exec_git_blame(repo: RepoHandle, args: BlameArgs, default_commit: str) -> st
     )
 
 
+def _date_flags(args: LogSArgs | LogFuncArgs) -> list[str]:
+    flags = []
+    if args.after:
+        flags.append(f"--after=@{parse_date(args.after, end_of_day=False)}")
+    if args.before:
+        flags.append(f"--before=@{parse_date(args.before, end_of_day=True)}")
+    return flags
+
+
 _GLOB_CHARS = set("*?[")
 
 
 def exec_git_log_s(repo: RepoHandle, args: LogSArgs) -> str:
-    cmd = ["log", f"-S{args.search_string}", "--format=%h %cs %s"]
-    if args.after:
-        cmd.append(f"--after=@{parse_date(args.after, end_of_day=False)}")
-    if args.before:
-        cmd.append(f"--before=@{parse_date(args.before, end_of_day=True)}")
+    cmd = ["log", f"-S{args.search_string}", "--format=%h %cs %s", *_date_flags(args)]
     if args.path:
         # Rename-following only works for a single literal path.
         if not (_GLOB_CHARS & set(args.path)):
@@ -331,11 +336,7 @@ def exec_git_log_s(repo: RepoHandle, args: LogSArgs) -> str:
 
 
 def exec_git_log_func(repo: RepoHandle, args: LogFuncArgs) -> str:
-    cmd = ["log", "--no-color", f"-L:{args.function_name}:{args.file_path}"]
-    if args.after:
-        cmd.append(f"--after=@{parse_date(args.after, end_of_day=False)}")
-    if args.before:
-        cmd.append(f"--before=@{parse_date(args.before, end_of_day=True)}")
+    cmd = ["log", "--no-color", f"-L:{args.function_name}:{args.file_path}", *_date_flags(args)]
     out = gitio.run_git(repo, cmd)
     if out.status is GitStatus.NONZERO_EXIT and "no match" in out.stderr.lower():
         raise ToolError(

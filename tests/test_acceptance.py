@@ -41,7 +41,6 @@ from bictrace.compress import (
 )
 from bictrace.evaluate import CaseResult, classify_cross_file, classify_ghost, metrics
 from bictrace.gitio import RepoHandle
-from bictrace.prompts import default_template
 from bictrace.resolve import resolve_prediction, sanitize_hash
 from bictrace.szz import b_szz, blame_candidates, l_szz, r_szz
 from bictrace.tools import LogSArgs, ToolName
@@ -52,7 +51,7 @@ HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 def make_ctx(repo_path, fix):
     repo = RepoHandle(repo_path)
     fc = load_fix_context(repo, fix)
-    return repo, fc, assemble_initial_context(fc, default_template())
+    return repo, fc, assemble_initial_context(fc)
 
 
 def test_c01_baseline_oracle_equivalence(tmp_path):
@@ -355,7 +354,10 @@ def test_c10_live_smoke(cross_file_repo):
     rb, info = cross_file_repo
     case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="live")
     repo, fc, ctx = make_ctx(rb.path, info["fix"])
-    prediction, transcript = run_investigation(case, repo, fc, ctx, LiveBackend())
+    backend = LiveBackend(
+        os.environ["BICTRACE_ENDPOINT"], os.environ["BICTRACE_MODEL"], os.environ["BICTRACE_API_KEY"]
+    )
+    prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
     assert transcript.tool_turns <= 15
     assert transcript.error is None
     assert prediction.status in ("resolved", "discarded")

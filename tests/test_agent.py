@@ -1,11 +1,13 @@
 """Loop behavior: turn budget, malformed recovery, parsing, record/replay."""
 
 import json
+import re
 
 import pytest
 
 from bictrace.agent import (
     DesyncError,
+    LiveBackend,
     ModelStep,
     Prediction,
     ReplayBackend,
@@ -20,14 +22,13 @@ from bictrace.agent import (
 )
 from bictrace.caseprep import CaseSpec, assemble_initial_context, load_fix_context
 from bictrace.gitio import RepoHandle
-from bictrace.prompts import default_template
 from bictrace.tools import ToolName
 
 
 def make_ctx(repo_path, fix):
     repo = RepoHandle(repo_path)
     fc = load_fix_context(repo, fix)
-    return repo, fc, assemble_initial_context(fc, default_template())
+    return repo, fc, assemble_initial_context(fc)
 
 
 class TestParseFinalOutput:
@@ -251,25 +252,21 @@ class FakeResponse:
         return self._payload
 
 
-class TestLiveBackend:
-    def setup_env(self, monkeypatch):
-        monkeypatch.setenv("BICTRACE_ENDPOINT", "https://example.test/v1/chat/completions")
-        monkeypatch.setenv("BICTRACE_API_KEY", "sk-test")
-        monkeypatch.setenv("BICTRACE_MODEL", "test-model")
+def live_backend():
+    return LiveBackend("https://example.test/v1/chat/completions", "test-model", "sk-test")
 
-    def test_missing_config_raises(self, monkeypatch):
+
+class TestLiveBackend:
+    def test_missing_config_raises(self):
         from bictrace.agent import BackendUnavailable, LiveBackend
 
-        for var in ("BICTRACE_ENDPOINT", "BICTRACE_API_KEY", "BICTRACE_MODEL"):
-            monkeypatch.delenv(var, raising=False)
         with pytest.raises(BackendUnavailable):
-            LiveBackend()
+            LiveBackend("", "", "")
 
     def test_tool_call_round_trip(self, monkeypatch):
         from bictrace import agent
         from bictrace.tools import tool_schemas
 
-        self.setup_env(monkeypatch)
         captured = {}
 
         def fake_post(url, json=None, headers=None, timeout=None):
@@ -299,7 +296,7 @@ class TestLiveBackend:
             )
 
         monkeypatch.setattr(agent.requests, "post", fake_post)
-        backend = agent.LiveBackend()
+        backend = live_backend()
         step = backend.send([{"role": "user", "content": "go"}], tool_schemas())
         assert step.kind == "tool_call"
         assert step.tool is ToolName.BLAME
@@ -315,7 +312,6 @@ class TestLiveBackend:
     def test_parallel_tool_calls_rejected(self, monkeypatch):
         from bictrace import agent
 
-        self.setup_env(monkeypatch)
         call = {
             "id": "x", "type": "function",
             "function": {"name": "git_grep", "arguments": "{}"},
@@ -324,20 +320,19 @@ class TestLiveBackend:
             agent.requests, "post",
             lambda *a, **k: FakeResponse({"choices": [{"message": {"tool_calls": [call, call]}}]}),
         )
-        step = agent.LiveBackend().send([], [])
+        step = live_backend().send([], [])
         assert step.kind == "malformed"
 
     def test_text_content_is_final(self, monkeypatch):
         from bictrace import agent
 
-        self.setup_env(monkeypatch)
         monkeypatch.setattr(
             agent.requests, "post",
             lambda *a, **k: FakeResponse(
                 {"choices": [{"message": {"content": "BIC: abc1234def\nConfidence: low"}}]}
             ),
         )
-        step = agent.LiveBackend().send([], [])
+        step = live_backend().send([], [])
         assert step.kind == "final"
         assert "abc1234def" in step.text
 
@@ -345,15 +340,13 @@ class TestLiveBackend:
         from bictrace import agent
         from bictrace.agent import BackendUnavailable
 
-        self.setup_env(monkeypatch)
         monkeypatch.setattr(agent.requests, "post", lambda *a, **k: FakeResponse({}, status=503))
         with pytest.raises(BackendUnavailable):
-            agent.LiveBackend().send([], [])
+            live_backend().send([], [])
 
     def test_bad_tool_name_is_malformed(self, monkeypatch):
         from bictrace import agent
 
-        self.setup_env(monkeypatch)
         call = {
             "id": "x", "type": "function",
             "function": {"name": "git_push", "arguments": "{}"},
@@ -362,7 +355,7 @@ class TestLiveBackend:
             agent.requests, "post",
             lambda *a, **k: FakeResponse({"choices": [{"message": {"tool_calls": [call]}}]}),
         )
-        step = agent.LiveBackend().send([], [])
+        step = live_backend().send([], [])
         assert step.kind == "malformed"
 
 
@@ -428,3 +421,30 @@ class TestRecordReplay:
             f.write(json.dumps({"schema": "something-else/v9"}) + "\n")
         with pytest.raises(SchemaMismatch):
             ReplayBackend(path)
+
+    @pytest.mark.parametrize("record", [
+        {"event": "model_step"},
+        {"event": "model_step", "step": "final"},
+        {"event": "model_step", "step": {"kind": "final", "text": "x", "usage": 5}},
+    ])
+    def test_malformed_step_record_schema_mismatch(self, cross_file_repo, tmp_path, record):
+        path = str(tmp_path / "bad_step.jsonl")
+        self._run_and_record(cross_file_repo, path)
+        lines = open(path).read().splitlines()
+        with open(path, "w") as f:
+            f.write("\n".join([lines[0], json.dumps(record), *lines[1:]]) + "\n")
+        with pytest.raises(SchemaMismatch, match=re.escape(path)):
+            ReplayBackend(path)
+
+
+class TestModelStep:
+    @pytest.mark.parametrize("data", [
+        None,
+        {"text": "no kind"},
+        {"kind": "final", "usage": 5},
+        {"kind": "final", "usage": {"prompt_tokens": "3"}},
+        {"kind": "final", "usage": {"prompt_tokens": True}},
+    ])
+    def test_from_dict_rejects_what_to_dict_cannot_write(self, data):
+        with pytest.raises(ValueError):
+            ModelStep.from_dict(data)

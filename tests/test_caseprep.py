@@ -13,7 +13,6 @@ from bictrace import caseprep, gitio
 from bictrace.caseprep import (
     HASH_PLACEHOLDER,
     RootCommit,
-    TemplateSlotMissing,
     assemble_initial_context,
     load_fix_context,
     preimage_lines_from_diff,
@@ -192,7 +191,7 @@ class TestAssemble:
         rb, shas = deletion_repo
         repo = RepoHandle(rb.path)
         fc = load_fix_context(repo, shas[1])
-        ctx = assemble_initial_context(fc, default_template())
+        ctx = assemble_initial_context(fc)
         prompt = ctx.system_prompt
         assert "would the bug exist if this commit had not been introduced?" in prompt
         assert "are not considered BICs" in prompt
@@ -207,13 +206,6 @@ class TestAssemble:
         for phrase in ("Entry point selection", "Candidate analysis", "Causal confirmation"):
             assert phrase in template
 
-    def test_missing_slot_raises(self, deletion_repo):
-        rb, shas = deletion_repo
-        repo = RepoHandle(rb.path)
-        fc = load_fix_context(repo, shas[1])
-        with pytest.raises(TemplateSlotMissing):
-            assemble_initial_context(fc, "no slots at all")
-
     def test_fix_date_matches_gateway(self, deletion_repo):
         rb, shas = deletion_repo
         repo = RepoHandle(rb.path)
@@ -224,7 +216,7 @@ class TestAssemble:
 class TestLeakageFreedom:
     def _assert_no_gt_leak(self, repo, fix, ground_truth):
         fc = load_fix_context(repo, fix)
-        ctx = assemble_initial_context(fc, default_template())
+        ctx = assemble_initial_context(fc)
         blob = ctx.system_prompt + render_fix_block(fc) + render_constraints_block(fc)
         for gt in ground_truth:
             for n in range(7, 41):

@@ -9,7 +9,8 @@ from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
 from bictrace import gitio
-from bictrace.cli import main
+from bictrace.agent import BackendUnavailable
+from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
 
 
@@ -145,6 +146,7 @@ class TestInvestigate:
         [{"kind": 1}],
         [1],
         "final",
+        [{"kind": "final", "text": "x", "usage": 5}],
     ])
     def test_malformed_script_is_an_error(self, linear_repo, tmp_path, capsys, script):
         rb, shas = linear_repo
@@ -193,6 +195,46 @@ class TestReplayCmd:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {transcript}")
         assert not (tmp_path / "runs" / "rep").exists()
+
+    @pytest.mark.parametrize("record", [
+        {"event": "model_step"},
+        {"event": "model_step", "step": {"kind": "final", "text": "x", "usage": 5}},
+    ])
+    def test_malformed_step_record_is_one_error_line(self, recorded, tmp_path, capsys, record):
+        rb, transcript = recorded
+        lines = open(transcript).read().splitlines()
+        with open(transcript, "w") as f:
+            f.write("\n".join([lines[0], json.dumps(record), *lines[1:]]) + "\n")
+        assert self.replay(transcript, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {transcript}")
+        assert not (tmp_path / "runs" / "rep").exists()
+
+
+class TestLiveSettings:
+    """The live backend sees only what build_run_config resolved: flags > env > file."""
+
+    def live_backend(self, monkeypatch, *flags):
+        monkeypatch.setenv("BICTRACE_ENDPOINT", "https://env.test/v1")
+        monkeypatch.setenv("BICTRACE_MODEL", "env-model")
+        monkeypatch.setenv("BICTRACE_API_KEY", "sk-env")
+        args = build_parser().parse_args(["investigate", "--repo", ".", "--fix", "HEAD", *flags])
+        return make_backend(build_run_config(args))()
+
+    def test_environment_without_flags(self, monkeypatch):
+        backend = self.live_backend(monkeypatch)
+        assert (backend.endpoint_url, backend.model, backend.api_key) == (
+            "https://env.test/v1", "env-model", "sk-env")
+
+    def test_flag_beats_environment(self, monkeypatch):
+        backend = self.live_backend(monkeypatch, "--endpoint-url", "https://flag.test/v1",
+                                    "--model", "flag-model")
+        assert (backend.endpoint_url, backend.model, backend.api_key) == (
+            "https://flag.test/v1", "flag-model", "sk-env")
+
+    def test_empty_flag_does_not_fall_back_to_environment(self, monkeypatch):
+        with pytest.raises(BackendUnavailable, match="endpoint URL"):
+            self.live_backend(monkeypatch, "--endpoint-url", "")
 
 
 class TestBatchCmd:
@@ -496,6 +538,8 @@ class TestEvaluateCmd:
         (['{"schema": "bictrace-results/v1"}', '{"predicted": []}'], 2),
         (['{"schema": "bictrace-results/v1"}', '{"case_id": 1}'], 2),
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1"}', '"x:2"'], 3),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "predicted": "a"}'], 2),
+        (['{"schema": "bictrace-results/v1", "method": 5}', '{"case_id": "x:1"}'], 1),
     ])
     def test_malformed_results_file_is_an_error(self, linear_repo, tmp_path, capsys, lines, bad):
         ds, _ = self.make_inputs(tmp_path, linear_repo)

@@ -81,8 +81,12 @@ class ModelStep:
     def from_dict(cls, data: dict) -> "ModelStep":
         usage = data.get("usage", {}) if isinstance(data, dict) else None
         if not (isinstance(usage, dict) and isinstance(data.get("kind"), str)
-                and all(type(n) is int for n in usage.values())):
-            raise ValueError("a step is an object with a string 'kind' and a 'usage' object of integers")
+                and all(type(n) is int for n in usage.values())
+                and all(isinstance(data.get(k, ""), str) for k in ("text", "raw"))):
+            raise ValueError("a step is an object with a string 'kind', string 'text' and "
+                             "'raw', and a 'usage' object of integers")
+        if data["kind"] == "tool_call" and not data.get("tool"):
+            raise ValueError("a 'tool_call' step needs a 'tool'")
         return cls(
             kind=data["kind"],
             tool=ToolName(data["tool"]) if data.get("tool") else None,
@@ -254,6 +258,8 @@ class ReplayBackend:
                 except ValueError as exc:
                     raise SchemaMismatch(f"{path}: bad model_step record: {exc}") from None
             elif record.get("event") == "observation":
+                if not isinstance(record.get("text"), str):
+                    raise SchemaMismatch(f"{path}: an observation record needs a string 'text'")
                 self.observations[len(self.steps) - 1] = record["text"]
 
     def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
@@ -358,7 +364,7 @@ def run_investigation(
                         step, args={k: v for k, v in asdict(args).items() if v is not None}
                     )
                     observation = execute_compressed(
-                        repo, step.tool, args, fc.fix_date, cache, cfg, default_commit=fc.fix_parent
+                        repo, args, fc.fix_date, cache, cfg, default_commit=fc.fix_parent
                     )
                 call_id = f"call_{transcript.total_turns + 1}"
                 conversation.append(

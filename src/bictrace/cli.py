@@ -374,16 +374,14 @@ def cmd_tool(args: argparse.Namespace) -> int:
     cfg = CompressionConfig()
     if args.raw:
         try:
-            raw = execute_raw(repo, tool, tool_args, fc.fix_parent)
+            raw = execute_raw(repo, tool_args, fc.fix_parent)
         except ToolError as exc:
             print(f"Error ({exc.kind}): {exc}")
             return 2
         formatted, _ = format_raw(tool, raw, cfg)
         print(formatted)
         return 0
-    obs = execute_compressed(
-        repo, tool, tool_args, fc.fix_date, {}, cfg, default_commit=fc.fix_parent
-    )
+    obs = execute_compressed(repo, tool_args, fc.fix_date, {}, cfg, default_commit=fc.fix_parent)
     print(obs.text)
     return 0
 

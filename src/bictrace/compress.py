@@ -73,19 +73,23 @@ class CompressionConfig:
     k3: int = 30
     k4: int = 50
 
+    def __post_init__(self):
+        scalars = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "line_caps"}
+        caps = {f"line_caps.{t.value}": cap for t, cap in self.line_caps.items()}
+        for name, value in {**scalars, **caps}.items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"compression {name} must be an integer >= 1, not {value!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "CompressionConfig":
         caps = data.get("line_caps", {}) if isinstance(data, dict) else None
         if not isinstance(caps, dict):
             raise ValueError("compression and its line_caps must be JSON objects")
-        scalars = {f.name for f in fields(cls)} - {"line_caps"}
-        try:  # int() raises TypeError for null, a list or an object
-            cfg = cls(**{k: int(v) for k, v in data.items() if k in scalars})
-            for name, cap in caps.items():
-                cfg.line_caps[ToolName(name)] = int(cap)
-        except TypeError as exc:
-            raise ValueError(f"compression values must be integers: {exc}") from None
-        return cfg
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown compression key(s): {', '.join(unknown)}")
+        line_caps = {**cls().line_caps, **{ToolName(name): cap for name, cap in caps.items()}}
+        return cls(**{**data, "line_caps": line_caps})
 
     def to_dict(self) -> dict:
         caps = {name.value: cap for name, cap in self.line_caps.items()}
@@ -101,8 +105,7 @@ class Observation:
 
 def canonicalize_args(args: ToolArgs) -> str:
     """Deterministic cache key: defaults elided, dates normalized to epochs."""
-    tool = tk.TOOL_FOR_ARGS[type(args)]
-    payload: dict = {"tool": tool.value}
+    payload: dict = {"tool": args.tool.value}
     for f in fields(args):
         value = getattr(args, f.name)
         if value == f.default:
@@ -370,8 +373,9 @@ _EXTRACTORS = {
 }
 
 
-def execute_raw(repo: RepoHandle, tool: ToolName, args: ToolArgs, default_commit: str) -> str:
+def execute_raw(repo: RepoHandle, args: ToolArgs, default_commit: str) -> str:
     """Dispatch one tool call and return its raw (uncompressed) output."""
+    tool = args.tool
     if tool is ToolName.SHOW:
         return tk.exec_git_show(repo, args)
     if tool is ToolName.BLAME:
@@ -403,7 +407,6 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, cfg: Com
 
 def execute_compressed(
     repo: RepoHandle,
-    tool: ToolName,
     args: ToolArgs,
     fix_date: int,
     cache: dict[str, tuple[str, bool]],
@@ -425,18 +428,18 @@ def execute_compressed(
         text, truncated = cache[key]
         return Observation(text, truncated=truncated, cache_hit=True)
     try:
-        raw = execute_raw(repo, tool, args, default_commit)
+        raw = execute_raw(repo, args, default_commit)
     except ToolTimeout:
         return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False)
     except ToolError as exc:
         return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False)
     try:
-        formatted, truncated = _FORMATTERS[tool](raw, cfg)
+        formatted, truncated = _FORMATTERS[args.tool](raw, cfg)
     except MalformedPorcelain as exc:
         # Cached like any output git produced: a repeat is a hit.
         text, truncated = f"Error (malformed_output): {exc}", False
     else:
-        text, truncated = compress_formatted(tool, formatted, truncated, cfg)
+        text, truncated = compress_formatted(args.tool, formatted, truncated, cfg)
         if not text.strip():
             text = "(no output)"
     cache[key] = (text, truncated)

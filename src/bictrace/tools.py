@@ -1,17 +1,19 @@
 """The five repository-investigation tools and their calling schemas.
 
 Each tool wraps one read-only git operation with a small, scoped parameter
-set. Schemas serialize to the JSON function-calling format of
-chat-completion endpoints, so the same definitions drive both validation
-and the wire protocol.
+set. A tool's argument class is its whole contract: its name, description,
+parameters (type, required flag, description) and constraints. The JSON
+function-calling schema of chat-completion endpoints and the validation
+of incoming arguments are both read from those classes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
+from typing import ClassVar
 
 from . import gitio
 from .gitio import GitStatus, RepoHandle
@@ -42,118 +44,120 @@ class ToolTimeout(ToolError):
         super().__init__("timeout", message)
 
 
+def _param(description: str, default=MISSING):
+    """A tool parameter: required unless it has a default."""
+    return field(default=default, metadata={"description": description})
+
+
 @dataclass(frozen=True)
 class ShowArgs:
-    commit: str
-    file_filter: str | None = None
-    stat_only: bool = False
-    context_lines: int | None = None
+    tool: ClassVar[ToolName] = ToolName.SHOW
+    description: ClassVar[str] = (
+        "Show a commit: header, message and diff. Use file_filter to restrict "
+        "the diff to one file, stat_only for per-file change counts instead of "
+        "a patch, context_lines to widen or shrink diff context."
+    )
+    commit: str = _param("Commit hash or ref to display.")
+    file_filter: str | None = _param("Limit the diff to this path.", None)
+    stat_only: bool = _param("Show per-file change counts only.", False)
+    context_lines: int | None = _param("Unified diff context width.", None)
+
+    def __post_init__(self):
+        if self.context_lines is not None and self.context_lines < 0:
+            raise SchemaError("git_show: context_lines must be >= 0")
 
 
 @dataclass(frozen=True)
 class BlameArgs:
-    file_path: str
-    commit: str | None = None
-    line_start: int | None = None
-    line_end: int | None = None
+    tool: ClassVar[ToolName] = ToolName.BLAME
+    description: ClassVar[str] = (
+        "Line-by-line last-modifying commit for a file at a revision "
+        "(defaults to the parent of the bug-fixing commit). Use line_start/"
+        "line_end to focus on the lines you care about."
+    )
+    file_path: str = _param("File to blame.")
+    commit: str | None = _param("Revision to blame at.", None)
+    line_start: int | None = _param("First line of the range (1-based).", None)
+    line_end: int | None = _param("Last line of the range (inclusive).", None)
+
+    def __post_init__(self):
+        for attr in ("line_start", "line_end"):
+            v = getattr(self, attr)
+            if v is not None and v < 1:
+                raise SchemaError(f"git_blame: {attr} must be >= 1")
+        if None not in (self.line_start, self.line_end) and self.line_start > self.line_end:
+            raise SchemaError("git_blame: line_start must not exceed line_end")
+
+
+def _check_dates(args: LogSArgs | LogFuncArgs):
+    for attr in ("after", "before"):
+        v = getattr(args, attr)
+        if v is not None:
+            parse_date(v, end_of_day=(attr == "before"))
 
 
 @dataclass(frozen=True)
 class LogSArgs:
-    search_string: str
-    path: str | None = None
-    after: str | None = None
-    before: str | None = None
+    tool: ClassVar[ToolName] = ToolName.LOG_S
+    description: ClassVar[str] = (
+        "History search for commits that add or remove occurrences of a "
+        "literal string (identifier, expression). Optional path restriction "
+        "and after/before dates (YYYY-MM-DD)."
+    )
+    search_string: str = _param("Literal string to search history for.")
+    path: str | None = _param("Limit to commits touching this path.", None)
+    after: str | None = _param("Only commits after this date.", None)
+    before: str | None = _param("Only commits before this date.", None)
+
+    def __post_init__(self):
+        if not self.search_string:
+            raise SchemaError("git_log_s: search_string must be non-empty")
+        _check_dates(self)
 
 
 @dataclass(frozen=True)
 class LogFuncArgs:
-    function_name: str
-    file_path: str
-    after: str | None = None
-    before: str | None = None
+    tool: ClassVar[ToolName] = ToolName.LOG_FUNC
+    description: ClassVar[str] = (
+        "Commit-by-commit history of one function in one file, with the "
+        "diffs that touched it. Optional after/before dates (YYYY-MM-DD)."
+    )
+    function_name: str = _param("Function whose history to trace.")
+    file_path: str = _param("File containing the function.")
+    after: str | None = _param("Only commits after this date.", None)
+    before: str | None = _param("Only commits before this date.", None)
+
+    def __post_init__(self):
+        _check_dates(self)
 
 
 @dataclass(frozen=True)
 class GrepArgs:
-    search_string: str
-    commit: str | None = None
-    path: str | None = None
+    tool: ClassVar[ToolName] = ToolName.GREP
+    description: ClassVar[str] = (
+        "Search file contents for a literal string at a specific revision "
+        "(defaults to the parent of the bug-fixing commit). Optional path "
+        "restriction."
+    )
+    search_string: str = _param("Literal string to search for.")
+    commit: str | None = _param("Revision to search at.", None)
+    path: str | None = _param("Limit matches to this path.", None)
+
+    def __post_init__(self):
+        if not self.search_string:
+            raise SchemaError("git_grep: search_string must be non-empty")
 
 
 ToolArgs = ShowArgs | BlameArgs | LogSArgs | LogFuncArgs | GrepArgs
 
-ARGS_CLASS = {
-    ToolName.SHOW: ShowArgs,
-    ToolName.BLAME: BlameArgs,
-    ToolName.LOG_S: LogSArgs,
-    ToolName.LOG_FUNC: LogFuncArgs,
-    ToolName.GREP: GrepArgs,
-}
+ARGS_CLASS = {cls.tool: cls for cls in (ShowArgs, BlameArgs, LogSArgs, LogFuncArgs, GrepArgs)}
 
-TOOL_FOR_ARGS = {cls: name for name, cls in ARGS_CLASS.items()}
+# A field's annotation (a string: annotations are postponed) -> JSON type, Python type.
+_JSON_TYPES = {"str": ("string", str), "int": ("integer", int), "bool": ("boolean", bool)}
 
-_TOOL_DESCRIPTIONS = {
-    ToolName.SHOW: (
-        "Show a commit: header, message and diff. Use file_filter to restrict "
-        "the diff to one file, stat_only for per-file change counts instead of "
-        "a patch, context_lines to widen or shrink diff context."
-    ),
-    ToolName.BLAME: (
-        "Line-by-line last-modifying commit for a file at a revision "
-        "(defaults to the parent of the bug-fixing commit). Use line_start/"
-        "line_end to focus on the lines you care about."
-    ),
-    ToolName.LOG_S: (
-        "History search for commits that add or remove occurrences of a "
-        "literal string (identifier, expression). Optional path restriction "
-        "and after/before dates (YYYY-MM-DD)."
-    ),
-    ToolName.LOG_FUNC: (
-        "Commit-by-commit history of one function in one file, with the "
-        "diffs that touched it. Optional after/before dates (YYYY-MM-DD)."
-    ),
-    ToolName.GREP: (
-        "Search file contents for a literal string at a specific revision "
-        "(defaults to the parent of the bug-fixing commit). Optional path "
-        "restriction."
-    ),
-}
 
-# name -> (json type, required, description)
-_PARAM_SPECS: dict[ToolName, dict[str, tuple[str, bool, str]]] = {
-    ToolName.SHOW: {
-        "commit": ("string", True, "Commit hash or ref to display."),
-        "file_filter": ("string", False, "Limit the diff to this path."),
-        "stat_only": ("boolean", False, "Show per-file change counts only."),
-        "context_lines": ("integer", False, "Unified diff context width."),
-    },
-    ToolName.BLAME: {
-        "file_path": ("string", True, "File to blame."),
-        "commit": ("string", False, "Revision to blame at."),
-        "line_start": ("integer", False, "First line of the range (1-based)."),
-        "line_end": ("integer", False, "Last line of the range (inclusive)."),
-    },
-    ToolName.LOG_S: {
-        "search_string": ("string", True, "Literal string to search history for."),
-        "path": ("string", False, "Limit to commits touching this path."),
-        "after": ("string", False, "Only commits after this date."),
-        "before": ("string", False, "Only commits before this date."),
-    },
-    ToolName.LOG_FUNC: {
-        "function_name": ("string", True, "Function whose history to trace."),
-        "file_path": ("string", True, "File containing the function."),
-        "after": ("string", False, "Only commits after this date."),
-        "before": ("string", False, "Only commits before this date."),
-    },
-    ToolName.GREP: {
-        "search_string": ("string", True, "Literal string to search for."),
-        "commit": ("string", False, "Revision to search at."),
-        "path": ("string", False, "Limit matches to this path."),
-    },
-}
-
-_JSON_TYPES = {"string": str, "integer": int, "boolean": bool}
+def _json_type(f: Field) -> tuple[str, type]:
+    return _JSON_TYPES[f.type.removesuffix(" | None")]
 
 
 def tool_schemas() -> list[dict]:
@@ -162,21 +166,19 @@ def tool_schemas() -> list[dict]:
         {
             "type": "function",
             "function": {
-                "name": name.value,
-                "description": _TOOL_DESCRIPTIONS[name],
+                "name": cls.tool.value,
+                "description": cls.description,
                 "parameters": {
                     "type": "object",
                     "properties": {
-                        pname: {"type": jtype, "description": desc}
-                        for pname, (jtype, _, desc) in _PARAM_SPECS[name].items()
+                        f.name: {"type": _json_type(f)[0], "description": f.metadata["description"]}
+                        for f in fields(cls)
                     },
-                    "required": [
-                        pname for pname, (_, required, _) in _PARAM_SPECS[name].items() if required
-                    ],
+                    "required": [f.name for f in fields(cls) if f.default is MISSING],
                 },
             },
         }
-        for name in ToolName
+        for cls in ARGS_CLASS.values()
     ]
 
 
@@ -184,52 +186,22 @@ def parse_args(tool: ToolName, payload: dict) -> ToolArgs:
     """Validate a raw argument mapping against the tool's schema."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{tool.value}: arguments must be an object")
-    spec = _PARAM_SPECS[tool]
-    unknown = sorted(set(payload) - set(spec))
+    params = fields(ARGS_CLASS[tool])
+    unknown = sorted(set(payload) - {f.name for f in params})
     if unknown:
         raise SchemaError(f"{tool.value}: unknown parameter(s): {', '.join(unknown)}")
     kwargs = {}
-    for pname, (jtype, required, _) in spec.items():
-        value = payload.get(pname)
+    for f in params:
+        value = payload.get(f.name)
         if value is None:
-            if required:
-                raise SchemaError(f"{tool.value}: missing required parameter '{pname}'")
+            if f.default is MISSING:
+                raise SchemaError(f"{tool.value}: missing required parameter '{f.name}'")
             continue
-        if not isinstance(value, _JSON_TYPES[jtype]) or isinstance(value, bool) and jtype != "boolean":
-            raise SchemaError(
-                f"{tool.value}: parameter '{pname}' must be of type {jtype}"
-            )
-        kwargs[pname] = value
-    args = ARGS_CLASS[tool](**kwargs)
-    _check_constraints(args)
-    return args
-
-
-def _check_constraints(args: ToolArgs):
-    if isinstance(args, ShowArgs):
-        if args.context_lines is not None and args.context_lines < 0:
-            raise SchemaError("git_show: context_lines must be >= 0")
-    elif isinstance(args, BlameArgs):
-        for attr in ("line_start", "line_end"):
-            v = getattr(args, attr)
-            if v is not None and v < 1:
-                raise SchemaError(f"git_blame: {attr} must be >= 1")
-        if (
-            args.line_start is not None
-            and args.line_end is not None
-            and args.line_start > args.line_end
-        ):
-            raise SchemaError("git_blame: line_start must not exceed line_end")
-    elif isinstance(args, (LogSArgs, LogFuncArgs)):
-        if isinstance(args, LogSArgs) and not args.search_string:
-            raise SchemaError("git_log_s: search_string must be non-empty")
-        for attr in ("after", "before"):
-            v = getattr(args, attr)
-            if v is not None:
-                parse_date(v, end_of_day=(attr == "before"))
-    elif isinstance(args, GrepArgs):
-        if not args.search_string:
-            raise SchemaError("git_grep: search_string must be non-empty")
+        jtype, pytype = _json_type(f)
+        if type(value) is not pytype:
+            raise SchemaError(f"{tool.value}: parameter '{f.name}' must be of type {jtype}")
+        kwargs[f.name] = value
+    return ARGS_CLASS[tool](**kwargs)
 
 
 _EPOCH_RE = re.compile(r"^@(\d+)$")

@@ -140,9 +140,9 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
     for tool, payload in calls:
         args = parse_args(tool, payload)
         before = repo.process_count
-        first = execute_compressed(repo, tool, args, fix_date, cache, cfg, head)
-        second = execute_compressed(repo, tool, args, fix_date, cache, cfg, head)
-        third = execute_compressed(repo, tool, args, fix_date, cache, cfg, head)
+        first = execute_compressed(repo, args, fix_date, cache, cfg, head)
+        second = execute_compressed(repo, args, fix_date, cache, cfg, head)
+        third = execute_compressed(repo, args, fix_date, cache, cfg, head)
         assert repo.process_count - before == 1, tool.value
         assert first.text == second.text == third.text
         assert second.cache_hit and third.cache_hit and not first.cache_hit
@@ -150,7 +150,7 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
     slow = RepoHandle(slow_repo.path, default_timeout=0.001)
     timeout_cache = {}
     obs = execute_compressed(
-        slow, ToolName.LOG_S, LogSArgs(search_string="return"), fix_date, timeout_cache,
+        slow, LogSArgs(search_string="return"), fix_date, timeout_cache,
         cfg, slow_repo.head(),
     )
     assert "Retry with narrower parameters" in obs.text

@@ -127,6 +127,14 @@ class TestInvestigate:
         {"run_id": None},
         {"forced_answer": "no"},
         {"forced_answer": 0},
+        {"compression": {"line_caps": {"git_grep": -1}}},
+        {"compression": {"line_caps": {"git_grep": 0}}},
+        {"compression": {"tau": 0}},
+        {"compression": {"tau": True}},
+        {"compression": {"tau": "5"}},
+        {"compression": {"tau": 2.9}},
+        {"compression": {"k3": -2}},
+        {"compression": {"taux": 5}},
     ])
     def test_wrongly_typed_config_is_an_error(self, linear_repo, tmp_path, capsys, config):
         rb, shas = linear_repo
@@ -147,6 +155,9 @@ class TestInvestigate:
         [1],
         "final",
         [{"kind": "final", "text": "x", "usage": 5}],
+        [{"kind": "final", "text": 5}],
+        [{"kind": "malformed", "raw": ["two calls"]}],
+        [{"kind": "tool_call", "args": {}}],
     ])
     def test_malformed_script_is_an_error(self, linear_repo, tmp_path, capsys, script):
         rb, shas = linear_repo
@@ -199,6 +210,8 @@ class TestReplayCmd:
     @pytest.mark.parametrize("record", [
         {"event": "model_step"},
         {"event": "model_step", "step": {"kind": "final", "text": "x", "usage": 5}},
+        {"event": "observation", "tool": "git_show"},
+        {"event": "observation", "tool": "git_show", "text": 5},
     ])
     def test_malformed_step_record_is_one_error_line(self, recorded, tmp_path, capsys, record):
         rb, transcript = recorded

@@ -351,9 +351,9 @@ class TestExecuteCompressed:
         cfg = CompressionConfig()
         args = BlameArgs(file_path="f.c")
         fix_date = 2_000_000_000
-        first = execute_compressed(repo, ToolName.BLAME, args, fix_date, cache, cfg, shas[1])
+        first = execute_compressed(repo, args, fix_date, cache, cfg, shas[1])
         count_after_first = repo.process_count
-        second = execute_compressed(repo, ToolName.BLAME, args, fix_date, cache, cfg, shas[1])
+        second = execute_compressed(repo, args, fix_date, cache, cfg, shas[1])
         assert repo.process_count == count_after_first
         assert not first.cache_hit and second.cache_hit
         assert first.text == second.text
@@ -372,9 +372,9 @@ class TestExecuteCompressed:
             (ToolName.SHOW, ShowArgs(commit=shas[0])),
             (ToolName.GREP, GrepArgs(search_string="return")),
         ):
-            first = execute_compressed(repo, tool, args, 2_000_000_000, cache, cfg, shas[1])
+            first = execute_compressed(repo, args, 2_000_000_000, cache, cfg, shas[1])
             assert calls == [tool]
-            second = execute_compressed(repo, tool, args, 2_000_000_000, cache, cfg, shas[1])
+            second = execute_compressed(repo, args, 2_000_000_000, cache, cfg, shas[1])
             assert calls == [tool]
             assert second.cache_hit and not first.cache_hit
             assert (second.text, second.truncated) == (first.text, first.truncated)
@@ -388,10 +388,10 @@ class TestExecuteCompressed:
         )
         cache, args = {}, BlameArgs(file_path="f.c")
         first = execute_compressed(
-            repo, ToolName.BLAME, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
+            repo, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
         )
         second = execute_compressed(
-            repo, ToolName.BLAME, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
+            repo, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
         )
         assert first.text.startswith("Error (malformed_output)")
         assert second.text == first.text
@@ -403,7 +403,7 @@ class TestExecuteCompressed:
         slow = RepoHandle(slow_repo.path, default_timeout=0.001)
         cache = {}
         obs = execute_compressed(
-            slow, ToolName.LOG_S, LogSArgs(search_string="f"), 2_000_000_000, cache,
+            slow, LogSArgs(search_string="f"), 2_000_000_000, cache,
             CompressionConfig(), head,
         )
         assert "Retry with narrower parameters" in obs.text
@@ -411,7 +411,7 @@ class TestExecuteCompressed:
         # A later call with a sane timeout executes fresh and caches.
         ok = RepoHandle(slow_repo.path)
         obs2 = execute_compressed(
-            ok, ToolName.LOG_S, LogSArgs(search_string="f"), 2_000_000_000, cache,
+            ok, LogSArgs(search_string="f"), 2_000_000_000, cache,
             CompressionConfig(), head,
         )
         assert not obs2.cache_hit and len(cache) == 1
@@ -419,7 +419,7 @@ class TestExecuteCompressed:
     def test_small_output_unchanged_by_layer3(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         obs = execute_compressed(
-            repo, ToolName.SHOW, ShowArgs(commit=shas[0]), 2_000_000_000, {},
+            repo, ShowArgs(commit=shas[0]), 2_000_000_000, {},
             CompressionConfig(), shas[1],
         )
         from bictrace.tools import exec_git_show
@@ -435,7 +435,7 @@ class TestExecuteCompressed:
         cache = {}
         for _ in range(2):
             obs = execute_compressed(
-                repo, ToolName.SHOW, ShowArgs(commit="deadbeef" * 5), 2_000_000_000,
+                repo, ShowArgs(commit="deadbeef" * 5), 2_000_000_000,
                 cache, CompressionConfig(), shas[1],
             )
             assert obs.text.startswith("Error (commit_not_found)")
@@ -448,7 +448,7 @@ class TestExecuteCompressed:
 
         fix_date = BASE_EPOCH + 86400  # only c1 is within bound
         obs = execute_compressed(
-            repo, ToolName.LOG_S, LogSArgs(search_string="return"), fix_date,
+            repo, LogSArgs(search_string="return"), fix_date,
             {}, CompressionConfig(), shas[1],
         )
         assert shas[0][:7] in obs.text

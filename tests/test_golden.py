@@ -1,4 +1,4 @@
-"""Byte-for-byte pin of one scripted investigation.
+"""Byte-for-byte pins of one scripted investigation and of the tool schemas.
 
 One deterministic repository and one scripted run that covers all five
 tools, a cache hit, a line-cap truncation notice, the character clamp, a
@@ -7,7 +7,8 @@ the repository path replaced by a placeholder) and the system prompt must
 equal the files under `tests/golden/`. Any change to observation text,
 argument recording, prompt assembly or answer resolution shows here as a
 diff. The run avoids git error messages, whose wording differs between
-git versions.
+git versions. The tool schemas the model receives are pinned as the text
+of `json.dumps(tool_schemas(), indent=2)`, so key order counts too.
 
 Regenerate the golden files only for an intended behaviour change:
 
@@ -22,10 +23,12 @@ from repo_helpers import RepoBuilder
 
 from bictrace import agent
 from bictrace.cli import main
+from bictrace.tools import tool_schemas
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 TRANSCRIPT_GOLDEN = os.path.join(GOLDEN_DIR, "investigate_scripted.jsonl")
 PROMPT_GOLDEN = os.path.join(GOLDEN_DIR, "investigate_prompt.txt")
+SCHEMAS_GOLDEN = os.path.join(GOLDEN_DIR, "tool_schemas.json")
 REPO_PLACEHOLDER = "<repo>"
 
 CALC_V1 = """\
@@ -123,11 +126,21 @@ def test_scripted_run_matches_golden(tmp_path, monkeypatch):
     assert prompt == read(PROMPT_GOLDEN)
 
 
+def schemas_text() -> str:
+    return json.dumps(tool_schemas(), indent=2) + "\n"
+
+
+def test_tool_schemas_match_golden():
+    assert schemas_text() == read(SCHEMAS_GOLDEN)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         transcript, prompt = run_scripted(tmp)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for path, text in ((TRANSCRIPT_GOLDEN, transcript), (PROMPT_GOLDEN, prompt)):
+    goldens = ((TRANSCRIPT_GOLDEN, transcript), (PROMPT_GOLDEN, prompt),
+               (SCHEMAS_GOLDEN, schemas_text()))
+    for path, text in goldens:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         print(f"wrote {path}")

@@ -1,6 +1,5 @@
 """Tool schemas, argument validation, bound enforcement, git execution."""
 
-import json
 from datetime import datetime
 
 import pytest
@@ -50,19 +49,6 @@ class TestSchemas:
             fn = schema["function"]
             assert set(fn["parameters"]["required"]) == required[ToolName(fn["name"])]
 
-    def test_wire_round_trip(self):
-        for schema, name in zip(tool_schemas(), ToolName):
-            assert schema["type"] == "function"
-            fn = json.loads(json.dumps(schema))["function"]
-            spec = tools._PARAM_SPECS[name]
-            assert fn["name"] == name.value
-            assert fn["description"] == tools._TOOL_DESCRIPTIONS[name]
-            assert fn["parameters"]["type"] == "object"
-            props = fn["parameters"]["properties"]
-            assert list(props) == list(spec)
-            assert {p: props[p]["type"] for p in props} == {p: s[0] for p, s in spec.items()}
-            assert fn["parameters"]["required"] == [p for p, s in spec.items() if s[1]]
-
 
 class TestParseArgs:
     def test_ok(self):
@@ -90,6 +76,49 @@ class TestParseArgs:
     def test_bad_date(self):
         with pytest.raises(SchemaError, match="unparseable date"):
             parse_args(ToolName.LOG_S, {"search_string": "x", "before": "soonish"})
+
+    @pytest.mark.parametrize("tool, payload, message", [
+        (ToolName.SHOW, ["HEAD"], "git_show: arguments must be an object"),
+        (ToolName.GREP, "needle", "git_grep: arguments must be an object"),
+        (ToolName.SHOW, {"commit": "HEAD", "zeta": 1, "colour": True},
+         "git_show: unknown parameter(s): colour, zeta"),
+        (ToolName.LOG_FUNC, {"function_name": "f"},
+         "git_log_func: missing required parameter 'file_path'"),
+        (ToolName.BLAME, {"file_path": None}, "git_blame: missing required parameter 'file_path'"),
+        (ToolName.LOG_FUNC, {"function_name": 5},
+         "git_log_func: parameter 'function_name' must be of type string"),
+        (ToolName.SHOW, {"commit": "HEAD", "stat_only": "yes"},
+         "git_show: parameter 'stat_only' must be of type boolean"),
+        (ToolName.SHOW, {"commit": "HEAD", "context_lines": 2.5},
+         "git_show: parameter 'context_lines' must be of type integer"),
+        (ToolName.BLAME, {"file_path": "a.c", "line_start": True},
+         "git_blame: parameter 'line_start' must be of type integer"),
+        (ToolName.BLAME, {"file_path": "a.c", "line_start": 0, "line_end": "x"},
+         "git_blame: parameter 'line_end' must be of type integer"),
+        (ToolName.SHOW, {"commit": "HEAD", "context_lines": -1},
+         "git_show: context_lines must be >= 0"),
+        (ToolName.BLAME, {"file_path": "a.c", "line_start": 0}, "git_blame: line_start must be >= 1"),
+        (ToolName.BLAME, {"file_path": "a.c", "line_end": 0}, "git_blame: line_end must be >= 1"),
+        (ToolName.BLAME, {"file_path": "a.c", "line_start": 0, "line_end": 0},
+         "git_blame: line_start must be >= 1"),
+        (ToolName.BLAME, {"file_path": "a.c", "line_start": 9, "line_end": 2},
+         "git_blame: line_start must not exceed line_end"),
+        (ToolName.LOG_S, {"search_string": ""}, "git_log_s: search_string must be non-empty"),
+        (ToolName.GREP, {"search_string": ""}, "git_grep: search_string must be non-empty"),
+        (ToolName.LOG_S, {"search_string": "x", "after": " soonish "}, "unparseable date: 'soonish'"),
+        (ToolName.LOG_FUNC, {"function_name": "f", "file_path": "a.c", "before": "later"},
+         "unparseable date: 'later'"),
+        (ToolName.LOG_S, {"search_string": "x", "after": "a", "before": "b"},
+         "unparseable date: 'a'"),
+    ])
+    def test_schema_error_text(self, tool, payload, message):
+        with pytest.raises(SchemaError) as exc:
+            parse_args(tool, payload)
+        assert str(exc.value) == message
+
+    def test_args_class_checks_its_constraints(self):
+        with pytest.raises(SchemaError, match="^git_blame: line_start must be >= 1$"):
+            BlameArgs("a.c", line_start=0)
 
 
 class TestDates:

@@ -73,35 +73,56 @@ def redact_leakage(message: str) -> str:
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
+# git's C-style quoting of unusual path names: "caf\303\251.c", "tab\tname".
+_QUOTED_ESCAPE_RE = re.compile(rb"\\([0-7]{3}|.)")
+_C_ESCAPES = {b"a": 7, b"b": 8, b"t": 9, b"n": 10, b"v": 11, b"f": 12, b"r": 13}
+
+
+def unquote_path(name: str) -> str:
+    """A path as git printed it, with its quoting (if any) undone."""
+    if len(name) < 2 or name[0] != '"' or name[-1] != '"':
+        return name
+
+    def byte(m: re.Match) -> bytes:
+        esc = m.group(1)
+        return bytes([int(esc, 8) if len(esc) == 3 else _C_ESCAPES.get(esc, esc[0])])
+
+    return _QUOTED_ESCAPE_RE.sub(byte, name[1:-1].encode()).decode("utf-8", "replace")
+
 
 def preimage_lines_from_diff(diff_text: str) -> dict[str, list[tuple[int, str]]]:
-    """Per-file pre-image (line number, text) pairs for '-' lines of a diff."""
+    """Per-file pre-image (line number, text) pairs for '-' lines of a diff.
+
+    A hunk runs for as many lines as its header counts, so a removed line
+    reading "-- note" (shown as "--- note") is content, not a file header.
+    """
     result: dict[str, list[tuple[int, str]]] = {}
     current_file = None
-    old_line = 0
-    in_hunk = False
-    for ln in diff_text.splitlines():
-        if ln.startswith("--- "):
-            name = ln[4:]
-            current_file = None if name == "/dev/null" else name.split("\t")[0]
-            if current_file and current_file.startswith("a/"):
-                current_file = current_file[2:]
-            in_hunk = False
+    old_line = old_left = new_left = 0
+    for ln in diff_text.split("\n"):
+        if old_left > 0 or new_left > 0:
+            tag = ln[:1]
+            if tag == "-":
+                if current_file is not None:
+                    result.setdefault(current_file, []).append((old_line, ln[1:]))
+                old_line += 1
+                old_left -= 1
+            elif tag == "+":
+                new_left -= 1
+            elif tag != "\\":
+                old_line += 1
+                old_left -= 1
+                new_left -= 1
             continue
-        if ln.startswith("+++ "):
+        if ln.startswith("--- "):
+            name = unquote_path(ln[4:].split("\t")[0])
+            current_file = None if name == "/dev/null" else name.removeprefix("a/")
             continue
         m = _HUNK_RE.match(ln)
         if m:
             old_line = int(m.group(1))
-            in_hunk = True
-            continue
-        if not in_hunk or current_file is None:
-            continue
-        if ln.startswith("-"):
-            result.setdefault(current_file, []).append((old_line, ln[1:]))
-            old_line += 1
-        elif not ln.startswith(("+", "\\")):
-            old_line += 1
+            old_left = int(m.group(2) or 1)
+            new_left = int(m.group(4) or 1)
     return result
 
 
@@ -124,7 +145,9 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
     raw, _, diff = gitio.run_git(
         repo, ["diff", "--no-color", "--unified=3", "--raw", "-p", parent, fix_id]
     ).stdout.partition("\n\n")
-    changed_files = [ln.rsplit("\t", 1)[-1] for ln in raw.splitlines() if ln.startswith(":")]
+    changed_files = [
+        unquote_path(ln.rsplit("\t", 1)[-1]) for ln in raw.splitlines() if ln.startswith(":")
+    ]
 
     return FixContext(
         fix_id=fix_id,

@@ -166,7 +166,9 @@ def parse_blame_porcelain(raw: str) -> list[dict]:
     """
     records = []
     commit_info: dict[str, dict] = {}
-    lines = iter(raw.splitlines())
+    # Every porcelain line ends in "\n"; splitlines() would also break
+    # content lines at form feeds and other Unicode line boundaries.
+    lines = iter(raw.split("\n")[:-1])
     for head in lines:
         m = _PORCELAIN_HEAD_RE.match(head)
         if not m:

@@ -17,6 +17,11 @@ from .gitio import RepoHandle
 from .tools import BlameArgs, ToolError, exec_git_blame
 
 
+# Past this many -L ranges a file is blamed whole, which gives the same
+# records for the traced lines; up to it the argv stays under about 14 KB.
+MAX_BLAME_RANGES = 1000
+
+
 @dataclass(frozen=True)
 class BlameCandidate:
     commit: str
@@ -25,13 +30,30 @@ class BlameCandidate:
     committer_time: int
 
 
+def line_ranges(line_numbers) -> list[tuple[int, int]]:
+    """Sorted inclusive (start, end) runs of the given line numbers."""
+    ranges: list[tuple[int, int]] = []
+    for n in sorted(set(line_numbers)):
+        if ranges and ranges[-1][1] == n - 1:
+            ranges[-1] = (ranges[-1][0], n)
+        else:
+            ranges.append((n, n))
+    return ranges
+
+
 def blame_candidates(repo: RepoHandle, fc: FixContext) -> list[BlameCandidate]:
-    """Blame attribution counts for the fix's pre-image lines, per file."""
+    """Blame attribution counts for the fix's pre-image lines, per file.
+
+    Each file is blamed once, on just the traced lines.
+    """
     counts: dict[tuple[str, str], int] = {}
     times: dict[str, int] = {}
     for path, removed in fc.deleted_or_modified_lines.items():
+        ranges = line_ranges(n for n, _ in removed)
+        if len(ranges) > MAX_BLAME_RANGES:
+            ranges = []  # no -L: the whole file
         try:
-            raw = exec_git_blame(repo, BlameArgs(file_path=path), fc.fix_parent)
+            raw = exec_git_blame(repo, BlameArgs(file_path=path), fc.fix_parent, ranges)
         except ToolError:
             continue
         by_line = {rec["final_line"]: rec for rec in parse_blame_porcelain(raw)}

@@ -269,14 +269,24 @@ def exec_git_show(repo: RepoHandle, args: ShowArgs) -> str:
     return _raise_for(gitio.run_git(repo, cmd), "commit_not_found", f"git_show {args.commit}")
 
 
-def exec_git_blame(repo: RepoHandle, args: BlameArgs, default_commit: str) -> str:
+def exec_git_blame(
+    repo: RepoHandle,
+    args: BlameArgs,
+    default_commit: str,
+    ranges: list[tuple[int, int | None]] | None = None,
+) -> str:
+    """Porcelain blame of args.file_path, limited to inclusive line ranges.
+
+    `ranges` defaults to the tool's own line_start/line_end (none: the
+    whole file); an end of None runs to the end of the file.
+    """
     rev = args.commit or default_commit
+    if ranges is None:
+        bounded = args.line_start is not None or args.line_end is not None
+        ranges = [(args.line_start or 1, args.line_end)] if bounded else []
     cmd = ["blame", "--porcelain"]
-    if args.line_start is not None or args.line_end is not None:
-        # Open ends default to the start/end of the file.
-        start = args.line_start if args.line_start is not None else 1
-        end = str(args.line_end) if args.line_end is not None else ""
-        cmd += ["-L", f"{start},{end}"]
+    for start, end in ranges:
+        cmd += ["-L", f"{start},{'' if end is None else end}"]
     cmd += [rev, "--", args.file_path]
     return _raise_for(
         gitio.run_git(repo, cmd), "file_not_found", f"git_blame {args.file_path}@{rev}"

@@ -19,6 +19,7 @@ from bictrace.caseprep import (
     redact_leakage,
     render_constraints_block,
     render_fix_block,
+    unquote_path,
 )
 from bictrace.gitio import RepoHandle
 from bictrace.prompts import default_template
@@ -88,9 +89,10 @@ class TestLoadFixContext:
         fix = rb.commit({"naïve.txt": "non-ascii path\n", "tab\tname.txt": "tab\n"}, "edge cases")
 
         fc = load_fix_context(RepoHandle(rb.path), fix)
-        names = rb.git("diff", "--name-only", parent, fix)
-        assert fc.changed_files == names.splitlines()
-        assert '"na\\303\\257ve.txt"' in fc.changed_files and "new.c" in fc.changed_files
+        names = rb.git("diff", "--name-only", "-z", parent, fix)
+        assert fc.changed_files == names.split("\0")[:-1]
+        assert "naïve.txt" in fc.changed_files and "tab\tname.txt" in fc.changed_files
+        assert "new.c" in fc.changed_files
         assert fc.diff_text == rb.git("diff", "--no-color", "--unified=3", parent, fix)
 
     def test_empty_fix(self, tmp_path):
@@ -159,6 +161,50 @@ class TestPreimageParsing:
         assert preimage_lines_from_diff(diff) == {
             "f.c": [(3, "removed a"), (11, "removed b")]
         }
+
+    def test_hunk_runs_for_its_header_counts(self):
+        diff = (
+            "--- a/q.sql\n"
+            "+++ b/q.sql\n"
+            "@@ -1,4 +1,3 @@\n"
+            " select 1;\n"
+            "--- note one\n"
+            "+++ note two\n"
+            "-select 3;\n"
+            " select 4;\n"
+            "--- a/r.sql\n"
+            "+++ b/r.sql\n"
+            "@@ -2 +1,0 @@\n"
+            "-drop\n"
+        )
+        assert preimage_lines_from_diff(diff) == {
+            "q.sql": [(2, "-- note one"), (3, "select 3;")],
+            "r.sql": [(2, "drop")],
+        }
+
+    def test_quoted_file_header(self):
+        diff = '--- "a/caf\\303\\251.c"\n+++ "b/caf\\303\\251.c"\n@@ -1 +0,0 @@\n-x\n'
+        assert preimage_lines_from_diff(diff) == {"café.c": [(1, "x")]}
+
+    def test_form_feed_is_not_a_line_break(self):
+        diff = "--- a/f.c\n+++ b/f.c\n@@ -1,2 +1 @@\n-page\x0cbreak\n-next\n+new\n"
+        assert preimage_lines_from_diff(diff) == {"f.c": [(1, "page\x0cbreak"), (2, "next")]}
+
+
+class TestUnquotePath:
+    @pytest.mark.parametrize(
+        "printed, path",
+        [
+            ("plain.c", "plain.c"),
+            ("sp ace.c", "sp ace.c"),
+            ('"caf\\303\\251.c"', "café.c"),
+            ('"tab\\tname.txt"', "tab\tname.txt"),
+            ('"q\\"uote\\\\slash\\n"', 'q"uote\\slash\n'),
+            ('"', '"'),
+        ],
+    )
+    def test_unquote(self, printed, path):
+        assert unquote_path(printed) == path
 
 
 class TestRedaction:

@@ -364,6 +364,24 @@ class TestSpawnBudget:
         # The fix read (3), one blame per changed file, one history read.
         assert spawned == ["rev-parse", "show", "diff", "blame", "log"]
 
+    def test_baseline_op_blames_only_the_removed_lines(self, tmp_path, monkeypatch):
+        rb = RepoBuilder(tmp_path / "ranged")
+        body = "".join(f"line {n}\n" for n in range(1, 13))
+        bic = rb.commit({"m.c": body}, "seed")
+        fix = rb.commit(
+            {"m.c": body.replace("line 3\nline 4\nline 5\n", "").replace("line 9\n", "")}, "fix"
+        )
+        argvs = []
+        real_spawn = gitio._spawn
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: argvs.append(a[1]) or real_spawn(*a))
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": fix, "bics": [bic]}])
+        out_path = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path]) == 0
+        assert read_results(out_path)[1][0].predicted == [bic]
+        assert [argv[0] for argv in argvs] == ["rev-parse", "show", "diff", "blame", "log"]
+        assert argvs[3] == ["blame", "--porcelain", "-L", "3,5", "-L", "9,9", bic, "--", "m.c"]
+
 
 class TestAgentCost:
     def test_dollars_from_prompt_and_completion_tokens(self, cross_file_repo, tmp_path, capsys):

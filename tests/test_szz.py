@@ -5,10 +5,11 @@ import pytest
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, committer_time, generate_random_repo
 
-from bictrace import gitio
-from bictrace.caseprep import load_fix_context
+from bictrace import gitio, szz
+from bictrace.caseprep import CaseSpec, load_fix_context
+from bictrace.evaluate import classify_cross_file, classify_ghost
 from bictrace.gitio import RepoHandle
-from bictrace.szz import b_szz, blame_candidates, l_szz, r_szz
+from bictrace.szz import b_szz, blame_candidates, l_szz, line_ranges, r_szz
 
 
 def loaded(path, fix):
@@ -158,3 +159,93 @@ class TestOracleEquivalence:
         for fix in fixes:
             fc = load_fix_context(repo, fix)
             assert b_szz(repo, fc) == oracle.last_writer_b_szz(fix), (seed, fix)
+
+
+@pytest.fixture
+def blame_argvs(monkeypatch):
+    """The argument lists of the git blame processes started."""
+    argvs = []
+    real_spawn = gitio._spawn
+
+    def spy(root, args, timeout):
+        if args[0] == "blame":
+            argvs.append(args)
+        return real_spawn(root, args, timeout)
+
+    monkeypatch.setattr(gitio, "_spawn", spy)
+    return argvs
+
+
+class TestRangedBlame:
+    def test_line_ranges_merge_adjacent_lines(self):
+        assert line_ranges([3, 4, 5, 9]) == [(3, 5), (9, 9)]
+        assert line_ranges([9, 4, 3, 4, 5, 11, 10]) == [(3, 5), (9, 11)]
+        assert line_ranges([7]) == [(7, 7)]
+
+    def test_one_ranged_blame_per_traced_file(self, tmp_path, blame_argvs):
+        rb = RepoBuilder(tmp_path / "ranged")
+        body = "".join(f"line {n}\n" for n in range(1, 13))
+        seed = rb.commit({"m.c": body, "n.c": body}, "seed")
+        fix = rb.commit(
+            {
+                "m.c": body.replace("line 3\nline 4\nline 5\n", "").replace("line 9\n", ""),
+                "n.c": body.replace("line 12\n", ""),
+            },
+            "fix",
+        )
+        repo, fc = loaded(rb.path, fix)
+        assert b_szz(repo, fc) == {seed}
+        assert sorted(blame_argvs, key=lambda a: a[-1]) == [
+            ["blame", "--porcelain", "-L", "3,5", "-L", "9,9", fc.fix_parent, "--", "m.c"],
+            ["blame", "--porcelain", "-L", "12,12", fc.fix_parent, "--", "n.c"],
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_past_the_guard_the_whole_file_gives_the_same_candidates(
+        self, tmp_path, seed, monkeypatch, blame_argvs
+    ):
+        rb, commits = generate_random_repo(tmp_path / f"guard{seed}", seed=seed * 101 + 7)
+        repo = RepoHandle(rb.path)
+        for fix in commits[-6:]:
+            fc = load_fix_context(repo, fix)
+            ranged = blame_candidates(repo, fc)
+            assert all("-L" in argv for argv in blame_argvs)
+            blame_argvs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(szz, "MAX_BLAME_RANGES", 0)
+                whole = blame_candidates(repo, fc)
+            assert not any("-L" in argv for argv in blame_argvs)
+            blame_argvs.clear()
+            assert ranged == whole, (seed, fix)
+
+
+class TestUnusualDiffs:
+    def test_quoted_paths_are_traced(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "quoted")
+        rb.commit({"café.c": "a\nb\nc\n", "sp ace.c": "x\ny\n"}, "seed")
+        accented = rb.commit({"café.c": "a\nB\nc\n"}, "change b")
+        spaced = rb.commit({"sp ace.c": "x\nY\n"}, "change y")
+        fix = rb.commit({"café.c": "a\nc\n", "sp ace.c": "x\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        assert fc.changed_files == ["café.c", "sp ace.c"]
+        assert b_szz(repo, fc) == {accented, spaced}
+        assert not classify_ghost(fc)
+        case = CaseSpec(rb.path, fix, ground_truth={accented})
+        assert not classify_cross_file(repo, case, fc)
+
+    def test_removed_line_that_reads_like_a_file_header(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "sql")
+        seed = rb.commit({"q.sql": "select 1;\n-- note one\nselect 3;\nselect 4;\n"}, "seed")
+        fix = rb.commit({"q.sql": "select 1;\nselect 4;\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        assert fc.deleted_or_modified_lines == {"q.sql": [(2, "-- note one"), (3, "select 3;")]}
+        assert b_szz(repo, fc) == {seed}
+        assert not classify_ghost(fc)
+
+    def test_removed_line_with_a_form_feed(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "formfeed")
+        seed = rb.commit({"f.c": "a\n\x0c\nb\x0cc\nd\n"}, "seed")
+        fix = rb.commit({"f.c": "a\nd\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        assert fc.deleted_or_modified_lines == {"f.c": [(2, "\x0c"), (3, "b\x0cc")]}
+        assert b_szz(repo, fc) == {seed}

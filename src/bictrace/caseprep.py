@@ -73,30 +73,16 @@ def redact_leakage(message: str) -> str:
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
-# git's C-style quoting of unusual path names: "caf\303\251.c", "tab\tname".
-_QUOTED_ESCAPE_RE = re.compile(rb"\\([0-7]{3}|.)")
-_C_ESCAPES = {b"a": 7, b"b": 8, b"t": 9, b"n": 10, b"v": 11, b"f": 12, b"r": 13}
 
-
-def unquote_path(name: str) -> str:
-    """A path as git printed it, with its quoting (if any) undone."""
-    if len(name) < 2 or name[0] != '"' or name[-1] != '"':
-        return name
-
-    def byte(m: re.Match) -> bytes:
-        esc = m.group(1)
-        return bytes([int(esc, 8) if len(esc) == 3 else _C_ESCAPES.get(esc, esc[0])])
-
-    return _QUOTED_ESCAPE_RE.sub(byte, name[1:-1].encode()).decode("utf-8", "replace")
-
-
-def preimage_lines_from_diff(diff_text: str) -> dict[str, list[tuple[int, str]]]:
+def preimage_lines_from_diff(diff_text: str, names: list[str | None]) -> dict[str, list[tuple[int, str]]]:
     """Per-file pre-image (line number, text) pairs for '-' lines of a diff.
 
-    A hunk runs for as many lines as its header counts, so a removed line
-    reading "-- note" (shown as "--- note") is content, not a file header.
+    `names` holds each `diff --git` section's pre-image name in order (None
+    for a created file). A hunk runs for as many lines as its header counts,
+    so a removed line reading "-- note" (shown as "--- note") is content.
     """
     result: dict[str, list[tuple[int, str]]] = {}
+    sections = iter(names)
     current_file = None
     old_line = old_left = new_left = 0
     for ln in diff_text.split("\n"):
@@ -114,9 +100,8 @@ def preimage_lines_from_diff(diff_text: str) -> dict[str, list[tuple[int, str]]]
                 old_left -= 1
                 new_left -= 1
             continue
-        if ln.startswith("--- "):
-            name = unquote_path(ln[4:].split("\t")[0])
-            current_file = None if name == "/dev/null" else name.removeprefix("a/")
+        if ln.startswith("diff --git "):
+            current_file = next(sections)
             continue
         m = _HUNK_RE.match(ln)
         if m:
@@ -127,36 +112,42 @@ def preimage_lines_from_diff(diff_text: str) -> dict[str, list[tuple[int, str]]]
 
 
 def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
-    """Everything the agent and the baselines know about the fix, in three git calls."""
-    # --verify accepts exactly one revision: a range or an ambiguous ref fails here.
-    out = gitio.run_git(repo, ["rev-parse", "--verify", f"{fix}^{{commit}}"])
-    fix_id = out.stdout.strip()
-    if out.status is not gitio.GitStatus.OK or not gitio.COMMIT_ID_RE.match(fix_id):
+    """Everything the agent and the baselines know about the fix, in one git call."""
+    # A name with a leading "-" (an option) or "^", or with "..", is never one commit.
+    if fix.startswith(("-", "^")) or ".." in fix:
         raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
-    out = gitio.run_git(repo, ["show", "-s", "--format=%P%n%ct%n%B", fix_id])
+    out = gitio.run_git(repo, [
+        "show", "--no-color", "--unified=3", "--format=%H%n%P%n%ct%n%B%x00",
+        "--raw", "-z", "-p", "--diff-merges=first-parent", f"{fix}^{{commit}}", "--",
+    ])
     if out.status is not gitio.GitStatus.OK:
-        raise gitio.CommitNotFound(f"cannot read fix commit {fix_id}: {out.stderr.strip()}")
-    parents, fix_date, message = out.stdout.split("\n", 2)
+        raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
+    # The header, NUL, NUL; then, unless the diff is empty, a newline, the
+    # NUL-terminated fields of each --raw entry, one more NUL and the patch.
+    header, _, body = out.stdout.partition("\0")
+    fix_id, parents, fix_date, message = header.split("\n", 3)
     if not parents:
         raise RootCommit(f"fix commit {fix_id} has no parent")
-    parent = parents.split()[0]
+    raw, _, diff = body[2:].partition("\0\0")
 
-    # --raw lines (one per changed file, path last), a blank line, the patch.
-    raw, _, diff = gitio.run_git(
-        repo, ["diff", "--no-color", "--unified=3", "--raw", "-p", parent, fix_id]
-    ).stdout.partition("\n\n")
-    changed_files = [
-        unquote_path(ln.rsplit("\t", 1)[-1]) for ln in raw.splitlines() if ln.startswith(":")
-    ]
+    # An entry: metadata (status letter last), then its path, or old and new for a rename
+    # or copy. A type change (file <-> symlink) prints two sections: deletion, creation.
+    changed_files, section_names = [], []
+    fields = iter(raw.split("\0") if raw else ())
+    for meta in fields:
+        status = meta.rsplit(" ", 1)[-1][0]
+        old = next(fields)
+        changed_files.append(next(fields) if status in "RC" else old)
+        section_names += {"A": [None], "T": [old, None]}.get(status, [old])
 
     return FixContext(
         fix_id=fix_id,
-        fix_parent=parent,
+        fix_parent=parents.split()[0],
         fix_date=int(fix_date),
         message_redacted=redact_leakage(strip_trailers(message)),
         diff_text=diff,
         changed_files=changed_files,
-        deleted_or_modified_lines=preimage_lines_from_diff(diff),
+        deleted_or_modified_lines=preimage_lines_from_diff(diff, section_names),
     )
 
 

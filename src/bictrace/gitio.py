@@ -19,7 +19,7 @@ COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
 
 # Read-only subcommands the gateway will execute. Anything else is a bug in
 # the caller, not an agent-recoverable condition.
-ALLOWED_SUBCOMMANDS = frozenset({"show", "blame", "log", "grep", "rev-parse", "diff"})
+ALLOWED_SUBCOMMANDS = frozenset({"show", "blame", "log", "grep"})
 
 DEFAULT_TIMEOUT = 30.0
 

@@ -49,6 +49,11 @@ def _param(description: str, default=MISSING):
     return field(default=default, metadata={"description": description})
 
 
+def _check_commit(args: ShowArgs | BlameArgs | GrepArgs):
+    if (args.commit or "").startswith("-"):  # git would read it as an option, such as --output=
+        raise SchemaError(f"{args.tool.value}: commit must not start with '-'")
+
+
 @dataclass(frozen=True)
 class ShowArgs:
     tool: ClassVar[ToolName] = ToolName.SHOW
@@ -63,6 +68,7 @@ class ShowArgs:
     context_lines: int | None = _param("Unified diff context width.", None)
 
     def __post_init__(self):
+        _check_commit(self)
         if self.context_lines is not None and self.context_lines < 0:
             raise SchemaError("git_show: context_lines must be >= 0")
 
@@ -81,6 +87,7 @@ class BlameArgs:
     line_end: int | None = _param("Last line of the range (inclusive).", None)
 
     def __post_init__(self):
+        _check_commit(self)
         for attr in ("line_start", "line_end"):
             v = getattr(self, attr)
             if v is not None and v < 1:
@@ -146,6 +153,7 @@ class GrepArgs:
     def __post_init__(self):
         if not self.search_string:
             raise SchemaError("git_grep: search_string must be non-empty")
+        _check_commit(self)
 
 
 ToolArgs = ShowArgs | BlameArgs | LogSArgs | LogFuncArgs | GrepArgs

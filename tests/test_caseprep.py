@@ -19,7 +19,6 @@ from bictrace.caseprep import (
     redact_leakage,
     render_constraints_block,
     render_fix_block,
-    unquote_path,
 )
 from bictrace.gitio import RepoHandle
 from bictrace.prompts import default_template
@@ -70,11 +69,31 @@ class TestLoadFixContext:
         with pytest.raises(gitio.CommitNotFound):
             load_fix_context(repo, "deadbeef" * 5)
 
+    @pytest.mark.parametrize("ref", [
+        "{a}..{b}", "{b}~1..{b}", "{a}...{b}", "^{b}", "{b}^!", "{b}^@", "{b}^-1", "",
+        "{tree}", "{prefix}", "--output={out}",
+    ])
+    def test_fix_that_is_not_one_commit(self, prefix_repo, tmp_path, ref):
+        rb, info = prefix_repo
+        fix = rb.commit({"f.txt": "fixed\n"}, "fix")
+        out = tmp_path / "x"
+        ref = ref.format(a=info["anchor"], b=fix, tree=rb.git("rev-parse", "HEAD^{tree}").strip(),
+                         prefix=info["prefix"], out=out)
+        with pytest.raises(gitio.CommitNotFound):
+            load_fix_context(RepoHandle(rb.path), ref)
+        assert not out.exists()
+
+    def test_annotated_tag_peels_to_its_commit(self, deletion_repo):
+        rb, shas = deletion_repo
+        rb.git("tag", "-a", "v1", "-m", "release", shas[1], date=rb.next_date())
+        fc = load_fix_context(RepoHandle(rb.path), "v1")
+        assert (fc.fix_id, fc.fix_parent) == (shas[1], shas[0])
+
     def test_three_git_calls(self, deletion_repo):
         rb, shas = deletion_repo
         repo = RepoHandle(rb.path)
         load_fix_context(repo, shas[1])
-        assert repo.process_count == 3
+        assert repo.process_count == 1
 
     def test_files_and_diff_match_git(self, tmp_path):
         rb = RepoBuilder(tmp_path / "edges")
@@ -86,14 +105,25 @@ class TestLoadFixContext:
         os.chmod(os.path.join(rb.path, "run.sh"), 0o755)
         with open(os.path.join(rb.path, "blob.bin"), "wb") as f:
             f.write(b"\x00\x01\x02 edited\n")
-        fix = rb.commit({"naïve.txt": "non-ascii path\n", "tab\tname.txt": "tab\n"}, "edge cases")
+        fix = rb.commit({"naïve.txt": "non-ascii path\n", "tab\tname.txt": "tab\n", '"': "quote\n",
+                         'q"uote\\slash\n': "escapes\n", "sp ace.c": "space\n"}, "edge cases")
 
         fc = load_fix_context(RepoHandle(rb.path), fix)
         names = rb.git("diff", "--name-only", "-z", parent, fix)
         assert fc.changed_files == names.split("\0")[:-1]
-        assert "naïve.txt" in fc.changed_files and "tab\tname.txt" in fc.changed_files
+        assert {"naïve.txt", "tab\tname.txt", '"', 'q"uote\\slash\n', "sp ace.c"} <= set(fc.changed_files)
         assert "new.c" in fc.changed_files
         assert fc.diff_text == rb.git("diff", "--no-color", "--unified=3", parent, fix)
+
+    def test_type_change_with_an_edit(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "typechange")
+        rb.commit({"f": "one\ntwo\n", "g": "z\n"}, "seed")
+        os.remove(os.path.join(rb.path, "f"))
+        os.symlink("g", os.path.join(rb.path, "f"))
+        fix = rb.commit({"g": "y\n"}, "f becomes a link")
+        fc = load_fix_context(RepoHandle(rb.path), fix)
+        assert fc.deleted_or_modified_lines == {"f": [(1, "one"), (2, "two")], "g": [(1, "z")]}
+        assert fc.changed_files == ["f", "g"]
 
     def test_empty_fix(self, tmp_path):
         rb = RepoBuilder(tmp_path / "empty")
@@ -158,12 +188,13 @@ class TestPreimageParsing:
             " ctx\n"
             "-removed b\n"
         )
-        assert preimage_lines_from_diff(diff) == {
+        assert preimage_lines_from_diff(diff, ["f.c"]) == {
             "f.c": [(3, "removed a"), (11, "removed b")]
         }
 
     def test_hunk_runs_for_its_header_counts(self):
         diff = (
+            "diff --git a/q.sql b/q.sql\n"
             "--- a/q.sql\n"
             "+++ b/q.sql\n"
             "@@ -1,4 +1,3 @@\n"
@@ -172,39 +203,32 @@ class TestPreimageParsing:
             "+++ note two\n"
             "-select 3;\n"
             " select 4;\n"
+            "diff --git a/r.sql b/r.sql\n"
             "--- a/r.sql\n"
             "+++ b/r.sql\n"
             "@@ -2 +1,0 @@\n"
             "-drop\n"
         )
-        assert preimage_lines_from_diff(diff) == {
+        assert preimage_lines_from_diff(diff, ["q.sql", "r.sql"]) == {
             "q.sql": [(2, "-- note one"), (3, "select 3;")],
             "r.sql": [(2, "drop")],
         }
 
-    def test_quoted_file_header(self):
-        diff = '--- "a/caf\\303\\251.c"\n+++ "b/caf\\303\\251.c"\n@@ -1 +0,0 @@\n-x\n'
-        assert preimage_lines_from_diff(diff) == {"café.c": [(1, "x")]}
+    def test_quoted_file_header(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "quoted")
+        rb.commit({"café.c": "x\ny\n"}, "seed")
+        fix = rb.commit({"café.c": "y\n"}, "drop x")
+        fc = load_fix_context(RepoHandle(rb.path), fix)
+        assert '--- "a/caf\\303\\251.c"' in fc.diff_text
+        assert fc.changed_files == ["café.c"]
+        assert fc.deleted_or_modified_lines == {"café.c": [(1, "x")]}
 
     def test_form_feed_is_not_a_line_break(self):
-        diff = "--- a/f.c\n+++ b/f.c\n@@ -1,2 +1 @@\n-page\x0cbreak\n-next\n+new\n"
-        assert preimage_lines_from_diff(diff) == {"f.c": [(1, "page\x0cbreak"), (2, "next")]}
-
-
-class TestUnquotePath:
-    @pytest.mark.parametrize(
-        "printed, path",
-        [
-            ("plain.c", "plain.c"),
-            ("sp ace.c", "sp ace.c"),
-            ('"caf\\303\\251.c"', "café.c"),
-            ('"tab\\tname.txt"', "tab\tname.txt"),
-            ('"q\\"uote\\\\slash\\n"', 'q"uote\\slash\n'),
-            ('"', '"'),
-        ],
-    )
-    def test_unquote(self, printed, path):
-        assert unquote_path(printed) == path
+        diff = (
+            "diff --git a/f.c b/f.c\n--- a/f.c\n+++ b/f.c\n"
+            "@@ -1,2 +1 @@\n-page\x0cbreak\n-next\n+new\n"
+        )
+        assert preimage_lines_from_diff(diff, ["f.c"]) == {"f.c": [(1, "page\x0cbreak"), (2, "next")]}
 
 
 class TestRedaction:

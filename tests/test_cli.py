@@ -349,9 +349,9 @@ class TestSpawnBudget:
                            [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(tmp_path / "runs"), "--run-id", "b"]) == 0
-        # The fix read (3), five tool calls (the repeated blame is a cache
+        # The fix read (1), five tool calls (the repeated blame is a cache
         # hit), one show -s for the answer, one history read for cross_file.
-        assert spawned == ["rev-parse", "show", "diff",
+        assert spawned == ["show",
                            "show", "blame", "log", "log", "grep",
                            "show", "log"]
 
@@ -361,8 +361,8 @@ class TestSpawnBudget:
                            [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
         assert main(["baseline", "--algorithm", "b", "--dataset", ds,
                      "--out", str(tmp_path / "b.jsonl")]) == 0
-        # The fix read (3), one blame per changed file, one history read.
-        assert spawned == ["rev-parse", "show", "diff", "blame", "log"]
+        # The fix read (1), one blame per changed file, one history read.
+        assert spawned == ["show", "blame", "log"]
 
     def test_baseline_op_blames_only_the_removed_lines(self, tmp_path, monkeypatch):
         rb = RepoBuilder(tmp_path / "ranged")
@@ -379,8 +379,8 @@ class TestSpawnBudget:
         out_path = str(tmp_path / "b.jsonl")
         assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path]) == 0
         assert read_results(out_path)[1][0].predicted == [bic]
-        assert [argv[0] for argv in argvs] == ["rev-parse", "show", "diff", "blame", "log"]
-        assert argvs[3] == ["blame", "--porcelain", "-L", "3,5", "-L", "9,9", bic, "--", "m.c"]
+        assert [argv[0] for argv in argvs] == ["show", "blame", "log"]
+        assert argvs[1] == ["blame", "--porcelain", "-L", "3,5", "-L", "9,9", bic, "--", "m.c"]
 
 
 class TestAgentCost:
@@ -640,6 +640,23 @@ class TestToolCmd:
         assert code == 2
         assert "Error (schema)" in out
         assert "file_path" in out
+
+    @pytest.mark.parametrize("tool, args", [
+        ("git_show", {"commit": "--output={target}"}),
+        ("git_blame", {"file_path": "a.c", "commit": "--contents={secret}"}),
+        ("git_grep", {"search_string": "add", "commit": "--open-files-in-pager=touch {target}"}),
+    ])
+    def test_commit_is_never_an_option(self, linear_repo, tmp_path, capsys, tool, args):
+        rb, shas = linear_repo
+        target, secret = tmp_path / "injected.txt", tmp_path / "secret.txt"
+        secret.write_text("host secret\n")
+        args = {k: v.format(target=target, secret=secret) for k, v in args.items()}
+        for raw in ([], ["--raw"]):
+            code = main(["tool", tool, "--repo", rb.path, "--fix", shas[2],
+                         "--args", json.dumps(args), *raw])
+            assert code == 2
+            assert capsys.readouterr().out == f"Error (schema): {tool}: commit must not start with '-'\n"
+            assert not target.exists()
 
     def test_raw_mode_differs_above_tau(self, tmp_path, capsys):
         from repo_helpers import RepoBuilder

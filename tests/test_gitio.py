@@ -19,7 +19,7 @@ from bictrace.gitio import (
 
 def test_run_git_identity_probe(linear_handle):
     repo, _ = linear_handle
-    out = gitio.run_git(repo, ["rev-parse", "HEAD"])
+    out = gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
     assert out.status is GitStatus.OK
     assert gitio.COMMIT_ID_RE.match(out.stdout.strip())
 
@@ -27,7 +27,8 @@ def test_run_git_identity_probe(linear_handle):
 def test_run_git_rejects_write_commands(linear_handle):
     repo, _ = linear_handle
     for args in (["push"], ["commit", "-m", "x"], ["gc"], ["rev-list", "HEAD"],
-                 ["cat-file", "-p", "HEAD"], []):
+                 ["cat-file", "-p", "HEAD"], ["rev-parse", "HEAD"],
+                 ["diff", "HEAD~1", "HEAD"], []):
         with pytest.raises(NonAllowlistedCommand):
             gitio.run_git(repo, args)
 
@@ -53,7 +54,7 @@ def test_repo_unavailable(tmp_path):
     for path in (tmp_path / "not-a-repo", plain):
         repo = RepoHandle(str(path))
         with pytest.raises(RepoUnavailable, match=re.escape(f"{path} is not a git repository")):
-            gitio.run_git(repo, ["rev-parse", "--verify", "HEAD^{commit}"])
+            gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
         assert repo.process_count == 1
 
 
@@ -119,15 +120,14 @@ def test_gateway_never_mutates_repo(linear_repo):
     gitio.run_git(repo, ["blame", shas[2], "--", "a.c"])
     gitio.run_git(repo, ["log", "-Sadd", "--all"])
     gitio.run_git(repo, ["grep", "-n", "add", shas[0]])
-    gitio.run_git(repo, ["diff", shas[0], shas[2]])
     assert object_set_digest(rb.path) == before
 
 
 def test_process_count_instrumentation(linear_handle):
     repo, _ = linear_handle
     start = repo.process_count
-    gitio.run_git(repo, ["rev-parse", "HEAD"])
-    gitio.run_git(repo, ["rev-parse", "HEAD"])
+    gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
+    gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
     assert repo.process_count == start + 2
 
 

@@ -11,6 +11,7 @@ long lines.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -154,57 +155,72 @@ def format_show(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     return _cap_lines(head + lines[diff_start:], cfg.line_caps[ToolName.SHOW])
 
 
-_PORCELAIN_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
+_PORCELAIN_HEAD = r"([0-9a-f]{40}) \d+ (\d+)(?: \d+)?"
+# One record: its head line (commit, original and final line numbers, and
+# the group size on a group's first line), the header lines, then the
+# tab-prefixed content line. Lines end in "\n" only: content may hold tabs,
+# form feeds and carriage returns.
+_PORCELAIN_RECORD_RE = re.compile(
+    _PORCELAIN_HEAD + r"\n((?:[^\t\n][^\n]*\n|\n)*)\t([^\n]*)\n"
+)
+_PORCELAIN_HEAD_RE = re.compile(_PORCELAIN_HEAD)
 _COMMIT_KEYS = ("summary", "committer-time")
 
 
-def parse_blame_porcelain(raw: str) -> list[dict]:
-    """Line records from `git blame --porcelain` or `--line-porcelain` output.
+def _blame_records(raw: str, limit: float) -> tuple[list[dict], int]:
+    """The first `limit` records of `git blame` porcelain, and the count of all.
 
-    `--porcelain` prints a commit's header only on its first record, so the
-    header fields are remembered per commit and copied into every record.
+    Every record is checked, but only the first `limit` are built. A
+    commit's header fields (printed by `--porcelain` only on its first
+    record, which comes before any later one) are remembered per commit
+    and copied into each built record. Text after the last newline is not
+    a line and is ignored.
     """
-    records = []
+    records: list[dict] = []
     commit_info: dict[str, dict] = {}
-    # Every porcelain line ends in "\n"; splitlines() would also break
-    # content lines at form feeds and other Unicode line boundaries.
-    lines = iter(raw.split("\n")[:-1])
-    for head in lines:
-        m = _PORCELAIN_HEAD_RE.match(head)
-        if not m:
+    match = _PORCELAIN_RECORD_RE.match
+    pos = total = 0
+    while m := match(raw, pos):
+        if total < limit:
+            commit, final_line, headers, content = m.groups()
+            info = commit_info.setdefault(commit, {})
+            for line in headers.split("\n")[:-1]:
+                key, _, value = line.partition(" ")
+                if key in _COMMIT_KEYS:
+                    info[key] = value
+            records.append(
+                {"commit": commit, "final_line": int(final_line), **info, "content": content}
+            )
+        total += 1
+        pos = m.end()
+    end = raw.find("\n", pos)
+    if end != -1:
+        head = raw[pos:end]
+        if not _PORCELAIN_HEAD_RE.fullmatch(head):
             raise MalformedPorcelain(f"unexpected porcelain line: {head!r}")
-        commit = m.group(1)
-        info = commit_info.setdefault(commit, {})
-        # Header fields run up to the record's tab-prefixed content line.
-        for line in lines:
-            if line[:1] == "\t":
-                break
-            key, _, value = line.partition(" ")
-            if key in _COMMIT_KEYS:
-                info[key] = value
-        else:
-            raise MalformedPorcelain("porcelain record missing content line")
-        records.append(
-            {"commit": commit, "final_line": int(m.group(3)), **info, "content": line[1:]}
-        )
-    return records
+        raise MalformedPorcelain("porcelain record missing content line")
+    return records, total
+
+
+def parse_blame_porcelain(raw: str) -> list[dict]:
+    """Line records from `git blame --porcelain` or `--line-porcelain` output."""
+    return _blame_records(raw, math.inf)[0]
 
 
 def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     """`L{n}: {hash} | {code}` lines plus a commit legend.
 
-    Only the records within the line cap are rendered; the rest count
-    towards the truncation notice.
+    Every record is checked, but only those within the line cap are built
+    and rendered; the rest count towards the truncation notice.
     """
-    if not raw.strip():
+    if not raw or raw.isspace():  # unlike raw.strip(), copies nothing
         return "", False
-    records = parse_blame_porcelain(raw)
     cap = cfg.line_caps[ToolName.BLAME]
-    shown = records[:cap]
+    shown, total = _blame_records(raw, cap)
     body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
-    truncated = len(records) > cap
+    truncated = total > cap
     if truncated:
-        body.append(_truncation_notice(cap, len(records)))
+        body.append(_truncation_notice(cap, total))
     legend, seen = [], set()
     for rec in shown:
         short = rec["commit"][:12]

@@ -94,25 +94,23 @@ def _pinned_env() -> dict:
     }
 
 
+def _decode(data: bytes) -> str:
+    # Invalid UTF-8 becomes U+FFFD. Only CRLF becomes LF: a lone CR is part
+    # of a line to git (file content, messages, names), so it stays.
+    return data.decode("utf-8", errors="replace").replace("\r\n", "\n")
+
+
 def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
     cmd = ["git", "-C", root, "--no-pager", *args]
     start = time.monotonic()
     try:
-        proc = subprocess.run(
-            cmd,
-            capture_output=True,
-            text=True,
-            encoding="utf-8",
-            errors="replace",
-            timeout=timeout,
-            env=_pinned_env(),
-        )
+        proc = subprocess.run(cmd, capture_output=True, timeout=timeout, env=_pinned_env())
     except subprocess.TimeoutExpired:
         elapsed = time.monotonic() - start
         return GitOutcome(GitStatus.TIMED_OUT, "", "", max(elapsed, timeout))
     elapsed = time.monotonic() - start
     status = GitStatus.OK if proc.returncode == 0 else GitStatus.NONZERO_EXIT
-    return GitOutcome(status, proc.stdout, proc.stderr, elapsed)
+    return GitOutcome(status, _decode(proc.stdout), _decode(proc.stderr), elapsed)
 
 
 def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:

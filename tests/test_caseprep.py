@@ -223,6 +223,13 @@ class TestPreimageParsing:
         assert fc.changed_files == ["café.c"]
         assert fc.deleted_or_modified_lines == {"café.c": [(1, "x")]}
 
+    def test_lone_carriage_return_is_not_a_line_break(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "carriage")
+        rb.commit({"f.c": "a\nb\rx\nc\nd\ne\n"}, "seed")
+        fix = rb.commit({"f.c": "a\nc\ne\n"}, "drop two lines")
+        fc = load_fix_context(RepoHandle(rb.path), fix)
+        assert fc.deleted_or_modified_lines == {"f.c": [(2, "b\rx"), (4, "d")]}
+
     def test_form_feed_is_not_a_line_break(self):
         diff = (
             "diff --git a/f.c b/f.c\n--- a/f.c\n+++ b/f.c\n"

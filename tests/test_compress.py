@@ -2,6 +2,8 @@
 
 import random
 import re
+import tracemalloc
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
@@ -215,6 +217,170 @@ class TestFormatBlame:
             format_blame("this is not porcelain\n", CompressionConfig())
 
 
+# The formatter before it stopped building records past the cap: parse every
+# record, then render the first `cap`. Kept verbatim as the reference.
+_REF_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
+
+
+def reference_parse(raw):
+    records, commit_info = [], {}
+    lines = iter(raw.split("\n")[:-1])
+    for head in lines:
+        m = _REF_HEAD_RE.match(head)
+        if not m:
+            raise compress.MalformedPorcelain(f"unexpected porcelain line: {head!r}")
+        commit = m.group(1)
+        info = commit_info.setdefault(commit, {})
+        for line in lines:
+            if line[:1] == "\t":
+                break
+            key, _, value = line.partition(" ")
+            if key in ("summary", "committer-time"):
+                info[key] = value
+        else:
+            raise compress.MalformedPorcelain("porcelain record missing content line")
+        records.append(
+            {"commit": commit, "final_line": int(m.group(3)), **info, "content": line[1:]}
+        )
+    return records
+
+
+def reference_format_blame(raw, cfg):
+    if not raw.strip():
+        return "", False
+    records = reference_parse(raw)
+    cap = cfg.line_caps[ToolName.BLAME]
+    shown = records[:cap]
+    body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
+    truncated = len(records) > cap
+    if truncated:
+        body.append(compress._truncation_notice(cap, len(records)))
+    legend, seen = [], set()
+    for rec in shown:
+        short = rec["commit"][:12]
+        if short not in seen:
+            seen.add(short)
+            when = datetime.fromtimestamp(
+                int(rec.get("committer-time", "0")), tz=timezone.utc
+            ).strftime("%Y-%m-%d")
+            legend.append(f"{short} {when} {rec.get('summary', '')}".rstrip())
+    text = "\n".join(body)
+    if legend:
+        text += "\nCommits:\n" + "\n".join(legend)
+    return text, truncated
+
+
+# Content characters include tabs, form feeds, carriage returns and the other
+# characters str.splitlines() breaks at; none of them ends a porcelain line.
+_CONTENT_CHARS = "ab \t\x0c\r\x0b\x1c\x85 é-"
+
+
+def random_text(rng, longest=8):
+    return "".join(rng.choice(_CONTENT_CHARS) for _ in range(rng.randint(0, longest)))
+
+
+def random_porcelain(rng, n_records, line_porcelain):
+    """Valid blame porcelain: `n_records` records over a few recurring commits.
+
+    Final line numbers jump like the output of several `-L` ranges, and
+    header blocks may hold empty lines.
+    """
+    commits = [random_hash(rng) for _ in range(rng.randint(1, 4))]
+    seen, chunks, final = set(), [], 0
+    for _ in range(n_records):
+        sha = rng.choice(commits)
+        final += rng.choice((1, 1, 1, 2, 7))
+        group = f" {rng.randint(1, 3)}" if rng.random() < 0.5 else ""
+        chunks.append(f"{sha} {rng.randint(1, 99)} {final}{group}\n")
+        if line_porcelain or sha not in seen:
+            headers = [
+                f"author {random_text(rng)}",
+                f"committer-time {rng.randint(0, 2_000_000_000)}",
+                f"summary {random_text(rng)}" if rng.random() < 0.8 else "summary",
+                f"previous {random_hash(rng)} f.c",
+                "",
+                "boundary",
+            ]
+            rng.shuffle(headers)
+            chunks += [h + "\n" for h in headers] + ["filename f.c\n"]
+        elif rng.random() < 0.3:
+            chunks.append("filename f.c\n")
+        seen.add(sha)
+        chunks.append(f"\t{random_text(rng)}\n")
+    return "".join(chunks)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except compress.MalformedPorcelain as exc:
+        return ("MalformedPorcelain", str(exc))
+
+
+class TestFormatBlameMatchesFullParse:
+    """The formatter builds only the records it shows, with the old output."""
+
+    def check(self, raw, cap):
+        cfg = CompressionConfig.from_dict({"line_caps": {"git_blame": cap}})
+        expected = outcome(reference_format_blame, raw, cfg)
+        assert outcome(format_blame, raw, cfg) == expected
+        assert outcome(compress.parse_blame_porcelain, raw) == outcome(reference_parse, raw)
+        return expected
+
+    def test_valid_porcelain(self):
+        rng = random.Random(2024)
+        truncated = recurring = 0
+        for _ in range(400):
+            cap = rng.randint(1, 12)
+            raw = random_porcelain(rng, rng.randint(0, 30), rng.random() < 0.3)
+            text, was_truncated = self.check(raw, cap)
+            records = reference_parse(raw)
+            truncated += was_truncated
+            shown = {rec["commit"] for rec in records[:cap]}
+            recurring += any(rec["commit"] in shown for rec in records[cap:])
+        assert truncated > 100 and recurring > 100
+
+    def test_malformed_before_at_and_past_the_cap(self):
+        rng = random.Random(2025)
+        cap = 10
+        faults = {
+            "unexpected porcelain line: 'not a porcelain header'": "not a porcelain header\n",
+            "unexpected porcelain line: '\\tstray content'": "\tstray content\n",
+            "unexpected porcelain line: ''": "\n",
+            f"unexpected porcelain line: '{'0' * 40} x 3'": f"{'0' * 40} x 3\n",
+        }
+        for at in (0, cap - 1, cap, cap + 5):
+            for message, fault in faults.items():
+                raw = random_porcelain(rng, cap + 10, rng.random() < 0.5)
+                starts = [m.start() for m in re.finditer(r"^[0-9a-f]{40} ", raw, re.M)]
+                broken = raw[: starts[at]] + fault + raw[starts[at] :]
+                assert self.check(broken, cap) == ("MalformedPorcelain", message)
+            # A last record with no content line.
+            raw = random_porcelain(rng, at, rng.random() < 0.5) + f"{'1' * 40} 1 1\nauthor x\n"
+            expected = ("MalformedPorcelain", "porcelain record missing content line")
+            assert self.check(raw, cap) == expected
+
+    def test_cut_anywhere(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            cap = rng.randint(1, 8)
+            raw = random_porcelain(rng, rng.randint(1, 16), rng.random() < 0.5)
+            self.check(raw[: rng.randint(0, len(raw))], cap)
+
+    def test_memory_does_not_grow_with_the_records_past_the_cap(self):
+        rng = random.Random(2027)
+        sha = [random_hash(rng) for _ in range(50)]
+        records = [(sha[i % 50], i, f"    line {i} of a long file;") for i in range(1, 20_001)]
+        raw = make_short_porcelain(records)
+        tracemalloc.start()
+        try:
+            format_blame(raw, CompressionConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
 class TestExtractShow:
     def test_context_stripped_changes_kept(self):
         diff = (
@@ -397,6 +563,18 @@ class TestExecuteCompressed:
         assert second.text == first.text
         assert not first.cache_hit and second.cache_hit
         assert len(runs) == 1
+
+    def test_blame_of_a_line_with_a_lone_carriage_return(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "carriage")
+        sha = rb.commit({"f.c": "a\nb\rx\nc\n"}, "seed")
+        obs = execute_compressed(
+            RepoHandle(rb.path), BlameArgs(file_path="f.c"), 2_000_000_000, {},
+            CompressionConfig(), sha,
+        )
+        assert "malformed_output" not in obs.text
+        assert obs.text.split("\n")[:3] == [
+            f"L1: {sha[:12]} | a", f"L2: {sha[:12]} | b\rx", f"L3: {sha[:12]} | c",
+        ]
 
     def test_timeout_hint_and_no_caching(self, slow_repo):
         head = slow_repo.head()

@@ -1,7 +1,6 @@
 """Gateway behavior: allow-list, timeouts, resolution, read-only output."""
 
 import re
-import subprocess
 
 import pytest
 
@@ -131,23 +130,16 @@ def test_process_count_instrumentation(linear_handle):
     assert repo.process_count == start + 2
 
 
-def test_output_decoded_as_utf8(tmp_path, monkeypatch):
+def test_output_decoded_as_utf8(tmp_path):
     rb = RepoBuilder(tmp_path / "utf8")
     line = "naïve café — 日本語 ✓"
+    (tmp_path / "utf8" / "b.txt").write_bytes(b"caf\xe9\r\nx\ry\n")
     rb.commit({"u.txt": f"{line}\n"}, "añadir ü")
-    seen = []
-    real_run = subprocess.run
-
-    def recording_run(*args, **kwargs):
-        seen.append(kwargs)
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(gitio.subprocess, "run", recording_run)
     repo = RepoHandle(rb.path)
     out = gitio.run_git(repo, ["blame", "--porcelain", "HEAD", "--", "u.txt"])
-    assert seen and all(
-        kw["text"] and kw["encoding"] == "utf-8" and kw["errors"] == "replace" for kw in seen
-    )
     [record] = parse_blame_porcelain(out.stdout)
     assert record["content"] == line
     assert record["summary"] == "añadir ü"
+    # An invalid byte becomes U+FFFD; CRLF reads as LF and a lone CR stays.
+    out = gitio.run_git(repo, ["show", "HEAD:b.txt"])
+    assert out.stdout == "caf\ufffd\nx\ry\n"

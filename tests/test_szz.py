@@ -249,3 +249,10 @@ class TestUnusualDiffs:
         repo, fc = loaded(rb.path, fix)
         assert fc.deleted_or_modified_lines == {"f.c": [(2, "\x0c"), (3, "b\x0cc")]}
         assert b_szz(repo, fc) == {seed}
+
+    def test_removed_line_with_a_lone_carriage_return(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "carriage")
+        seed = rb.commit({"f.c": "a\nb\rx\nc\n"}, "seed")
+        fix = rb.commit({"f.c": "a\nc\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        assert b_szz(repo, fc) == {seed}

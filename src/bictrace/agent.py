@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import requests
 
 from . import resolve
-from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, InitialContext
+from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context
 from .compress import CompressionConfig, Observation, execute_compressed
 from .gitio import RepoHandle
 from .resolve import ResolutionTrace
@@ -312,9 +312,7 @@ def _finalize(repo: RepoHandle, fix_date: int, final_text: str) -> Prediction:
     sanitized = resolve.sanitize_hash(raw_hash_text)
     if not sanitized:
         return Prediction(raw_hash_text, confidence, reasoning, "no_prediction")
-    status, full_id, trace = resolve.resolve_prediction(
-        repo, sanitized, fix_date=fix_date, input_text=raw_hash_text
-    )
+    status, full_id, trace = resolve.resolve_prediction(repo, sanitized, fix_date, raw_hash_text)
     return Prediction(raw_hash_text, confidence, reasoning, status, full_id, trace)
 
 
@@ -322,7 +320,6 @@ def run_investigation(
     case: CaseSpec,
     repo: RepoHandle,
     fc: FixContext,
-    ctx: InitialContext,
     backend,
     max_turns: int = DEFAULT_MAX_TURNS,
     cfg: CompressionConfig | None = None,
@@ -331,12 +328,13 @@ def run_investigation(
     """Run the full loop for one case and return its prediction + transcript.
 
     `repo` and `fc` are the case's handle and fix context as the caller
-    loaded them; the loop takes the fix id, parent and date from `fc`.
+    loaded them; the prompt and the fix id, parent and date come from `fc`.
 
     Tool-executing turns are hard-capped at max_turns; corrective and
     forced-answer round-trips are counted separately in total_turns.
     """
     cfg = cfg or CompressionConfig()
+    ctx = assemble_initial_context(fc)
     cache: dict[str, tuple[str, bool]] = {}
     transcript = Transcript(case_id=case.case_id, repo_path=case.repo_path, fix_commit=fc.fix_id)
     conversation: list[dict] = [
@@ -363,9 +361,7 @@ def run_investigation(
                     step = replace(
                         step, args={k: v for k, v in asdict(args).items() if v is not None}
                     )
-                    observation = execute_compressed(
-                        repo, args, fc.fix_date, cache, cfg, default_commit=fc.fix_parent
-                    )
+                    observation = execute_compressed(repo, args, fc, cache, cfg)
                 call_id = f"call_{transcript.total_turns + 1}"
                 conversation.append(
                     {

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import gitio
-from .compress import strip_trailers
 from .gitio import RepoHandle
 from .prompts import default_template
 from .tools import tool_schemas
@@ -21,6 +20,24 @@ HASH_PLACEHOLDER = "[commit-ref-removed]"
 
 _FIXES_LINE_RE = re.compile(r"^\s*Fixes:\s", re.IGNORECASE)
 HEX_TOKEN_RE = re.compile(r"\b[0-9a-fA-F]{7,40}\b")
+
+TRAILER_KEYS = (
+    "Signed-off-by",
+    "Reviewed-by",
+    "Acked-by",
+    "Tested-by",
+    "Reported-by",
+    "Cc",
+    "Link",
+    "Suggested-by",
+    "Co-developed-by",
+)
+
+# Column 0 or an indent of >= 2 spaces / a tab: commit-message positions.
+# Exactly one leading space means a unified-diff context line, never touched.
+_TRAILER_RE = re.compile(
+    r"^(?:\t| {2,})?(?:%s):\s" % "|".join(TRAILER_KEYS), re.IGNORECASE
+)
 
 
 class RootCommit(Exception):
@@ -57,18 +74,19 @@ class InitialContext:
     tool_specs: list[dict]
 
 
+def strip_trailers(message: str) -> str:
+    """Drop metadata trailer lines; everything else stays verbatim."""
+    return "\n".join(ln for ln in message.split("\n") if not _TRAILER_RE.match(ln))
+
+
 def redact_leakage(message: str) -> str:
     """Remove Fixes trailers and hash-like tokens from a commit message.
 
     Any standalone hexadecimal run of 7-40 characters could be (part of)
     the answer, so all of them are replaced regardless of dataset.
     """
-    kept = [ln for ln in message.splitlines() if not _FIXES_LINE_RE.match(ln)]
-    out = "\n".join(kept)
-    out = HEX_TOKEN_RE.sub(HASH_PLACEHOLDER, out)
-    if message.endswith("\n") and out and not out.endswith("\n"):
-        out += "\n"
-    return out
+    kept = [ln for ln in message.split("\n") if not _FIXES_LINE_RE.match(ln)]
+    return HEX_TOKEN_RE.sub(HASH_PLACEHOLDER, "\n".join(kept))
 
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")

@@ -31,7 +31,7 @@ from .agent import (
     record_transcript,
     run_investigation,
 )
-from .caseprep import CaseSpec, RootCommit, assemble_initial_context, load_fix_context
+from .caseprep import CaseSpec, RootCommit, load_fix_context
 from .compress import CompressionConfig, execute_compressed, execute_raw, format_raw
 from .evaluate import CaseResult, Dataset, load_dataset
 from .gitio import RepoHandle
@@ -183,24 +183,23 @@ def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
     return repo_field
 
 
-def _investigate_one(
-    case: CaseSpec, config: RunConfig, backend_factory, paths: dict
-) -> tuple[Prediction, CaseResult]:
+def _open_case(case: CaseSpec, method) -> tuple[object, float, dict]:
+    """`method(repo, fc)`'s result, its seconds (fix read plus method) and the hard-case flags."""
     start = time.monotonic()
     repo = RepoHandle(case.repo_path)
     fc = load_fix_context(repo, case.fix_commit)
-    ctx = assemble_initial_context(fc)
-    prediction, transcript = run_investigation(
-        case,
-        repo,
-        fc,
-        ctx,
-        backend_factory(),
-        max_turns=config.max_turns,
-        cfg=config.compression,
-        forced_answer=config.forced_answer,
-    )
-    elapsed = time.monotonic() - start
+    outcome = method(repo, fc)
+    seconds = time.monotonic() - start
+    return outcome, seconds, ev.category_flags(repo, case, fc)
+
+
+def _investigate_one(
+    case: CaseSpec, config: RunConfig, backend_factory, paths: dict
+) -> tuple[Prediction, CaseResult]:
+    (prediction, transcript), seconds, flags = _open_case(case, lambda repo, fc: run_investigation(
+        case, repo, fc, backend_factory(), max_turns=config.max_turns,
+        cfg=config.compression, forced_answer=config.forced_answer,
+    ))
 
     transcript_path = os.path.join(paths["transcripts"], _safe_name(case.case_id) + ".jsonl")
     record_transcript(transcript, prediction, transcript_path)
@@ -209,14 +208,14 @@ def _investigate_one(
         case_id=case.case_id,
         predicted=[prediction.resolved_id] if prediction.resolved_id else [],
         transcript_ref=transcript_path,
-        category_flags=ev.category_flags(repo, case, fc),
+        category_flags=flags,
         cost={
             "tokens": transcript.total_tokens,
             "prompt_tokens": transcript.prompt_tokens,
             "completion_tokens": transcript.completion_tokens,
             "turns": transcript.total_turns,
             "tool_turns": transcript.tool_turns,
-            "seconds": elapsed,
+            "seconds": seconds,
         },
         error=transcript.error,
     )
@@ -285,15 +284,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
     def run_case(case: CaseSpec) -> CaseResult:
-        start = time.monotonic()
-        repo = RepoHandle(case.repo_path)
-        fc = load_fix_context(repo, case.fix_commit)
-        outcome = algorithm(repo, fc)
+        outcome, seconds, flags = _open_case(case, algorithm)
         return CaseResult(
             case_id=case.case_id,
             predicted=sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else []),
-            category_flags=ev.category_flags(repo, case, fc),
-            cost={"seconds": time.monotonic() - start},
+            category_flags=flags,
+            cost={"seconds": seconds},
         )
 
     results = [_case_result(case, args.repos_dir, run_case) for case in dataset.cases]
@@ -374,14 +370,14 @@ def cmd_tool(args: argparse.Namespace) -> int:
     cfg = CompressionConfig()
     if args.raw:
         try:
-            raw = execute_raw(repo, tool_args, fc.fix_parent)
+            raw = execute_raw(repo, tool_args, fc)
         except ToolError as exc:
             print(f"Error ({exc.kind}): {exc}")
             return 2
         formatted, _ = format_raw(tool, raw, cfg)
         print(formatted)
         return 0
-    obs = execute_compressed(repo, tool_args, fc.fix_date, {}, cfg, default_commit=fc.fix_parent)
+    obs = execute_compressed(repo, tool_args, fc, {}, cfg)
     print(obs.text)
     return 0
 

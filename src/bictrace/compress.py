@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import tools as tk
+from .caseprep import FixContext, strip_trailers
 from .gitio import RepoHandle
 from .tools import ToolArgs, ToolError, ToolName, ToolTimeout
 
@@ -31,25 +32,6 @@ _CLAMP_NOTICE = "[output truncated at character limit; retry with narrower param
 
 # Worst-case bytes the pipeline may add beyond tau: newline + clamp notice.
 MAX_OBS_OVERHEAD = len(_CLAMP_NOTICE) + 1
-
-TRAILER_KEYS = (
-    "Signed-off-by",
-    "Reviewed-by",
-    "Acked-by",
-    "Tested-by",
-    "Reported-by",
-    "Cc",
-    "Link",
-    "Suggested-by",
-    "Co-developed-by",
-)
-
-# Column 0 or an indent of >= 2 spaces / a tab: commit-message positions.
-# Exactly one leading space means a unified-diff context line, never touched.
-_TRAILER_RE = re.compile(
-    r"^(?:\t| {2,})?(?:%s):\s" % "|".join(TRAILER_KEYS), re.IGNORECASE
-)
-
 
 class MalformedPorcelain(Exception):
     """Blame output that does not parse as git blame porcelain."""
@@ -119,9 +101,15 @@ def canonicalize_args(args: ToolArgs) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def strip_trailers(message: str) -> str:
-    """Drop metadata trailer lines; everything else stays verbatim."""
-    return "\n".join(ln for ln in message.split("\n") if not _TRAILER_RE.match(ln))
+def split_lines(text: str) -> list[str]:
+    r"""Lines of `text`, cut at "\n" only; a final "\n" ends the last line.
+
+    Form feeds and lone carriage returns stay content, as they are to git.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _truncation_notice(shown: int, total: int) -> str:
@@ -147,11 +135,11 @@ def _head_tail(lines: list[str], head: int, tail: int) -> tuple[list[str], bool]
 # -- Layer 2: per-tool formatting -------------------------------------------
 
 def format_show(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    lines = raw.splitlines()
+    lines = split_lines(raw)
     diff_start = next(
         (i for i, ln in enumerate(lines) if ln.startswith("diff --git")), len(lines)
     )
-    head = strip_trailers("\n".join(lines[:diff_start])).splitlines()
+    head = split_lines(strip_trailers("\n".join(lines[:diff_start])))
     return _cap_lines(head + lines[diff_start:], cfg.line_caps[ToolName.SHOW])
 
 
@@ -237,15 +225,15 @@ def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
 
 
 def format_log_s(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    return _cap_lines(raw.splitlines(), cfg.line_caps[ToolName.LOG_S])
+    return _cap_lines(split_lines(raw), cfg.line_caps[ToolName.LOG_S])
 
 
 def format_log_func(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    return _cap_lines(strip_trailers(raw).splitlines(), cfg.line_caps[ToolName.LOG_FUNC])
+    return _cap_lines(split_lines(strip_trailers(raw)), cfg.line_caps[ToolName.LOG_FUNC])
 
 
 def format_grep(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    return _cap_lines(raw.splitlines(), cfg.line_caps[ToolName.GREP])
+    return _cap_lines(split_lines(raw), cfg.line_caps[ToolName.GREP])
 
 
 # -- Layer 3: structured extraction ------------------------------------------
@@ -270,9 +258,8 @@ _DIFF_KEEP_PREFIXES = (
 
 
 def extract_show(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    lines = formatted.splitlines()
     kept, in_diff = [], False
-    for ln in lines:
+    for ln in split_lines(formatted):
         if ln.startswith("diff --git"):
             in_diff = True
         if not in_diff or ln.startswith(_DIFF_KEEP_PREFIXES):
@@ -286,9 +273,8 @@ _LEGEND_RE = re.compile(r"^([0-9a-f]{6,40}) (\d{4}-\d{2}-\d{2})(?: (.*))?$")
 
 
 def extract_blame(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    lines = formatted.splitlines()
     l_lines, legend = [], {}
-    for ln in lines:
+    for ln in split_lines(formatted):
         if _L_LINE_RE.match(ln):
             l_lines.append(ln)
         else:
@@ -325,7 +311,7 @@ def _split_entries(lines: list[str]) -> list[list[str]]:
 
 
 def extract_log(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    entries = _split_entries(formatted.splitlines())
+    entries = _split_entries(split_lines(formatted))
     if len(entries) <= cfg.k3:
         return formatted, False
     kept = entries[: cfg.k3]
@@ -340,7 +326,7 @@ def extract_log(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
 
 def extract_grep(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
     matches = []  # (file, line_text)
-    for ln in formatted.splitlines():
+    for ln in split_lines(formatted):
         if not ln.strip() or ln.startswith(_NOTICE_PREFIX):
             continue
         parts = ln.split(":")
@@ -391,18 +377,18 @@ _EXTRACTORS = {
 }
 
 
-def execute_raw(repo: RepoHandle, args: ToolArgs, default_commit: str) -> str:
-    """Dispatch one tool call and return its raw (uncompressed) output."""
+def execute_raw(repo: RepoHandle, args: ToolArgs, fc: FixContext) -> str:
+    """One tool call's raw output; blame and grep default to the fix's parent."""
     tool = args.tool
     if tool is ToolName.SHOW:
         return tk.exec_git_show(repo, args)
     if tool is ToolName.BLAME:
-        return tk.exec_git_blame(repo, args, default_commit)
+        return tk.exec_git_blame(repo, args, fc.fix_parent)
     if tool is ToolName.LOG_S:
         return tk.exec_git_log_s(repo, args)
     if tool is ToolName.LOG_FUNC:
         return tk.exec_git_log_func(repo, args)
-    return tk.exec_git_grep(repo, args, default_commit)
+    return tk.exec_git_grep(repo, args, fc.fix_parent)
 
 
 _GENERIC_NOTICE = "[output truncated; retry with narrower parameters to see more]"
@@ -417,7 +403,7 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, cfg: Com
     if len(text) > cfg.tau:
         text = text[: cfg.tau] + "\n" + _CLAMP_NOTICE
         truncated = True
-    lines = text.splitlines()
+    lines = split_lines(text)
     if truncated and (not lines or not lines[-1].startswith(_NOTICE_PREFIX)):
         text += "\n" + _GENERIC_NOTICE
     return text, truncated
@@ -426,12 +412,13 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, cfg: Com
 def execute_compressed(
     repo: RepoHandle,
     args: ToolArgs,
-    fix_date: int,
+    fc: FixContext,
     cache: dict[str, tuple[str, bool]],
     cfg: CompressionConfig,
-    default_commit: str,
 ) -> Observation:
-    """Run one tool call through bound capping, cache, format and extract.
+    """Run one tool call through cache, format and extract.
+
+    The caller bounds `args` with `tools.enforce_search_bound` first.
 
     `cache` is case-scoped: canonical arguments -> the finished observation's
     (text, truncated), so a hit costs no git process, formatting or extraction.
@@ -440,13 +427,12 @@ def execute_compressed(
     the agent must be able to read the error and self-correct. Timed-out
     calls and tool errors are not cached, so a retry executes fresh.
     """
-    args = tk.enforce_search_bound(args, fix_date)
     key = canonicalize_args(args)
     if key in cache:
         text, truncated = cache[key]
         return Observation(text, truncated=truncated, cache_hit=True)
     try:
-        raw = execute_raw(repo, args, default_commit)
+        raw = execute_raw(repo, args, fc)
     except ToolTimeout:
         return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False)
     except ToolError as exc:

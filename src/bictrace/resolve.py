@@ -38,7 +38,7 @@ def sanitize_hash(raw: str) -> str:
 
 
 def resolve_prediction(
-    repo: RepoHandle, sanitized: str, fix_date: int | None = None, input_text: str = ""
+    repo: RepoHandle, sanitized: str, fix_date: int, input_text: str = ""
 ) -> tuple[str, str | None, ResolutionTrace]:
     """Resolve a sanitized hash against the repository.
 
@@ -56,7 +56,7 @@ def resolve_prediction(
         outcome, full, committed = gitio.probe_commit(repo, sanitized[:n])
         trace.attempts.append((n, outcome))
         if outcome == "resolved":
-            if fix_date is not None and committed > fix_date:
+            if committed > fix_date:
                 trace.attempts.append((n, "rejected_postdates_fix"))
                 return "discarded", None, trace
             trace.result = "resolved"

@@ -12,7 +12,10 @@ import os
 import random
 import subprocess
 
+from bictrace.caseprep import FixContext
+
 BASE_EPOCH = 1577836800  # 2020-01-01T00:00:00Z
+FAR_FUTURE = 2_000_000_000  # 2033-05-18: later than every fixture commit
 
 GIT_ENV = {
     "GIT_AUTHOR_NAME": "Fixture Author",
@@ -238,3 +241,9 @@ def generate_random_repo(path, seed: int) -> tuple[RepoBuilder, list[str]]:
                 edit(path)
             commits.append(rb.commit(snapshot([path]), f"edit {path}"))
     return rb, commits
+
+
+def parent_context(parent: str) -> FixContext:
+    """A fix context whose parent revision is `parent`, the one field the tool pipeline reads."""
+    return FixContext(fix_id="", fix_parent=parent, fix_date=FAR_FUTURE,
+                      message_redacted="", diff_text="", changed_files=[])

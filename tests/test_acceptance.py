@@ -15,7 +15,9 @@ from fractions import Fraction
 import pytest
 
 from oracle import AttributionOracle
-from repo_helpers import RepoBuilder, committer_time, generate_random_repo, object_set_digest
+from repo_helpers import (
+    FAR_FUTURE, RepoBuilder, committer_time, generate_random_repo, object_set_digest, parent_context,
+)
 
 from bictrace.agent import (
     LiveBackend,
@@ -48,10 +50,9 @@ from bictrace.tools import LogSArgs, ToolName
 HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 
 
-def make_ctx(repo_path, fix):
+def open_case(repo_path, fix):
     repo = RepoHandle(repo_path)
-    fc = load_fix_context(repo, fix)
-    return repo, fc, assemble_initial_context(fc)
+    return repo, load_fix_context(repo, fix)
 
 
 def test_c01_baseline_oracle_equivalence(tmp_path):
@@ -126,7 +127,7 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
     repo = RepoHandle(rb.path)
     cache = {}
     cfg = CompressionConfig()
-    fix_date = 2_000_000_000
+    fc = parent_context(head)
 
     calls = [
         (ToolName.BLAME, {"file_path": "f.c"}),
@@ -140,9 +141,9 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
     for tool, payload in calls:
         args = parse_args(tool, payload)
         before = repo.process_count
-        first = execute_compressed(repo, args, fix_date, cache, cfg, head)
-        second = execute_compressed(repo, args, fix_date, cache, cfg, head)
-        third = execute_compressed(repo, args, fix_date, cache, cfg, head)
+        first = execute_compressed(repo, args, fc, cache, cfg)
+        second = execute_compressed(repo, args, fc, cache, cfg)
+        third = execute_compressed(repo, args, fc, cache, cfg)
         assert repo.process_count - before == 1, tool.value
         assert first.text == second.text == third.text
         assert second.cache_hit and third.cache_hit and not first.cache_hit
@@ -150,8 +151,8 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
     slow = RepoHandle(slow_repo.path, default_timeout=0.001)
     timeout_cache = {}
     obs = execute_compressed(
-        slow, LogSArgs(search_string="return"), fix_date, timeout_cache,
-        cfg, slow_repo.head(),
+        slow, LogSArgs(search_string="return"), parent_context(slow_repo.head()),
+        timeout_cache, cfg,
     )
     assert "Retry with narrower parameters" in obs.text
     assert len(timeout_cache) == 0
@@ -161,13 +162,13 @@ def test_c04_turn_bound_and_determinism(cross_file_repo, tmp_path):
     """Unlimited tool calls stop at 15; scripted runs are byte-identical."""
     rb, info = cross_file_repo
     case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="acc")
-    repo, fc, ctx = make_ctx(rb.path, info["fix"])
+    repo, fc = open_case(rb.path, info["fix"])
 
     def run_once(out_path):
         backend = ScriptedBackend(
             [tool_step(ToolName.GREP, search_string="core_alloc_event")], repeat_last=True
         )
-        prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
+        prediction, transcript = run_investigation(case, repo, fc, backend)
         record_transcript(transcript, prediction, out_path)
         return prediction, transcript
 
@@ -187,7 +188,7 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
         repo_path=rb.path, fix_commit=info["fix"], ground_truth={info["bic"]},
         dataset_tag="acc",
     )
-    repo, fc, ctx = make_ctx(rb.path, info["fix"])
+    repo, fc = open_case(rb.path, info["fix"])
     steps = [
         tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
         tool_step(ToolName.SHOW, commit=info["refactor"][:12]),
@@ -195,7 +196,7 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
         tool_step(ToolName.LOG_S, search_string="dyn_alloc_event"),
         final_step(f"BIC: {info['bic']}\nConfidence: high\nReasoning: allocation rewrite"),
     ]
-    prediction, transcript = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
+    prediction, transcript = run_investigation(case, repo, fc, ScriptedBackend(steps))
     assert prediction.status == "resolved"
     assert prediction.resolved_id == info["bic"]
     # The trajectory is grounded: blame surfaced the refactor, the pickaxe
@@ -213,12 +214,12 @@ def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path
         repo_path=grb.path, fix_commit=ginfo["fix"], ground_truth={ginfo["bic"]},
         dataset_tag="acc",
     )
-    grepo, gfc, gctx = make_ctx(grb.path, ginfo["fix"])
+    grepo, gfc = open_case(grb.path, ginfo["fix"])
     gsteps = [
         tool_step(ToolName.LOG_S, search_string="entry->weight"),
         final_step(f"BIC: {ginfo['bic']}\nConfidence: high\nReasoning: unguarded use"),
     ]
-    gprediction, gtranscript = run_investigation(gcase, grepo, gfc, gctx, ScriptedBackend(gsteps))
+    gprediction, gtranscript = run_investigation(gcase, grepo, gfc, ScriptedBackend(gsteps))
     assert gprediction.status == "resolved"
     assert gprediction.resolved_id == ginfo["bic"]
     assert ginfo["bic"][:7] in gtranscript.turns[0]["observation"].text
@@ -233,23 +234,23 @@ def test_c06_prefix_ladder(linear_handle, prefix_repo):
     corrupted = target[:12] + "f" * 28
     if corrupted == target:
         corrupted = target[:12] + "e" * 28
-    status, full, trace = resolve_prediction(repo, corrupted)
+    status, full, trace = resolve_prediction(repo, corrupted, FAR_FUTURE)
     assert status == "resolved" and full == target
     assert [n for n, _ in trace.attempts] == [40, 12]
 
-    status, full, trace = resolve_prediction(repo, "9" * 40)
+    status, full, trace = resolve_prediction(repo, "9" * 40, FAR_FUTURE)
     assert status == "discarded"
     assert [n for n, _ in trace.attempts] == [40, 12, 10, 8, 7]
 
     prb, info = prefix_repo
     prepo = RepoHandle(prb.path)
     fake = info["prefix"] + "9" * 33
-    status, full, trace = resolve_prediction(prepo, fake)
+    status, full, trace = resolve_prediction(prepo, fake, FAR_FUTURE)
     assert status == "discarded" and full is None
     assert trace.attempts[-1] == (7, "ambiguous")
 
     before = repo.process_count
-    status, full, trace = resolve_prediction(repo, "abc123")
+    status, full, trace = resolve_prediction(repo, "abc123", FAR_FUTURE)
     assert status == "discarded" and trace.attempts == []
     assert repo.process_count == before
 
@@ -302,7 +303,8 @@ def test_c08_leakage_freedom(cross_file_repo, ghost_repo, tmp_path):
     fixtures.append((leaky.path, fix, {bic}))
 
     for repo_path, fix_commit, ground_truth in fixtures:
-        _, fc, ctx = make_ctx(repo_path, fix_commit)
+        _, fc = open_case(repo_path, fix_commit)
+        ctx = assemble_initial_context(fc)
         blob = "\n".join([ctx.system_prompt, render_fix_block(fc), render_constraints_block(fc)])
         assert not re.search(r"(?im)^\s*Fixes:", blob)
         for gt in ground_truth:
@@ -319,7 +321,7 @@ def test_c09_read_only_guarantee(tmp_path):
     before = object_set_digest(rb.path)
 
     case = CaseSpec(repo_path=rb.path, fix_commit=fix, ground_truth={bic}, dataset_tag="ro")
-    repo, fc, ctx = make_ctx(rb.path, fix)
+    repo, fc = open_case(rb.path, fix)
     steps = [
         tool_step(ToolName.BLAME, file_path="lib/a.c"),
         tool_step(ToolName.SHOW, commit=bic[:10]),
@@ -328,7 +330,7 @@ def test_c09_read_only_guarantee(tmp_path):
         tool_step(ToolName.LOG_FUNC, function_name="one", file_path="lib/a.c"),
         final_step(f"BIC: {bic}\nConfidence: high\nReasoning: direct"),
     ]
-    prediction, _ = run_investigation(case, repo, fc, ctx, ScriptedBackend(steps))
+    prediction, _ = run_investigation(case, repo, fc, ScriptedBackend(steps))
     assert prediction.resolved_id == bic
 
     assert b_szz(repo, fc) == {bic}
@@ -336,8 +338,8 @@ def test_c09_read_only_guarantee(tmp_path):
     assert l_szz(repo, fc) == bic
     classify_ghost(fc)
     classify_cross_file(repo, case, fc)
-    resolve_prediction(repo, bic[:12])
-    resolve_prediction(repo, "9" * 40)
+    resolve_prediction(repo, bic[:12], FAR_FUTURE)
+    resolve_prediction(repo, "9" * 40, FAR_FUTURE)
 
     assert object_set_digest(rb.path) == before
 
@@ -353,11 +355,11 @@ def test_c10_live_smoke(cross_file_repo):
     """With a configured endpoint, one real investigation completes cleanly."""
     rb, info = cross_file_repo
     case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="live")
-    repo, fc, ctx = make_ctx(rb.path, info["fix"])
+    repo, fc = open_case(rb.path, info["fix"])
     backend = LiveBackend(
         os.environ["BICTRACE_ENDPOINT"], os.environ["BICTRACE_MODEL"], os.environ["BICTRACE_API_KEY"]
     )
-    prediction, transcript = run_investigation(case, repo, fc, ctx, backend)
+    prediction, transcript = run_investigation(case, repo, fc, backend)
     assert transcript.tool_turns <= 15
     assert transcript.error is None
     assert prediction.status in ("resolved", "discarded")

@@ -253,6 +253,10 @@ class TestRedaction:
         msg = "improve the frobnicator\n\nno hashes, no trailers here\n"
         assert redact_leakage(msg) == msg
 
+    def test_lines_end_at_newline_only(self):
+        msg = "page\x0cbreak, a lone\rreturn\n\nFixes: 1c393b9 (\"old\")\n"
+        assert redact_leakage(msg) == "page\x0cbreak, a lone\rreturn\n\n"
+
     def test_short_hex_words_survive(self):
         msg = "faced a decade of cafe decaf code"  # all < 7 hex chars
         assert redact_leakage(msg) == msg

@@ -2,13 +2,14 @@
 
 import json
 import os
+import time
 
 import pytest
 
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
-from bictrace import gitio
+from bictrace import evaluate, gitio
 from bictrace.agent import BackendUnavailable
 from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
@@ -296,6 +297,15 @@ class TestNotARepository:
         assert code == 1
         assert f"error: {plain} is not a git repository" in capsys.readouterr().err
 
+    def test_tool_schema_error_comes_before_any_git_call(self, plain, capsys, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
+        code = main(["tool", "git_log_s", "--repo", plain,
+                     "--args", '{"search_string": "x", "colour": true}'])
+        assert code == 2
+        assert capsys.readouterr().out == "Error (schema): git_log_s: unknown parameter(s): colour\n"
+        assert spawned == []
+
     def test_batch_and_baseline_record_the_case(self, plain, linear_repo, tmp_path):
         rb, shas = linear_repo
         script = write_script(
@@ -381,6 +391,36 @@ class TestSpawnBudget:
         assert read_results(out_path)[1][0].predicted == [bic]
         assert [argv[0] for argv in argvs] == ["show", "blame", "log"]
         assert argvs[1] == ["blame", "--porcelain", "-L", "3,5", "-L", "9,9", bic, "--", "m.c"]
+
+
+class TestCaseSeconds:
+    """`seconds` covers the fix read and the method, for agents and baselines alike."""
+
+    def test_hard_case_classification_is_not_timed(self, linear_repo, tmp_path, monkeypatch):
+        rb, shas = linear_repo
+        classify = evaluate.classify_cross_file
+
+        def slow_classify(*args):
+            time.sleep(1.0)
+            return classify(*args)
+
+        monkeypatch.setattr(evaluate, "classify_cross_file", slow_classify)
+        script = write_script(
+            tmp_path / "s.json",
+            [{"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"}],
+        )
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")]) == 0
+        for path in (runs / "b" / "results.jsonl", tmp_path / "b.jsonl"):
+            (result,) = read_results(str(path))[1]
+            assert result.predicted == [shas[1]]
+            assert result.category_flags == {"ghost": False, "cross_file": False}
+            assert 0 < result.cost["seconds"] < 1.0
 
 
 class TestAgentCost:
@@ -657,6 +697,14 @@ class TestToolCmd:
             assert code == 2
             assert capsys.readouterr().out == f"Error (schema): {tool}: commit must not start with '-'\n"
             assert not target.exists()
+
+    def test_show_lines_end_at_newline_only(self, tmp_path, capsys):
+        rb = RepoBuilder(tmp_path / "controls")
+        rb.commit({"f.txt": "a\nb\x0cc\nd\ne\rf\ng\n"}, "seed")
+        rb.commit({"f.txt": "a\nd\ng\n"}, "fix")
+        assert main(["tool", "git_show", "--repo", rb.path, "--args", '{"commit": "HEAD"}']) == 0
+        out = capsys.readouterr().out
+        assert out.split("\n")[-7:] == ["@@ -1,5 +1,3 @@", " a", "-b\x0cc", " d", "-e\rf", " g", ""]
 
     def test_raw_mode_differs_above_tau(self, tmp_path, capsys):
         from repo_helpers import RepoBuilder

@@ -9,21 +9,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repo_helpers import RepoBuilder
+from repo_helpers import RepoBuilder, parent_context
 
-from bictrace import compress
+from bictrace import agent, caseprep, cli, compress, tools
+from bictrace.caseprep import CaseSpec, load_fix_context, strip_trailers
 from bictrace.compress import (
     CompressionConfig,
     MAX_OBS_OVERHEAD,
     TIMEOUT_HINT,
     canonicalize_args,
+    compress_formatted,
     execute_compressed,
     extract_blame,
     extract_grep,
     extract_log,
     extract_show,
     format_blame,
-    strip_trailers,
+    split_lines,
 )
 from bictrace.gitio import RepoHandle
 from bictrace.tools import (
@@ -32,6 +34,7 @@ from bictrace.tools import (
     LogSArgs,
     ShowArgs,
     ToolName,
+    enforce_search_bound,
 )
 
 HEX = "0123456789abcdef"
@@ -115,7 +118,7 @@ class TestStripTrailers:
         )
     )
     def test_non_trailer_lines_survive_in_order(self, lines):
-        trailer_re = compress._TRAILER_RE
+        trailer_re = caseprep._TRAILER_RE
         message = "\n".join(lines)
         kept = strip_trailers(message).split("\n")
         expected = [ln for ln in message.split("\n") if not trailer_re.match(ln)]
@@ -381,7 +384,34 @@ class TestFormatBlameMatchesFullParse:
         assert peak < 2_000_000
 
 
+class TestSplitLines:
+    @pytest.mark.parametrize("text, lines", [
+        ("", []),
+        ("a\n", ["a"]),
+        ("a\n\n", ["a", ""]),
+        ("a\nb", ["a", "b"]),
+        ("b\x0cc\ne\rf\x85g\u2028h\x0bi\x1cj\n", ["b\x0cc", "e\rf\x85g\u2028h\x0bi\x1cj"]),
+    ])
+    def test_cut_at_newline_only(self, text, lines):
+        assert split_lines(text) == lines
+
+    @given(st.text(alphabet="ab \n", max_size=40))
+    def test_same_as_splitlines_without_other_line_boundaries(self, text):
+        assert split_lines(text) == text.splitlines()
+
+
 class TestExtractShow:
+    def test_control_characters_stay_inside_their_line(self):
+        formatted = (
+            "commit 1111222233334444555566667777888899990000\n\n    subject\n"
+            "diff --git a/f.c b/f.c\n@@ -1,42 +1,40 @@\n-b\x0cc\n-e\rf\n"
+            + "".join(f" context line {i}\n" for i in range(40))
+        )
+        cfg = CompressionConfig(tau=200)
+        assert len(formatted) > cfg.tau
+        text, _ = compress_formatted(ToolName.SHOW, formatted, False, cfg)
+        assert text.split("\n")[-2:] == ["-b\x0cc", "-e\rf"]
+
     def test_context_stripped_changes_kept(self):
         diff = (
             "commit 1111222233334444555566667777888899990000\n"
@@ -516,10 +546,10 @@ class TestExecuteCompressed:
         cache = {}
         cfg = CompressionConfig()
         args = BlameArgs(file_path="f.c")
-        fix_date = 2_000_000_000
-        first = execute_compressed(repo, args, fix_date, cache, cfg, shas[1])
+        fc = parent_context(shas[1])
+        first = execute_compressed(repo, args, fc, cache, cfg)
         count_after_first = repo.process_count
-        second = execute_compressed(repo, args, fix_date, cache, cfg, shas[1])
+        second = execute_compressed(repo, args, fc, cache, cfg)
         assert repo.process_count == count_after_first
         assert not first.cache_hit and second.cache_hit
         assert first.text == second.text
@@ -538,9 +568,9 @@ class TestExecuteCompressed:
             (ToolName.SHOW, ShowArgs(commit=shas[0])),
             (ToolName.GREP, GrepArgs(search_string="return")),
         ):
-            first = execute_compressed(repo, args, 2_000_000_000, cache, cfg, shas[1])
+            first = execute_compressed(repo, args, parent_context(shas[1]), cache, cfg)
             assert calls == [tool]
-            second = execute_compressed(repo, args, 2_000_000_000, cache, cfg, shas[1])
+            second = execute_compressed(repo, args, parent_context(shas[1]), cache, cfg)
             assert calls == [tool]
             assert second.cache_hit and not first.cache_hit
             assert (second.text, second.truncated) == (first.text, first.truncated)
@@ -553,12 +583,8 @@ class TestExecuteCompressed:
             compress, "execute_raw", lambda *a: runs.append(a) or "not porcelain\n"
         )
         cache, args = {}, BlameArgs(file_path="f.c")
-        first = execute_compressed(
-            repo, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
-        )
-        second = execute_compressed(
-            repo, args, 2_000_000_000, cache, CompressionConfig(), shas[1]
-        )
+        first = execute_compressed(repo, args, parent_context(shas[1]), cache, CompressionConfig())
+        second = execute_compressed(repo, args, parent_context(shas[1]), cache, CompressionConfig())
         assert first.text.startswith("Error (malformed_output)")
         assert second.text == first.text
         assert not first.cache_hit and second.cache_hit
@@ -568,8 +594,8 @@ class TestExecuteCompressed:
         rb = RepoBuilder(tmp_path / "carriage")
         sha = rb.commit({"f.c": "a\nb\rx\nc\n"}, "seed")
         obs = execute_compressed(
-            RepoHandle(rb.path), BlameArgs(file_path="f.c"), 2_000_000_000, {},
-            CompressionConfig(), sha,
+            RepoHandle(rb.path), BlameArgs(file_path="f.c"), parent_context(sha), {},
+            CompressionConfig(),
         )
         assert "malformed_output" not in obs.text
         assert obs.text.split("\n")[:3] == [
@@ -581,24 +607,24 @@ class TestExecuteCompressed:
         slow = RepoHandle(slow_repo.path, default_timeout=0.001)
         cache = {}
         obs = execute_compressed(
-            slow, LogSArgs(search_string="f"), 2_000_000_000, cache,
-            CompressionConfig(), head,
+            slow, LogSArgs(search_string="f"), parent_context(head), cache,
+            CompressionConfig(),
         )
         assert "Retry with narrower parameters" in obs.text
         assert len(cache) == 0
         # A later call with a sane timeout executes fresh and caches.
         ok = RepoHandle(slow_repo.path)
         obs2 = execute_compressed(
-            ok, LogSArgs(search_string="f"), 2_000_000_000, cache,
-            CompressionConfig(), head,
+            ok, LogSArgs(search_string="f"), parent_context(head), cache,
+            CompressionConfig(),
         )
         assert not obs2.cache_hit and len(cache) == 1
 
     def test_small_output_unchanged_by_layer3(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         obs = execute_compressed(
-            repo, ShowArgs(commit=shas[0]), 2_000_000_000, {},
-            CompressionConfig(), shas[1],
+            repo, ShowArgs(commit=shas[0]), parent_context(shas[1]), {},
+            CompressionConfig(),
         )
         from bictrace.tools import exec_git_show
         from bictrace.compress import format_show
@@ -613,24 +639,45 @@ class TestExecuteCompressed:
         cache = {}
         for _ in range(2):
             obs = execute_compressed(
-                repo, ShowArgs(commit="deadbeef" * 5), 2_000_000_000,
-                cache, CompressionConfig(), shas[1],
+                repo, ShowArgs(commit="deadbeef" * 5), parent_context(shas[1]),
+                cache, CompressionConfig(),
             )
             assert obs.text.startswith("Error (commit_not_found)")
             assert not obs.cache_hit
         assert len(cache) == 0
 
-    def test_search_bound_enforced_in_pipeline(self, pipeline_repo):
-        repo, shas, _ = pipeline_repo
-        from repo_helpers import BASE_EPOCH
+    def test_search_bound_applied_once_per_call_at_the_entry_points(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        rb = RepoBuilder(tmp_path / "later")
+        rb.commit({"f.txt": "early\n"}, "seed")
+        fix = rb.commit({"f.txt": "fixed\n"}, "fix")
+        rb.commit({"f.txt": "fixed\nLATER\n"}, "add LATER after the fix",
+                  date=rb.next_date() + 2 * 86400)
+        repo = RepoHandle(rb.path)
+        fc = load_fix_context(repo, fix)
+        # The pipeline runs the arguments it is given ...
+        unbounded = execute_compressed(repo, LogSArgs(search_string="LATER"), fc, {}, CompressionConfig())
+        assert "after the fix" in unbounded.text
 
-        fix_date = BASE_EPOCH + 86400  # only c1 is within bound
-        obs = execute_compressed(
-            repo, LogSArgs(search_string="return"), fix_date,
-            {}, CompressionConfig(), shas[1],
-        )
-        assert shas[0][:7] in obs.text
-        assert shas[1][:7] not in obs.text
+        bounds = []
+
+        def counting(args, fix_date):
+            bounds.append(fix_date)
+            return enforce_search_bound(args, fix_date)
+
+        for module in (tools, agent, cli):
+            monkeypatch.setattr(module, "enforce_search_bound", counting)
+        # ... so the tool command and the agent loop bound each call, once.
+        assert cli.main(["tool", "git_log_s", "--repo", rb.path, "--fix", fix,
+                         "--args", '{"search_string": "LATER"}']) == 0
+        assert "after the fix" not in capsys.readouterr().out
+        backend = agent.ScriptedBackend([agent.tool_step(ToolName.LOG_S, search_string="LATER")])
+        _, transcript = agent.run_investigation(CaseSpec(rb.path, fix), repo, fc, backend)
+        turn = transcript.turns[0]
+        assert turn["step"].args == {"search_string": "LATER", "before": f"@{fc.fix_date}"}
+        assert "after the fix" not in turn["observation"].text
+        assert bounds == [fc.fix_date, fc.fix_date]
 
 
 def synth_raw(tool: ToolName, rng: random.Random) -> str:

@@ -5,7 +5,7 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repo_helpers import committer_time
+from repo_helpers import FAR_FUTURE, committer_time
 
 from bictrace.gitio import RepoHandle
 from bictrace.resolve import resolve_prediction, sanitize_hash
@@ -33,7 +33,7 @@ class TestSanitize:
 class TestLadder:
     def test_full_id_identity(self, linear_handle):
         repo, shas = linear_handle
-        status, full, trace = resolve_prediction(repo, shas[0])
+        status, full, trace = resolve_prediction(repo, shas[0], FAR_FUTURE)
         assert status == "resolved" and full == shas[0]
         assert trace.attempts == [(40, "resolved")]
 
@@ -41,14 +41,14 @@ class TestLadder:
         repo, shas = linear_handle
         target = shas[1]
         corrupted = target[:12] + ("0" if target[12] != "0" else "1") * 28
-        status, full, trace = resolve_prediction(repo, corrupted)
+        status, full, trace = resolve_prediction(repo, corrupted, FAR_FUTURE)
         assert status == "resolved" and full == target
         assert [n for n, _ in trace.attempts] == [40, 12]
         assert trace.attempts[-1] == (12, "resolved")
 
     def test_ladder_order_descending(self, linear_handle):
         repo, _ = linear_handle
-        status, full, trace = resolve_prediction(repo, "f" * 40)
+        status, full, trace = resolve_prediction(repo, "f" * 40, FAR_FUTURE)
         assert status == "discarded" and full is None
         assert [n for n, _ in trace.attempts] == [40, 12, 10, 8, 7]
         assert all(outcome == "not_found" for _, outcome in trace.attempts)
@@ -56,7 +56,7 @@ class TestLadder:
     def test_six_chars_discarded_without_query(self, linear_handle):
         repo, _ = linear_handle
         before = repo.process_count
-        status, full, trace = resolve_prediction(repo, "abc123")
+        status, full, trace = resolve_prediction(repo, "abc123", FAR_FUTURE)
         assert status == "discarded" and full is None
         assert trace.attempts == []
         assert repo.process_count == before
@@ -68,7 +68,7 @@ class TestLadder:
         # A tail that neither twin has: the 40-character id and every longer
         # prefix are missing, and only the shared 7-char prefix is ambiguous.
         filler = next(c for c in "0123456789abcdef" if c not in {t[7] for t in twins})
-        status, full, trace = resolve_prediction(repo, info["prefix"] + filler * 33)
+        status, full, trace = resolve_prediction(repo, info["prefix"] + filler * 33, FAR_FUTURE)
         assert status == "discarded"
         assert trace.attempts == [
             (40, "not_found"), (12, "not_found"), (10, "not_found"), (8, "not_found"),
@@ -77,13 +77,13 @@ class TestLadder:
 
     def test_short_input_skips_longer_rungs(self, linear_handle):
         repo, shas = linear_handle
-        status, full, trace = resolve_prediction(repo, shas[2][:10])
+        status, full, trace = resolve_prediction(repo, shas[2][:10], FAR_FUTURE)
         assert status == "resolved" and full == shas[2]
         assert trace.attempts == [(10, "resolved")]
 
     def test_no_attempts_after_success(self, linear_handle):
         repo, shas = linear_handle
-        _, _, trace = resolve_prediction(repo, shas[0][:12] + "ff" * 14)
+        _, _, trace = resolve_prediction(repo, shas[0][:12] + "ff" * 14, FAR_FUTURE)
         lengths = [n for n, _ in trace.attempts]
         assert lengths == sorted(lengths, reverse=True)
         assert trace.attempts[-1][1] == "resolved"

@@ -13,8 +13,6 @@ import json
 import re
 from dataclasses import asdict, dataclass, field, replace
 
-import requests
-
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context
 from .compress import CompressionConfig, Observation, execute_compressed
@@ -182,6 +180,11 @@ class LiveBackend:
             raise BackendUnavailable(f"live backend not configured: missing {', '.join(missing)}")
 
     def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
+        # Imported here, not at module level: this is the only HTTP call, and
+        # requests with what it loads (urllib3, http.client, email) would add
+        # about 12 MB and 0.1 s to every offline command on Python 3.11.
+        import requests
+
         body: dict = {"model": self.model, "messages": conversation}
         if tool_specs:
             body["tools"] = tool_specs

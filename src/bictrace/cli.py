@@ -364,10 +364,10 @@ def cmd_tool(args: argparse.Namespace) -> int:
         # Mirror exactly what the agent would observe.
         print(f"Error (schema): {exc}")
         return 2
+    cfg = build_run_config(args).compression
     repo = RepoHandle(args.repo)
     fc = load_fix_context(repo, args.fix)
     tool_args = enforce_search_bound(tool_args, fc.fix_date)
-    cfg = CompressionConfig()
     if args.raw:
         try:
             raw = execute_raw(repo, tool_args, fc)
@@ -465,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--args", required=True, help="JSON object of tool arguments")
     p.add_argument("--fix", default="HEAD", help="fix commit providing the search bound")
     p.add_argument("--raw", action="store_true", help="print the formatted (pre-extraction) text")
+    p.add_argument("--config", help="JSON run config file; its compression settings apply")
     p.set_defaults(func=cmd_tool)
 
     p = sub.add_parser("fetch-datasets", help="clone the repositories a dataset refers to")

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+import requests
 
 from bictrace.agent import (
     DesyncError,
@@ -243,8 +244,6 @@ class FakeResponse:
 
     def raise_for_status(self):
         if self.status_code >= 400:
-            import requests
-
             raise requests.HTTPError(f"status {self.status_code}")
 
     def json(self):
@@ -263,7 +262,6 @@ class TestLiveBackend:
             LiveBackend("", "", "")
 
     def test_tool_call_round_trip(self, monkeypatch):
-        from bictrace import agent
         from bictrace.tools import tool_schemas
 
         captured = {}
@@ -294,7 +292,7 @@ class TestLiveBackend:
                 }
             )
 
-        monkeypatch.setattr(agent.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         backend = live_backend()
         step = backend.send([{"role": "user", "content": "go"}], tool_schemas())
         assert step.kind == "tool_call"
@@ -309,24 +307,20 @@ class TestLiveBackend:
         }
 
     def test_parallel_tool_calls_rejected(self, monkeypatch):
-        from bictrace import agent
-
         call = {
             "id": "x", "type": "function",
             "function": {"name": "git_grep", "arguments": "{}"},
         }
         monkeypatch.setattr(
-            agent.requests, "post",
+            requests, "post",
             lambda *a, **k: FakeResponse({"choices": [{"message": {"tool_calls": [call, call]}}]}),
         )
         step = live_backend().send([], [])
         assert step.kind == "malformed"
 
     def test_text_content_is_final(self, monkeypatch):
-        from bictrace import agent
-
         monkeypatch.setattr(
-            agent.requests, "post",
+            requests, "post",
             lambda *a, **k: FakeResponse(
                 {"choices": [{"message": {"content": "BIC: abc1234def\nConfidence: low"}}]}
             ),
@@ -336,22 +330,19 @@ class TestLiveBackend:
         assert "abc1234def" in step.text
 
     def test_http_error_raises_backend_unavailable(self, monkeypatch):
-        from bictrace import agent
         from bictrace.agent import BackendUnavailable
 
-        monkeypatch.setattr(agent.requests, "post", lambda *a, **k: FakeResponse({}, status=503))
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse({}, status=503))
         with pytest.raises(BackendUnavailable):
             live_backend().send([], [])
 
     def test_bad_tool_name_is_malformed(self, monkeypatch):
-        from bictrace import agent
-
         call = {
             "id": "x", "type": "function",
             "function": {"name": "git_push", "arguments": "{}"},
         }
         monkeypatch.setattr(
-            agent.requests, "post",
+            requests, "post",
             lambda *a, **k: FakeResponse({"choices": [{"message": {"tool_calls": [call]}}]}),
         )
         step = live_backend().send([], [])

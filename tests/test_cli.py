@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -721,6 +723,38 @@ class TestToolCmd:
         assert len(compressed) < len(raw_out)
         assert "padline 0" not in compressed or "[output truncated" in compressed
 
+    def test_config_compression_matches_the_investigation(self, tmp_path, capsys):
+        rb = RepoBuilder(tmp_path / "capped")
+        rb.commit({"f.txt": "".join(f"needle {i}\n" for i in range(30))}, "seed")
+        rb.commit({"g.txt": "fix\n"}, "fix")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"compression": {"line_caps": {"git_grep": 5}}}))
+        args = {"search_string": "needle"}
+        script = write_script(tmp_path / "s.json", [
+            {"kind": "tool_call", "tool": "git_grep", "args": args},
+            {"kind": "final", "text": "BIC: none"},
+        ])
+        assert main(["investigate", "--repo", rb.path, "--fix", "HEAD", "--tag", "t",
+                     "--backend", f"scripted:{script}", "--config", str(config),
+                     "--run-dir", str(tmp_path / "runs"), "--run-id", "r"]) == 0
+        transcript = capsys.readouterr().out.splitlines()[-1].split(": ", 1)[1]
+        with open(transcript) as f:
+            seen = next(r["text"] for r in map(json.loads, f) if r.get("event") == "observation")
+        code = main(["tool", "git_grep", "--repo", rb.path, "--args", json.dumps(args),
+                     "--config", str(config)])
+        assert code == 0
+        assert capsys.readouterr().out == seen + "\n"
+        assert seen.count("needle") == 5
+
+    def test_invalid_config_is_an_error(self, linear_repo, tmp_path, capsys):
+        rb, shas = linear_repo
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"compression": {"tau": "abc"}}))
+        code = main(["tool", "git_grep", "--repo", rb.path, "--fix", shas[2],
+                     "--args", json.dumps({"search_string": "add"}), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_raw_mode_bounded_by_fix_date(self, tmp_path, capsys):
         rb = RepoBuilder(tmp_path / "later")
         rb.commit({"f.txt": "early\n"}, "seed")
@@ -823,3 +857,44 @@ class TestReadOnly:
               "--args", json.dumps({"search_string": "dispatch"})])
         capsys.readouterr()
         assert object_set_digest(rb.path) == before
+
+
+# Runs in a fresh interpreter: the test process imports requests for the live-backend tests.
+OFFLINE_CHILD = """
+import json, sys
+from bictrace.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "requests_loaded": "requests" in sys.modules}))
+"""
+
+
+class TestOfflineImports:
+    def test_offline_commands_never_load_requests(self, linear_repo, tmp_path):
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [
+            {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "a.c"}},
+            {"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"},
+        ])
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]],
+             "dataset_tag": "x", "case_id": "x:1"},
+        ])
+        runs, results = str(tmp_path / "runs"), str(tmp_path / "b.jsonl")
+        transcript = os.path.join(runs, "r1", "transcripts", f"t_{shas[2][:12]}.jsonl")
+        commands = [
+            ["investigate", "--repo", rb.path, "--fix", shas[2], "--tag", "t",
+             "--backend", f"scripted:{script}", "--run-dir", runs, "--run-id", "r1"],
+            ["replay", "--transcript", transcript, "--run-dir", runs, "--run-id", "r2"],
+            ["baseline", "--algorithm", "b", "--dataset", ds, "--out", results],
+            ["evaluate", "--dataset", ds, "--results", results],
+            ["tool", "git_show", "--repo", rb.path, "--fix", shas[2],
+             "--args", json.dumps({"commit": shas[1]})],
+        ]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", OFFLINE_CHILD, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == {"codes": [0] * len(commands), "requests_loaded": False}

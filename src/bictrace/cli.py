@@ -184,11 +184,20 @@ def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
 
 
 def _open_case(case: CaseSpec, method) -> tuple[object, float, dict]:
-    """`method(repo, fc)`'s result, its seconds (fix read plus method) and the hard-case flags."""
+    """`method(repo, fc)`'s result, its seconds (fix read plus method) and the hard-case flags.
+
+    Once the fix read succeeds the case is classified even if the method
+    raises: the exception carries the flags as `category_flags`, so a failed
+    case counts in every method's hard-case subsets alike.
+    """
     start = time.monotonic()
     repo = RepoHandle(case.repo_path)
     fc = load_fix_context(repo, case.fix_commit)
-    outcome = method(repo, fc)
+    try:
+        outcome = method(repo, fc)
+    except Exception as exc:
+        exc.category_flags = ev.category_flags(repo, case, fc)
+        raise
     seconds = time.monotonic() - start
     return outcome, seconds, ev.category_flags(repo, case, fc)
 
@@ -252,7 +261,8 @@ def _case_result(case: CaseSpec, repos_dir: str | None, run_case) -> CaseResult:
     try:
         return run_case(replace(case, repo_path=_materialize_repo(case.repo_path, repos_dir)))
     except Exception as exc:  # noqa: BLE001 - a dataset run must survive any case
-        return CaseResult(case_id=case.case_id, error=str(exc))
+        return CaseResult(case_id=case.case_id, error=str(exc),
+                          category_flags=getattr(exc, "category_flags", {}))
 
 
 def cmd_batch(args: argparse.Namespace) -> int:

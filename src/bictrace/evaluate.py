@@ -54,10 +54,15 @@ def load_dataset(path: str) -> Dataset:
             bics = record.get("bics") or []
             if not bics:
                 raise DatasetError(f"{path}:{i}: case without ground-truth bics")
+            # Git names commits by full lower-case ids; an abbreviation would
+            # need a spawn to resolve, so it is rejected instead.
+            for bic in bics:
+                if not (isinstance(bic, str) and gitio.COMMIT_ID_RE.fullmatch(bic.lower())):
+                    raise DatasetError(f"{path}:{i}: bic {bic!r} is not a 40-hex-digit commit id")
             case = CaseSpec(
                 repo_path=record["repo"],
                 fix_commit=record["fix_commit"],
-                ground_truth=set(bics),
+                ground_truth={bic.lower() for bic in bics},
                 dataset_tag=record.get("dataset_tag", ""),
                 case_id=record.get("case_id", ""),
             )

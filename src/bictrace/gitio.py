@@ -4,12 +4,19 @@ Every git invocation in this package goes through :func:`run_git`, which
 enforces a subcommand allow-list, pins the environment for byte-stable
 output, and kills the process at a deadline. Nothing here can write to a
 repository.
+
+The deadline bounds the read: git's stdout and stderr are read to EOF
+through a selector, and git is killed if the deadline passes first. The
+reap follows EOF as one blocking wait. Git's stderr closes only as git
+exits, so that wait returns at once, where a wait with a timeout would
+poll and sleep. Selecting on pipes needs a POSIX system.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import selectors
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -22,6 +29,9 @@ COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
 ALLOWED_SUBCOMMANDS = frozenset({"show", "blame", "log", "grep"})
 
 DEFAULT_TIMEOUT = 30.0
+
+# Bytes per pipe read: the size of Linux's default pipe buffer.
+_READ_SIZE = 65536
 
 # How git's stderr starts when the handle's path is no repository at all.
 _NO_REPO_ERRORS = ("fatal: not a git repository", "fatal: cannot change to")
@@ -103,14 +113,35 @@ def _decode(data: bytes) -> str:
 def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
     cmd = ["git", "-C", root, "--no-pager", *args]
     start = time.monotonic()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, timeout=timeout, env=_pinned_env())
-    except subprocess.TimeoutExpired:
-        elapsed = time.monotonic() - start
-        return GitOutcome(GitStatus.TIMED_OUT, "", "", max(elapsed, timeout))
+    deadline = start + timeout
+    with subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_pinned_env()
+    ) as proc, selectors.DefaultSelector() as sel:
+        chunks = {proc.stdout: [], proc.stderr: []}
+        for pipe in chunks:
+            sel.register(pipe, selectors.EVENT_READ)
+        try:
+            while sel.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                for key, _ in sel.select(remaining):
+                    data = os.read(key.fd, _READ_SIZE)
+                    if data:
+                        chunks[key.fileobj].append(data)
+                    else:
+                        sel.unregister(key.fileobj)
+        finally:
+            timed_out = bool(sel.get_map())
+            if timed_out:
+                proc.kill()
+        returncode = proc.wait()
     elapsed = time.monotonic() - start
-    status = GitStatus.OK if proc.returncode == 0 else GitStatus.NONZERO_EXIT
-    return GitOutcome(status, _decode(proc.stdout), _decode(proc.stderr), elapsed)
+    if timed_out:
+        return GitOutcome(GitStatus.TIMED_OUT, "", "", max(elapsed, timeout))
+    status = GitStatus.OK if returncode == 0 else GitStatus.NONZERO_EXIT
+    stdout, stderr = (_decode(b"".join(parts)) for parts in chunks.values())
+    return GitOutcome(status, stdout, stderr, elapsed)
 
 
 def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:

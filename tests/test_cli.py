@@ -527,7 +527,7 @@ class TestBaselineCmd:
         ds = write_dataset(
             tmp_path / "ds.jsonl",
             [
-                {"repo": rb.path, "fix_commit": "deadbeef" * 5, "bics": ["x" * 40],
+                {"repo": rb.path, "fix_commit": "deadbeef" * 5, "bics": ["0" * 40],
                  "dataset_tag": "x", "case_id": "x:bad"},
                 {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]],
                  "dataset_tag": "x", "case_id": "x:good"},
@@ -538,6 +538,73 @@ class TestBaselineCmd:
         _, results = read_results(out_path)
         assert results[0].error and not results[1].error
         assert results[1].predicted == [shas[1]]
+
+
+class TestGroundTruthIds:
+    def test_upper_case_bic_scores(self, linear_repo, tmp_path):
+        rb, shas = linear_repo
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1].upper()]}])
+        out_path = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path]) == 0
+        (result,) = read_results(out_path)[1]
+        assert result.predicted == [shas[1]]
+        assert result.category_flags == {"ghost": False, "cross_file": False}
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--dataset", ds, "--results", out_path, "--out", reports]) == 0
+        assert json.load(open(os.path.join(reports, "b-szz.report.json")))["recall"] == 1.0
+
+    def test_abbreviated_bic_rejected_before_any_git_call(self, linear_repo, tmp_path, capsys,
+                                                          monkeypatch):
+        rb, shas = linear_repo
+        spawned = []
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1][:12]]}])
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ds}:2: ")
+        assert spawned == []
+
+
+class TestFailedCaseFlags:
+    def test_desynced_case_counts_in_every_category(self, cross_file_repo, tmp_path, capsys):
+        rb, info = cross_file_repo
+        script = write_script(tmp_path / "s.json", [
+            {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "driver/hotplug.c"}},
+            {"kind": "final", "text": f"BIC: {info['bic']}\nConfidence: high\nReasoning: r"},
+        ])
+        runs = tmp_path / "runs"
+        assert main(["investigate", "--repo", rb.path, "--fix", info["fix"], "--tag", "t",
+                     "--backend", f"scripted:{script}", "--run-dir", str(runs),
+                     "--run-id", "rec"]) == 0
+        # A tampered observation makes the replay desync at its second step.
+        transcript = runs / "rec" / "transcripts" / f"t_{info['fix'][:12]}.jsonl"
+        records = [json.loads(line) for line in transcript.read_text().splitlines()]
+        for record in records:
+            if record.get("event") == "observation":
+                record["text"] = "tampered"
+        transcript.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": info["fix"], "bics": [info["bic"]]}])
+        assert main(["batch", "--dataset", ds, "--backend", f"replay:{transcript}",
+                     "--run-dir", str(runs), "--run-id", "rep"]) == 0
+        (failed,) = read_results(str(runs / "rep" / "results.jsonl"))[1]
+        assert "differs from the recorded run" in failed.error
+        assert failed.category_flags == {"ghost": False, "cross_file": True}
+        b_path = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", b_path]) == 0
+
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--dataset", ds, "--out", reports, "--results",
+                     str(runs / "rep" / "results.jsonl"), b_path]) == 3
+        agent, baseline = (json.load(open(os.path.join(reports, f"{name}.report.json")))
+                           for name in ("agent-replay", "b-szz"))
+        for category in ("ghost", "cross_file"):
+            assert (agent["category_recall"][category]["n_cases"]
+                    == baseline["category_recall"][category]["n_cases"])
+        assert agent["category_recall"]["cross_file"]["n_cases"] == 1
 
 
 class TestEvaluateCmd:

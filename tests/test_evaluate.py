@@ -185,6 +185,8 @@ class TestDatasetIO:
         {"fix_commit": "a" * 40, "bics": ["b" * 40]},
         {"repo": "/r", "bics": ["b" * 40]},
         {"repo": "/r", "fix_commit": 7, "bics": ["b" * 40]},
+        *({"repo": "/r", "fix_commit": "a" * 40, "bics": ["c" * 40, bic]}
+          for bic in ("b" * 12, "b" * 41, "g" * 40, "b" * 40 + "\n", 7)),
         ["not", "an", "object"],
         "a string",
     ])

@@ -1,6 +1,8 @@
 """Gateway behavior: allow-list, timeouts, resolution, read-only output."""
 
+import os
 import re
+import subprocess
 
 import pytest
 
@@ -32,12 +34,24 @@ def test_run_git_rejects_write_commands(linear_handle):
             gitio.run_git(repo, args)
 
 
-def test_run_git_timeout(slow_repo):
+def test_run_git_timeout(slow_repo, monkeypatch):
+    pids = []
+    real_init = subprocess.Popen.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        pids.append(self.pid)
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", init)
     repo = RepoHandle(slow_repo.path, default_timeout=0.001)
     out = gitio.run_git(repo, ["log", "-Sx", "--all"])
     assert out.status is GitStatus.TIMED_OUT
     assert out.elapsed >= 0.001
-    assert out.stdout == ""
+    assert (out.stdout, out.stderr) == ("", "")
+    # The killed git is reaped, not left a zombie.
+    (pid,) = pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def test_handle_construction_starts_no_process(tmp_path, monkeypatch):
@@ -143,3 +157,31 @@ def test_output_decoded_as_utf8(tmp_path):
     # An invalid byte becomes U+FFFD; CRLF reads as LF and a lone CR stays.
     out = gitio.run_git(repo, ["show", "HEAD:b.txt"])
     assert out.stdout == "caf\ufffd\nx\ry\n"
+
+
+def test_run_git_reaps_with_one_blocking_wait(linear_handle, monkeypatch):
+    # A wait with a timeout polls and sleeps; after EOF the reap needs none.
+    repo, _ = linear_handle
+    timeouts = []
+    real_wait = subprocess.Popen.wait
+
+    def wait(self, timeout=None):
+        timeouts.append(timeout)
+        return real_wait(self, timeout)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", wait)
+    out = gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
+    assert out.status is GitStatus.OK
+    assert timeouts and all(t is None for t in timeouts)
+
+
+def test_output_larger_than_a_pipe_buffer_is_read_whole(slow_repo):
+    # The whole-file blame is about 1.5 MB, far above a 64 KiB pipe buffer.
+    argv = ["blame", "--porcelain", "HEAD", "--", "bulk0.txt"]
+    out = gitio.run_git(RepoHandle(slow_repo.path), argv)
+    assert out.status is GitStatus.OK and len(out.stdout) > 1_000_000
+    plain = subprocess.run(
+        ["git", "-C", slow_repo.path, "--no-pager", *argv],
+        capture_output=True, env=gitio._pinned_env(), check=True,
+    )
+    assert out.stdout == gitio._decode(plain.stdout)

@@ -20,7 +20,7 @@ from .gitio import RepoHandle
 from .resolve import ResolutionTrace
 from .tools import SchemaError, ToolName, enforce_search_bound, parse_args
 
-TRANSCRIPT_SCHEMA = "bictrace-transcript/v1"
+TRANSCRIPT_SCHEMA = "bictrace-transcript/v2"
 
 DEFAULT_MAX_TURNS = 15
 MALFORMED_RETRIES = 2  # corrective prompts in a row before the case gives up

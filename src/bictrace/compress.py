@@ -378,16 +378,20 @@ _EXTRACTORS = {
 
 
 def execute_raw(repo: RepoHandle, args: ToolArgs, fc: FixContext) -> str:
-    """One tool call's raw output; blame and grep default to the fix's parent."""
+    """One tool call's raw output.
+
+    History starts at the fix's parent, so the fix and every later commit
+    stay out of it; blame and grep default to the same revision.
+    """
     tool = args.tool
     if tool is ToolName.SHOW:
         return tk.exec_git_show(repo, args)
     if tool is ToolName.BLAME:
         return tk.exec_git_blame(repo, args, fc.fix_parent)
     if tool is ToolName.LOG_S:
-        return tk.exec_git_log_s(repo, args)
+        return tk.exec_git_log_s(repo, args, fc.fix_parent)
     if tool is ToolName.LOG_FUNC:
-        return tk.exec_git_log_func(repo, args)
+        return tk.exec_git_log_func(repo, args, fc.fix_parent)
     return tk.exec_git_grep(repo, args, fc.fix_parent)
 
 

@@ -313,8 +313,9 @@ def _date_flags(args: LogSArgs | LogFuncArgs) -> list[str]:
 _GLOB_CHARS = set("*?[")
 
 
-def exec_git_log_s(repo: RepoHandle, args: LogSArgs) -> str:
-    cmd = ["log", f"-S{args.search_string}", "--format=%h %cs %s", *_date_flags(args)]
+def exec_git_log_s(repo: RepoHandle, args: LogSArgs, start: str) -> str:
+    """Commits reachable from `start` that add or remove the search string."""
+    cmd = ["log", f"-S{args.search_string}", "--format=%h %cs %s", *_date_flags(args), start]
     if args.path:
         # Rename-following only works for a single literal path.
         if not (_GLOB_CHARS & set(args.path)):
@@ -325,8 +326,9 @@ def exec_git_log_s(repo: RepoHandle, args: LogSArgs) -> str:
     )
 
 
-def exec_git_log_func(repo: RepoHandle, args: LogFuncArgs) -> str:
-    cmd = ["log", "--no-color", f"-L:{args.function_name}:{args.file_path}", *_date_flags(args)]
+def exec_git_log_func(repo: RepoHandle, args: LogFuncArgs, start: str) -> str:
+    """History of one function over the commits reachable from `start`."""
+    cmd = ["log", "--no-color", f"-L:{args.function_name}:{args.file_path}", *_date_flags(args), start]
     out = gitio.run_git(repo, cmd)
     if out.status is GitStatus.NONZERO_EXIT and "no match" in out.stderr.lower():
         raise ToolError(

@@ -11,6 +11,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +178,7 @@ def test_c04_turn_bound_and_determinism(cross_file_repo, tmp_path):
     _, t2 = run_once(p2)
     assert t1.tool_turns <= 15 and t1.tool_turns == 15
     assert t2.tool_turns <= 15
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_c05_end_to_end_scripted_detection(cross_file_repo, ghost_repo, tmp_path):
@@ -310,6 +311,66 @@ def test_c08_leakage_freedom(cross_file_repo, ghost_repo, tmp_path):
         for gt in ground_truth:
             for n in range(7, 41):
                 assert gt[:n] not in blob, (fix_commit, n)
+
+
+F_BUGGY = "int f(void) {\n  return 2;\n}\n"
+F_FIXED = "int f(void) {\n  return 1;\n}\n"
+
+
+def _leaky_function_repo(path) -> tuple[RepoBuilder, str, str]:
+    """seed, BIC, then a fix whose message names the BIC in a Fixes: trailer."""
+    rb = RepoBuilder(path)
+    rb.commit({"x.c": F_FIXED}, "seed")
+    bic = rb.commit({"x.c": F_BUGGY}, "bad change")
+    fix = rb.commit({"x.c": F_FIXED}, f"repair f\n\nFixes: {bic[:12]} (\"bad change\")\n")
+    return rb, bic, fix
+
+
+def _history_observations(rb: RepoBuilder, fix: str, bic: str) -> list[str]:
+    """A scripted run's git_log_s on the removed text and git_log_func on the fixed function."""
+    repo, fc = open_case(rb.path, fix)
+    case = CaseSpec(repo_path=rb.path, fix_commit=fix, ground_truth={bic}, dataset_tag="leak")
+    steps = [
+        tool_step(ToolName.LOG_S, search_string="return 2"),
+        tool_step(ToolName.LOG_FUNC, function_name="f", file_path="x.c"),
+        final_step(f"BIC: {bic}\nConfidence: high\nReasoning: history"),
+    ]
+    _, transcript = run_investigation(case, repo, fc, ScriptedBackend(steps))
+    return [turn["observation"].text for turn in transcript.turns[:2]]
+
+
+def _assert_pre_fix_history(observations: list[str], fix: str, bic: str):
+    for text in observations:
+        assert not text.startswith("Error"), text
+        assert bic[:7] in text  # the BIC is evidence, not leakage
+        assert not re.search(r"(?im)^\s*Fixes:", text), text
+        for n in range(7, 41):
+            assert fix[:n] not in text, (n, text)
+
+
+def test_c08_history_observations_leak_nothing(tmp_path):
+    """The history tools walk from the fix's parent: neither the fix nor its trailer shows."""
+    rb, bic, fix = _leaky_function_repo(tmp_path / "leaky")
+    _assert_pre_fix_history(_history_observations(rb, fix, bic), fix, bic)
+
+
+def test_c08_history_does_not_depend_on_head(tmp_path):
+    """An unborn HEAD branch does not hide the history of a fix on another branch."""
+    rb, bic, fix = _leaky_function_repo(tmp_path / "unborn")
+    rb.git("symbolic-ref", "HEAD", "refs/heads/master")
+    _assert_pre_fix_history(_history_observations(rb, fix, bic), fix, bic)
+
+
+def test_c08_history_excludes_later_commits_dated_before_the_fix(tmp_path):
+    """A descendant of the fix passes the date cap when its date is earlier; ancestry hides it."""
+    rb, bic, fix = _leaky_function_repo(tmp_path / "backdated")
+    later = rb.commit({"x.c": F_BUGGY.replace("2;", "2 + 0;")}, "rework f after the fix",
+                      date=committer_time(rb.path, fix) - 3600)
+    assert committer_time(rb.path, later) < committer_time(rb.path, fix)
+    observations = _history_observations(rb, fix, bic)
+    for text in observations:
+        assert later[:7] not in text and "rework f" not in text, text
+    _assert_pre_fix_history(observations, fix, bic)
 
 
 def test_c09_read_only_guarantee(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 import requests
@@ -372,13 +373,13 @@ class TestRecordReplay:
         assert replay_prediction == prediction
         replay_path = str(tmp_path / "replay.jsonl")
         record_transcript(replay_transcript, replay_prediction, replay_path)
-        assert open(path).read() == open(replay_path).read()
+        assert Path(path).read_text() == Path(replay_path).read_text()
 
     def test_scripted_runs_byte_identical(self, cross_file_repo, tmp_path):
         p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         self._run_and_record(cross_file_repo, p1)
         self._run_and_record(cross_file_repo, p2)
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_replay_detects_repo_drift(self, cross_file_repo, tmp_path):
         rb, info = cross_file_repo
@@ -399,7 +400,7 @@ class TestRecordReplay:
     def test_truncated_file_schema_mismatch(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "trunc.jsonl")
         self._run_and_record(cross_file_repo, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         with open(path, "w") as f:
             f.write("\n".join(lines[:-1]))
         with pytest.raises(SchemaMismatch):
@@ -420,7 +421,7 @@ class TestRecordReplay:
     def test_malformed_step_record_schema_mismatch(self, cross_file_repo, tmp_path, record):
         path = str(tmp_path / "bad_step.jsonl")
         self._run_and_record(cross_file_repo, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         with open(path, "w") as f:
             f.write("\n".join([lines[0], json.dumps(record), *lines[1:]]) + "\n")
         with pytest.raises(SchemaMismatch, match=re.escape(path)):

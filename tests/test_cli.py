@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
 from bictrace import evaluate, gitio
-from bictrace.agent import BackendUnavailable
+from bictrace.agent import TRANSCRIPT_SCHEMA, BackendUnavailable
 from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
 
@@ -194,13 +195,13 @@ class TestReplayCmd:
         rb, transcript = recorded
         assert self.replay(transcript, tmp_path) == 0
         assert "case: t:" in capsys.readouterr().out
-        config = json.load(open(tmp_path / "runs" / "rep" / "config.json"))
+        config = json.loads((tmp_path / "runs" / "rep" / "config.json").read_text())
         assert config["backend"] == f"replay:{transcript}"
 
-    @pytest.mark.parametrize("header", [[1], {"schema": "bictrace-transcript/v1", "repo": "r"}])
+    @pytest.mark.parametrize("header", [[1], {"schema": TRANSCRIPT_SCHEMA, "repo": "r"}])
     def test_bad_header_is_one_error_line(self, recorded, tmp_path, capsys, header):
         rb, transcript = recorded
-        lines = open(transcript).read().splitlines()
+        lines = Path(transcript).read_text().splitlines()
         if isinstance(header, dict):
             header["repo"] = rb.path
         with open(transcript, "w") as f:
@@ -210,6 +211,17 @@ class TestReplayCmd:
         assert len(err) == 1 and err[0].startswith(f"error: {transcript}")
         assert not (tmp_path / "runs" / "rep").exists()
 
+    def test_v1_transcript_is_refused_by_its_header(self, recorded, tmp_path, capsys):
+        # v1 history observations started at HEAD, so they would desync at some later step.
+        rb, transcript = recorded
+        header, *rest = Path(transcript).read_text().splitlines()
+        old = {**json.loads(header), "schema": "bictrace-transcript/v1"}
+        Path(transcript).write_text("\n".join([json.dumps(old), *rest]) + "\n")
+        assert self.replay(transcript, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {transcript} is not a {TRANSCRIPT_SCHEMA} file"
+        ]
+
     @pytest.mark.parametrize("record", [
         {"event": "model_step"},
         {"event": "model_step", "step": {"kind": "final", "text": "x", "usage": 5}},
@@ -218,7 +230,7 @@ class TestReplayCmd:
     ])
     def test_malformed_step_record_is_one_error_line(self, recorded, tmp_path, capsys, record):
         rb, transcript = recorded
-        lines = open(transcript).read().splitlines()
+        lines = Path(transcript).read_text().splitlines()
         with open(transcript, "w") as f:
             f.write("\n".join([lines[0], json.dumps(record), *lines[1:]]) + "\n")
         assert self.replay(transcript, tmp_path) == 1
@@ -445,7 +457,7 @@ class TestAgentCost:
         runs = tmp_path / "runs"
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(runs), "--run-id", "priced"]) == 0
-        case = json.load(open(runs / "priced" / "cases" / "x_1.json"))
+        case = json.loads((runs / "priced" / "cases" / "x_1.json").read_text())
         assert case["cost"]["prompt_tokens"] == 3000
         assert case["cost"]["completion_tokens"] == 300
         assert case["cost"]["tokens"] == 3300
@@ -456,7 +468,7 @@ class TestAgentCost:
         reports = tmp_path / "reports"
         assert main(["evaluate", "--dataset", ds, "--results", str(runs / "priced" / "results.jsonl"),
                      "--config", str(config), "--out", str(reports)]) == 0
-        report = json.load(open(reports / "agent-scripted.report.json"))
+        report = json.loads((reports / "agent-scripted.report.json").read_text())
         assert report["cost_means"]["dollars"] == pytest.approx(3.30)
 
 
@@ -552,7 +564,7 @@ class TestGroundTruthIds:
         assert result.category_flags == {"ghost": False, "cross_file": False}
         reports = str(tmp_path / "reports")
         assert main(["evaluate", "--dataset", ds, "--results", out_path, "--out", reports]) == 0
-        assert json.load(open(os.path.join(reports, "b-szz.report.json")))["recall"] == 1.0
+        assert json.loads(Path(os.path.join(reports, "b-szz.report.json")).read_text())["recall"] == 1.0
 
     def test_abbreviated_bic_rejected_before_any_git_call(self, linear_repo, tmp_path, capsys,
                                                           monkeypatch):
@@ -599,7 +611,7 @@ class TestFailedCaseFlags:
         reports = str(tmp_path / "reports")
         assert main(["evaluate", "--dataset", ds, "--out", reports, "--results",
                      str(runs / "rep" / "results.jsonl"), b_path]) == 3
-        agent, baseline = (json.load(open(os.path.join(reports, f"{name}.report.json")))
+        agent, baseline = (json.loads(Path(os.path.join(reports, f"{name}.report.json")).read_text())
                            for name in ("agent-replay", "b-szz"))
         for category in ("ghost", "cross_file"):
             assert (agent["category_recall"][category]["n_cases"]
@@ -652,12 +664,12 @@ class TestEvaluateCmd:
         ds, results = self.make_inputs(tmp_path, linear_repo)
         out_dir = str(tmp_path / "reports")
         assert main(["evaluate", "--dataset", ds, "--results", results, "--out", out_dir]) == 0
-        report = json.load(open(os.path.join(out_dir, "hand.report.json")))
+        report = json.loads(Path(os.path.join(out_dir, "hand.report.json")).read_text())
         assert report["precision"] == 0.5
 
     def test_infra_failed_case_gives_nonzero_exit(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)
-        lines = open(results).read().splitlines()
+        lines = Path(results).read_text().splitlines()
         broken = json.loads(lines[1])
         broken["error"] = "repository unavailable"
         with open(results, "w") as f:

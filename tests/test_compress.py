@@ -651,9 +651,10 @@ class TestExecuteCompressed:
     ):
         rb = RepoBuilder(tmp_path / "later")
         rb.commit({"f.txt": "early\n"}, "seed")
-        fix = rb.commit({"f.txt": "fixed\n"}, "fix")
-        rb.commit({"f.txt": "fixed\nLATER\n"}, "add LATER after the fix",
+        # An ancestor of the fix whose committer date is later than the fix's.
+        rb.commit({"f.txt": "early\nLATER\n"}, "add LATER dated after the fix",
                   date=rb.next_date() + 2 * 86400)
+        fix = rb.commit({"f.txt": "fixed\nLATER\n"}, "fix")
         repo = RepoHandle(rb.path)
         fc = load_fix_context(repo, fix)
         # The pipeline runs the arguments it is given ...

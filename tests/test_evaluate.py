@@ -260,7 +260,7 @@ class TestReport:
         ev.emit_report(report, path, str(tmp_path / "report.txt"))
         with open(path) as f:
             assert json.load(f) == report.to_dict()
-        assert "precision" in open(str(tmp_path / "report.txt")).read()
+        assert "precision" in (tmp_path / "report.txt").read_text()
 
     def test_unknown_case_id_named_in_error(self):
         ds = self.make_dataset()

@@ -250,21 +250,21 @@ class TestExec:
     def test_log_s_finds_planting_commit(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        text = tools.exec_git_log_s(repo, LogSArgs(search_string="foo_bar"))
+        text = tools.exec_git_log_s(repo, LogSArgs(search_string="foo_bar"), shas[2])
         lines = [ln for ln in text.splitlines() if ln.strip()]
         assert len(lines) == 1
         assert shas[1].startswith(lines[0].split()[0])
 
     def test_log_s_absent_string(self, toolbox_repo):
-        rb, _ = toolbox_repo
+        rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        assert tools.exec_git_log_s(repo, LogSArgs(search_string="zebra_stripes")) == ""
+        assert tools.exec_git_log_s(repo, LogSArgs(search_string="zebra_stripes"), shas[2]) == ""
 
     def test_log_s_empty_window(self, toolbox_repo):
-        rb, _ = toolbox_repo
+        rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
         text = tools.exec_git_log_s(
-            repo, LogSArgs(search_string="foo_bar", before="2001-01-01")
+            repo, LogSArgs(search_string="foo_bar", before="2001-01-01"), shas[2]
         )
         assert text == ""
 
@@ -272,17 +272,17 @@ class TestExec:
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
         text = tools.exec_git_log_func(
-            repo, LogFuncArgs(function_name="alpha", file_path="a.c")
+            repo, LogFuncArgs(function_name="alpha", file_path="a.c"), shas[2]
         )
         assert shas[2][:7] in text and shas[0][:7] in text
         assert text.find(shas[2][:7]) < text.find(shas[0][:7])  # newest first
 
     def test_log_func_missing_function(self, toolbox_repo):
-        rb, _ = toolbox_repo
+        rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
         with pytest.raises(ToolError) as err:
             tools.exec_git_log_func(
-                repo, LogFuncArgs(function_name="nonexistent_fn", file_path="a.c")
+                repo, LogFuncArgs(function_name="nonexistent_fn", file_path="a.c"), shas[2]
             )
         assert err.value.kind == "function_not_found"
 
@@ -295,6 +295,7 @@ class TestExec:
             LogFuncArgs(
                 function_name="alpha", file_path="a.c", after=f"@{day3 - 3600}", before=f"@{day3 + 3600}"
             ),
+            shas[2],
         )
         assert shas[2][:7] in text
         assert shas[0][:7] not in text

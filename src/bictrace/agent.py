@@ -326,7 +326,6 @@ def run_investigation(
     backend,
     max_turns: int = DEFAULT_MAX_TURNS,
     cfg: CompressionConfig | None = None,
-    forced_answer: bool = True,
 ) -> tuple[Prediction, Transcript]:
     """Run the full loop for one case and return its prediction + transcript.
 
@@ -334,7 +333,8 @@ def run_investigation(
     loaded them; the prompt and the fix id, parent and date come from `fc`.
 
     Tool-executing turns are hard-capped at max_turns; corrective and
-    forced-answer round-trips are counted separately in total_turns.
+    forced-answer round-trips are counted separately in total_turns. When
+    the budget runs out, one last request without tools asks for the answer.
     """
     cfg = cfg or CompressionConfig()
     ctx = assemble_initial_context(fc)
@@ -396,10 +396,10 @@ def run_investigation(
                 conversation.append({"role": "user", "content": CORRECTIVE_MESSAGE})
                 transcript.add(step, None)
                 if consecutive_malformed > MALFORMED_RETRIES:
-                    prediction = Prediction("", "unstated", "", "no_prediction")
                     break
 
-        if prediction is None and forced_answer:
+        # Only a spent budget ends the loop without a break.
+        if transcript.tool_turns >= max_turns:
             conversation.append({"role": "user", "content": FORCED_ANSWER_MESSAGE})
             step = backend.send(conversation, [])
             transcript.add(step, None)

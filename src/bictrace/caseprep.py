@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from importlib import resources
 
 from . import gitio
 from .gitio import RepoHandle
-from .prompts import default_template
 from .tools import tool_schemas
 
 HASH_PLACEHOLDER = "[commit-ref-removed]"
@@ -192,6 +192,12 @@ def render_constraints_block(fc: FixContext) -> str:
         f"(epoch {fc.fix_date}). Any 'before' parameter later than this is "
         "capped automatically; the bug-inducing commit must predate the fix."
     )
+
+
+def default_template() -> str:
+    """The investigation system-prompt template shipped with the package."""
+    path = resources.files("bictrace").joinpath("assets/investigation_prompt.txt")
+    return path.read_text(encoding="utf-8")
 
 
 def assemble_initial_context(fc: FixContext) -> InitialContext:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import evaluate as ev
 from . import gitio, szz
 from .agent import (
+    DEFAULT_MAX_TURNS,
     BackendUnavailable,
     DesyncError,
     LiveBackend,
@@ -52,19 +53,18 @@ class RunConfig:
     model: str = ""
     endpoint_url: str = ""
     api_key: str = ""
-    max_turns: int = 15
+    max_turns: int = DEFAULT_MAX_TURNS
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     parallelism: int = 1
     run_dir: str = "runs"
     run_id: str = ""
-    forced_answer: bool = True
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (type(value) is not int or value < 1):
                 raise ValueError(f"{f.name} must be >= 1, not {value!r}")
-            if f.type in ("str", "bool") and type(value).__name__ != f.type:
+            if f.type == "str" and type(value) is not str:
                 raise ValueError(f"{f.name} must be a {f.type}, not {value!r}")
 
 
@@ -149,7 +149,6 @@ def _run_paths(config: RunConfig) -> dict:
                 "model": config.model,
                 "max_turns": config.max_turns,
                 "parallelism": config.parallelism,
-                "forced_answer": config.forced_answer,
                 "compression": config.compression.to_dict(),
             },
             f,
@@ -206,8 +205,7 @@ def _investigate_one(
     case: CaseSpec, config: RunConfig, backend_factory, paths: dict
 ) -> tuple[Prediction, CaseResult]:
     (prediction, transcript), seconds, flags = _open_case(case, lambda repo, fc: run_investigation(
-        case, repo, fc, backend_factory(), max_turns=config.max_turns,
-        cfg=config.compression, forced_answer=config.forced_answer,
+        case, repo, fc, backend_factory(), max_turns=config.max_turns, cfg=config.compression,
     ))
 
     transcript_path = os.path.join(paths["transcripts"], _safe_name(case.case_id) + ".jsonl")
@@ -352,7 +350,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     case = CaseSpec(
         repo_path=args.repo or header["repo"],
         fix_commit=header["fix"],
-        dataset_tag=header.get("case_id", "replay").split(":")[0] or "adhoc",
+        dataset_tag="replay",  # names the case only when the header has no case_id
+        case_id=header.get("case_id", ""),
     )
     config = replace(build_run_config(args), backend=f"replay:{args.transcript}")
     return _investigate_and_print(case, config, lambda: backend)
@@ -430,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", help="live | scripted:<path> | replay:<path>")
         p.add_argument("--model", help="model name for the live backend")
         p.add_argument("--endpoint-url", dest="endpoint_url", help="chat-completions endpoint URL")
-        p.add_argument("--max-turns", dest="max_turns", type=int, help="tool-turn budget (default 15)")
+        p.add_argument("--max-turns", dest="max_turns", type=int,
+                       help=f"tool-turn budget (default {DEFAULT_MAX_TURNS})")
         p.add_argument("--run-dir", dest="run_dir", help="output directory for runs")
         p.add_argument("--run-id", dest="run_id", help="run identifier (default: timestamp)")
         p.add_argument("--config", help="JSON config file (flags and env override it)")

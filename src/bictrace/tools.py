@@ -39,11 +39,6 @@ class ToolError(Exception):
         self.kind = kind
 
 
-class ToolTimeout(ToolError):
-    def __init__(self, message: str = "tool call timed out"):
-        super().__init__("timeout", message)
-
-
 def _param(description: str, default=MISSING):
     """A tool parameter: required unless it has a default."""
     return field(default=default, metadata={"description": description})
@@ -254,13 +249,14 @@ def enforce_search_bound(args: ToolArgs, fix_date: int) -> ToolArgs:
 
 def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:
     if out.status is GitStatus.TIMED_OUT:
-        raise ToolTimeout(f"{context}: timed out after {out.elapsed:.1f}s")
+        raise ToolError("timeout", f"{context}: timed out after {out.elapsed:.1f}s")
     if out.status is GitStatus.NONZERO_EXIT:
         err = out.stderr.strip()
         low = err.lower()
         if "ambiguous" in low or "unknown revision" in low or "bad revision" in low or "bad object" in low:
             raise ToolError("commit_not_found", f"{context}: {err}")
-        if "no such path" in low or "does not exist" in low or "exists on disk, but not in" in low:
+        if ("no such path" in low or "there is no path" in low or "does not exist" in low
+                or "exists on disk, but not in" in low):
             raise ToolError("file_not_found", f"{context}: {err}")
         raise ToolError(not_found_kind, f"{context}: {err}")
     return out.stdout

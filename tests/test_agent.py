@@ -191,17 +191,6 @@ class TestLoop:
         _, transcript = run_investigation(case, repo, fc, ScriptedBackend(steps))
         assert transcript.total_tokens == 330
 
-    def test_forced_answer_can_be_disabled(self, cross_file_repo):
-        rb, info = cross_file_repo
-        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
-        repo, fc = open_case(rb.path, info["fix"])
-        backend = ScriptedBackend(
-            [tool_step(ToolName.GREP, search_string="dispatch")], repeat_last=True
-        )
-        prediction, transcript = run_investigation(case, repo, fc, backend, forced_answer=False)
-        assert transcript.total_turns == 15
-        assert prediction.status == "no_prediction"
-
     def test_forced_answer_extracts_prediction(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")

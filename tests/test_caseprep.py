@@ -14,6 +14,7 @@ from bictrace.caseprep import (
     HASH_PLACEHOLDER,
     RootCommit,
     assemble_initial_context,
+    default_template,
     load_fix_context,
     preimage_lines_from_diff,
     redact_leakage,
@@ -21,7 +22,6 @@ from bictrace.caseprep import (
     render_fix_block,
 )
 from bictrace.gitio import RepoHandle
-from bictrace.prompts import default_template
 
 
 @pytest.fixture

@@ -129,8 +129,8 @@ class TestInvestigate:
         {"api_key": 1},
         {"run_dir": 1},
         {"run_id": None},
-        {"forced_answer": "no"},
-        {"forced_answer": 0},
+        {"max_turns": True},
+        {"parallelism": 2.5},
         {"compression": {"line_caps": {"git_grep": -1}}},
         {"compression": {"line_caps": {"git_grep": 0}}},
         {"compression": {"tau": 0}},
@@ -197,6 +197,23 @@ class TestReplayCmd:
         assert "case: t:" in capsys.readouterr().out
         config = json.loads((tmp_path / "runs" / "rep" / "config.json").read_text())
         assert config["backend"] == f"replay:{transcript}"
+
+    def test_replayed_transcript_is_the_recording(self, linear_repo, tmp_path, capsys):
+        # A fix given as a ref names the case "t:HEAD"; replay keeps that id.
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [
+            {"kind": "tool_call", "tool": "git_show", "args": {"commit": shas[1]}},
+            {"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"},
+        ])
+        runs = tmp_path / "runs"
+        assert main(["investigate", "--repo", rb.path, "--fix", "HEAD", "--tag", "t",
+                     "--backend", f"scripted:{script}", "--run-dir", str(runs),
+                     "--run-id", "rec"]) == 0
+        recorded = runs / "rec" / "transcripts" / "t_HEAD.jsonl"
+        capsys.readouterr()
+        assert self.replay(str(recorded), tmp_path) == 0
+        assert "case: t:HEAD" in capsys.readouterr().out
+        assert (runs / "rep" / "transcripts" / "t_HEAD.jsonl").read_bytes() == recorded.read_bytes()
 
     @pytest.mark.parametrize("header", [[1], {"schema": TRANSCRIPT_SCHEMA, "repo": "r"}])
     def test_bad_header_is_one_error_line(self, recorded, tmp_path, capsys, header):
@@ -288,6 +305,44 @@ class TestBatchCmd:
         assert [r.case_id for r in results] == ["x:remote", "x:local"]
         assert "--repos-dir" in results[0].error
         assert results[1].error is None and results[1].predicted == [shas[1]]
+
+    def test_parallel_run_matches_sequential(self, linear_repo, cross_file_repo, tmp_path,
+                                             monkeypatch):
+        rb, shas = linear_repo
+        cross, info = cross_file_repo
+        script = write_script(tmp_path / "script.json", [
+            {"kind": "tool_call", "tool": "git_grep", "args": {"search_string": "int"}},
+            {"kind": "tool_call", "tool": "git_log_s", "args": {"search_string": "+ 1"}},
+            {"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"},
+        ])
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]], "case_id": "x:1"},
+            {"repo": rb.path, "fix_commit": shas[1], "bics": [shas[0]], "case_id": "x:2"},
+            {"repo": cross.path, "fix_commit": info["fix"], "bics": [info["bic"]],
+             "case_id": "x:3"},
+        ])
+
+        def run(parallelism):
+            # The same relative run directory, so every recorded path is the same.
+            out = tmp_path / f"p{parallelism}"
+            out.mkdir()
+            monkeypatch.chdir(out)
+            assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                         "--parallelism", str(parallelism), "--run-dir", "runs",
+                         "--run-id", "b"]) == 0
+            base = out / "runs" / "b"
+            results = [json.loads(ln) for ln in (base / "results.jsonl").read_text().splitlines()]
+            for record in results[1:]:
+                del record["cost"]["seconds"]
+            predictions = {p.name: json.loads(p.read_text())["prediction"]
+                           for p in (base / "cases").iterdir()}
+            transcripts = {p.name: p.read_bytes() for p in (base / "transcripts").iterdir()}
+            return results, predictions, transcripts
+
+        sequential, parallel = run(1), run(2)
+        assert [r["case_id"] for r in sequential[0][1:]] == ["x:1", "x:2", "x:3"]
+        assert len(sequential[2]) == 3
+        assert parallel == sequential
 
 
 class TestNotARepository:
@@ -880,6 +935,15 @@ class TestConfigPrecedence:
         cfg_file.write_text(json.dumps({"max_turns": 0}))
         with pytest.raises(ValueError):
             build_run_config(self._namespace(config=str(cfg_file)))
+
+    def test_unknown_file_keys_are_ignored(self, tmp_path):
+        from bictrace.cli import RunConfig, build_run_config
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"forced_answer": False, "max_turns": 9}))
+        cfg = build_run_config(self._namespace(config=str(cfg_file)))
+        assert cfg.max_turns == 9
+        assert "forced_answer" not in RunConfig.__dataclass_fields__
 
     def test_compression_overrides_from_file(self, tmp_path):
         from bictrace.cli import build_run_config

@@ -286,6 +286,16 @@ class TestExec:
             )
         assert err.value.kind == "function_not_found"
 
+    def test_log_func_file_absent_at_start(self, toolbox_repo):
+        # c.c first appears in shas[1], so the walk from shas[0] has no such path.
+        rb, shas = toolbox_repo
+        repo = RepoHandle(rb.path)
+        with pytest.raises(ToolError) as err:
+            tools.exec_git_log_func(
+                repo, LogFuncArgs(function_name="gamma", file_path="c.c"), shas[0]
+            )
+        assert err.value.kind == "file_not_found"
+
     def test_log_func_date_window(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)

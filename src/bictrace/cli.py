@@ -33,10 +33,10 @@ from .agent import (
     run_investigation,
 )
 from .caseprep import CaseSpec, RootCommit, load_fix_context
-from .compress import CompressionConfig, execute_compressed, execute_raw, format_raw
+from .compress import CompressionConfig, execute_compressed
 from .evaluate import CaseResult, Dataset, load_dataset
 from .gitio import RepoHandle
-from .tools import SchemaError, ToolError, ToolName, enforce_search_bound
+from .tools import SchemaError, ToolName, enforce_search_bound
 from .tools import parse_args as parse_tool_args
 
 # Failures the user can cause. main reports each as one "error:" line and
@@ -310,7 +310,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     price = read_config(args.config).get("price_table") if args.config else None
     if price is not None and not (
-        isinstance(price, dict) and all(isinstance(v, (int, float)) for v in price.values())
+        isinstance(price, dict) and all(type(v) in (int, float) for v in price.values())
     ):
         raise ValueError(f"{args.config}: price_table must map price names to numbers")
     reports = []
@@ -377,15 +377,8 @@ def cmd_tool(args: argparse.Namespace) -> int:
     repo = RepoHandle(args.repo)
     fc = load_fix_context(repo, args.fix)
     tool_args = enforce_search_bound(tool_args, fc.fix_date)
-    if args.raw:
-        try:
-            raw = execute_raw(repo, tool_args, fc)
-        except ToolError as exc:
-            print(f"Error ({exc.kind}): {exc}")
-            return 2
-        formatted, _ = format_raw(tool, raw, cfg)
-        print(formatted)
-        return 0
+    if args.raw:  # no output exceeds this tau, so neither extraction nor the clamp runs
+        cfg = replace(cfg, tau=sys.maxsize)
     obs = execute_compressed(repo, tool_args, fc, {}, cfg)
     print(obs.text)
     return 0
@@ -474,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repo", required=True)
     p.add_argument("--args", required=True, help="JSON object of tool arguments")
     p.add_argument("--fix", default="HEAD", help="fix commit providing the search bound")
-    p.add_argument("--raw", action="store_true", help="print the formatted (pre-extraction) text")
+    p.add_argument("--raw", action="store_true",
+                   help="print the observation with extraction and the character clamp off")
     p.add_argument("--config", help="JSON run config file; its compression settings apply")
     p.set_defaults(func=cmd_tool)
 

@@ -49,17 +49,10 @@ class CompressionConfig:
             ToolName.GREP: 100,
         }
     )
-    k1_head: int = 80
-    k1_tail: int = 80
-    k2_head: int = 60
-    k2_tail: int = 60
-    k3: int = 30
-    k4: int = 50
 
     def __post_init__(self):
-        scalars = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "line_caps"}
         caps = {f"line_caps.{t.value}": cap for t, cap in self.line_caps.items()}
-        for name, value in {**scalars, **caps}.items():
+        for name, value in {"tau": self.tau, **caps}.items():
             if type(value) is not int or value < 1:
                 raise ValueError(f"compression {name} must be an integer >= 1, not {value!r}")
 
@@ -125,11 +118,11 @@ def _cap_lines(lines: list[str], cap: int) -> tuple[str, bool]:
     return "\n".join(lines[:cap] + [_truncation_notice(cap, len(lines))]), True
 
 
-def _head_tail(lines: list[str], head: int, tail: int) -> tuple[list[str], bool]:
-    if len(lines) <= head + tail:
+def _head_tail(lines: list[str], keep: int) -> tuple[list[str], bool]:
+    elided = len(lines) - 2 * keep
+    if elided <= 0:
         return lines, False
-    elided = len(lines) - head - tail
-    return lines[:head] + [f"... [{elided} lines elided] ..."] + lines[-tail:], True
+    return lines[:keep] + [f"... [{elided} lines elided] ..."] + lines[-keep:], True
 
 
 # -- Layer 2: per-tool formatting -------------------------------------------
@@ -238,6 +231,11 @@ def format_grep(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
 
 # -- Layer 3: structured extraction ------------------------------------------
 
+SHOW_KEEP = 80  # diff lines kept at each end
+BLAME_KEEP = 60  # blame lines kept at each end
+LOG_KEEP = 30  # log entries kept
+GREP_KEEP = 50  # grep matches kept
+
 _DIFF_KEEP_PREFIXES = (
     "diff --git",
     "index ",
@@ -257,14 +255,14 @@ _DIFF_KEEP_PREFIXES = (
 )
 
 
-def extract_show(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
+def extract_show(formatted: str) -> tuple[str, bool]:
     kept, in_diff = [], False
     for ln in split_lines(formatted):
         if ln.startswith("diff --git"):
             in_diff = True
         if not in_diff or ln.startswith(_DIFF_KEEP_PREFIXES):
             kept.append(ln)
-    body, elided = _head_tail(kept, cfg.k1_head, cfg.k1_tail)
+    body, elided = _head_tail(kept, SHOW_KEEP)
     return "\n".join(body), elided
 
 
@@ -272,7 +270,7 @@ _L_LINE_RE = re.compile(r"^L\d+: ([0-9a-f]{6,40}) \| ")
 _LEGEND_RE = re.compile(r"^([0-9a-f]{6,40}) (\d{4}-\d{2}-\d{2})(?: (.*))?$")
 
 
-def extract_blame(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
+def extract_blame(formatted: str) -> tuple[str, bool]:
     l_lines, legend = [], {}
     for ln in split_lines(formatted):
         if _L_LINE_RE.match(ln):
@@ -289,7 +287,7 @@ def extract_blame(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
     for short, n in counts.items():
         when, subject = legend.get(short, ("", ""))
         summary.append(f"  {short} ({n} lines) {when} {subject}".rstrip())
-    body, elided = _head_tail(l_lines, cfg.k2_head, cfg.k2_tail)
+    body, elided = _head_tail(l_lines, BLAME_KEEP)
     return "\n".join(summary + body), elided
 
 
@@ -310,21 +308,21 @@ def _split_entries(lines: list[str]) -> list[list[str]]:
     return blocks
 
 
-def extract_log(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
+def extract_log(formatted: str) -> tuple[str, bool]:
     entries = _split_entries(split_lines(formatted))
-    if len(entries) <= cfg.k3:
+    if len(entries) <= LOG_KEEP:
         return formatted, False
-    kept = entries[: cfg.k3]
-    omitted = len(entries) - cfg.k3
+    kept = entries[:LOG_KEEP]
+    omitted = len(entries) - LOG_KEEP
     out = [ln for block in kept for ln in block]
     out.append(
-        f"{_NOTICE_PREFIX}: showing first {cfg.k3} entries, {omitted} omitted; "
+        f"{_NOTICE_PREFIX}: showing first {LOG_KEEP} entries, {omitted} omitted; "
         "retry with narrower parameters to see more]"
     )
     return "\n".join(out), True
 
 
-def extract_grep(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
+def extract_grep(formatted: str) -> tuple[str, bool]:
     matches = []  # (file, line_text)
     for ln in split_lines(formatted):
         if not ln.strip() or ln.startswith(_NOTICE_PREFIX):
@@ -339,7 +337,7 @@ def extract_grep(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
     totals: dict[str, int] = {}
     for path, _ in matches:
         totals[path] = totals.get(path, 0) + 1
-    kept = matches[: cfg.k4]
+    kept = matches[:GREP_KEEP]
     out, seen = [], set()
     for path, ln in kept:
         if path not in seen:
@@ -349,7 +347,7 @@ def extract_grep(formatted: str, cfg: CompressionConfig) -> tuple[str, bool]:
     omitted = len(matches) - len(kept)
     if omitted > 0:
         out.append(
-            f"{_NOTICE_PREFIX}: showing first {cfg.k4} of {len(matches)} matches, "
+            f"{_NOTICE_PREFIX}: showing first {GREP_KEEP} of {len(matches)} matches, "
             f"{omitted} omitted; retry with narrower parameters to see more]"
         )
     return "\n".join(out), omitted > 0
@@ -363,10 +361,6 @@ _FORMATTERS = {
     ToolName.GREP: format_grep,
 }
 
-
-def format_raw(tool: ToolName, raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    """Layer-2 view of raw tool output (the `--raw` debugging surface)."""
-    return _FORMATTERS[tool](raw, cfg)
 
 _EXTRACTORS = {
     ToolName.SHOW: extract_show,
@@ -402,7 +396,7 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, cfg: Com
     """Layer 3 plus the final size clamp, applied to layer-2 output."""
     text = formatted
     if len(text) > cfg.tau:
-        text, elided = _EXTRACTORS[tool](text, cfg)
+        text, elided = _EXTRACTORS[tool](text)
         truncated = truncated or elided
     if len(text) > cfg.tau:
         text = text[: cfg.tau] + "\n" + _CLAMP_NOTICE

@@ -33,6 +33,17 @@ class Dataset:
     cases: list[CaseSpec] = field(default_factory=list)
 
 
+def _json_object(path: str, i: int, line: str) -> dict:
+    """Line `i` of a line-delimited JSON file, which must hold one object."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}:{i}: not JSON: {exc.msg} at column {exc.colno}") from None
+    if not isinstance(record, dict):
+        raise DatasetError(f"{path}:{i}: record is not a JSON object")
+    return record
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a line-delimited dataset file of fix commits and their BICs."""
     name = None
@@ -43,9 +54,7 @@ def load_dataset(path: str) -> Dataset:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{i}: record is not a JSON object")
+            record = _json_object(path, i, line)
             if record.get("schema") == DATASET_SCHEMA:
                 name = name or record.get("name")
                 continue
@@ -99,10 +108,7 @@ def write_results(path: str, method: str, results: list[CaseResult]):
 
 def read_results(path: str) -> tuple[str, list[CaseResult]]:
     with open(path, encoding="utf-8") as f:
-        lines = [(i, json.loads(ln)) for i, ln in enumerate(f, start=1) if ln.strip()]
-    for i, record in lines:
-        if not isinstance(record, dict):
-            raise DatasetError(f"{path}:{i}: record is not a JSON object")
+        lines = [(i, _json_object(path, i, ln)) for i, ln in enumerate(f, start=1) if ln.strip()]
     if not lines or lines[0][1].get("schema") != RESULTS_SCHEMA:
         raise DatasetError(f"{path} is not a {RESULTS_SCHEMA} file")
     method = lines[0][1].get("method", path)

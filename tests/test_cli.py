@@ -137,7 +137,7 @@ class TestInvestigate:
         {"compression": {"tau": True}},
         {"compression": {"tau": "5"}},
         {"compression": {"tau": 2.9}},
-        {"compression": {"k3": -2}},
+        {"compression": {"k3": 30}},
         {"compression": {"taux": 5}},
     ])
     def test_wrongly_typed_config_is_an_error(self, linear_repo, tmp_path, capsys, config):
@@ -582,6 +582,15 @@ class TestBaselineCmd:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {ds}:2: ")
 
+    def test_dataset_line_that_is_not_json_names_its_line(self, tmp_path, capsys):
+        ds = write_dataset(tmp_path / "bad.jsonl", [])
+        with open(ds, "a") as f:
+            f.write("not json\n")
+        code = main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ds}:2: not JSON: Expecting value at column 1\n"
+
     def test_empty_dataset(self, tmp_path, capsys):
         ds = write_dataset(tmp_path / "empty.jsonl", [])
         out_path = str(tmp_path / "out.jsonl")
@@ -747,6 +756,7 @@ class TestEvaluateCmd:
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1"}', '"x:2"'], 3),
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "predicted": "a"}'], 2),
         (['{"schema": "bictrace-results/v1", "method": 5}', '{"case_id": "x:1"}'], 1),
+        (['{"schema": "bictrace-results/v1"}', "{oops"], 2),
     ])
     def test_malformed_results_file_is_an_error(self, linear_repo, tmp_path, capsys, lines, bad):
         ds, _ = self.make_inputs(tmp_path, linear_repo)
@@ -759,6 +769,15 @@ class TestEvaluateCmd:
         ds, results = self.make_inputs(tmp_path, linear_repo)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"price_table": {"prompt_usd_per_1k": "x"}}))
+        assert main(["evaluate", "--dataset", ds, "--results", results,
+                     "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "price_table" in err
+
+    def test_boolean_price_is_an_error(self, linear_repo, tmp_path, capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"price_table": {"prompt_usd_per_1k": True}}))
         assert main(["evaluate", "--dataset", ds, "--results", results,
                      "--config", str(config)]) == 1
         err = capsys.readouterr().err
@@ -900,6 +919,31 @@ class TestToolCmd:
             code = main(["tool", "git_log_s", "--repo", rb.path, "--fix", fix, "--args", args, *extra])
             assert code == 0
             assert "after the fix" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tool, args", [
+        ("git_show", {"commit": "deadbeef"}),
+        ("git_blame", {"file_path": "nope.c"}),
+    ])
+    def test_raw_mode_prints_the_same_tool_error(self, linear_repo, capsys, tool, args):
+        rb, shas = linear_repo
+        outputs = []
+        for extra in ([], ["--raw"]):
+            code = main(["tool", tool, "--repo", rb.path, "--fix", shas[2],
+                         "--args", json.dumps(args), *extra])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("Error (")
+
+    def test_raw_mode_reports_malformed_porcelain(self, linear_repo, capsys, monkeypatch):
+        from bictrace import compress
+
+        rb, shas = linear_repo
+        monkeypatch.setattr(compress, "execute_raw", lambda *a: "not porcelain\n")
+        code = main(["tool", "git_blame", "--repo", rb.path, "--fix", shas[2],
+                     "--args", json.dumps({"file_path": "a.c"}), "--raw"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("Error (malformed_output): ")
 
 
 class TestConfigPrecedence:

@@ -428,20 +428,19 @@ class TestExtractShow:
             + "".join(f" context line {i}\n" for i in range(10))
             + "-removed one\n-removed two\n+added one\n+added two\n"
         )
-        text, _ = extract_show(diff, CompressionConfig())
+        text, _ = extract_show(diff)
         assert "-removed one" in text and "+added two" in text
         assert "@@ -1,12 +1,6 @@" in text
         assert "context line 3" not in text
         assert "1111222233334444555566667777888899990000" in text
 
     def test_short_output_no_elision(self):
-        text, elided = extract_show("commit abc\n+x\n-y\n", CompressionConfig())
+        text, elided = extract_show("commit abc\n+x\n-y\n")
         assert not elided and "..." not in text
 
     def test_head_tail_elision(self):
-        cfg = CompressionConfig(k1_head=5, k1_tail=5)
-        body = "\n".join(f"+line {i}" for i in range(50))
-        text, elided = extract_show(body, cfg)
+        body = "\n".join(f"+line {i}" for i in range(200))  # 80 kept at each end
+        text, elided = extract_show(body)
         assert elided
         assert "[40 lines elided]" in text
 
@@ -453,7 +452,7 @@ class TestExtractBlame:
         raw = make_porcelain([(sha, i, f"l{i}") for i in range(1, 401)])
         cfg = CompressionConfig.from_dict({"line_caps": {"git_blame": 500}})
         formatted, _ = format_blame(raw, cfg)
-        text, _ = extract_blame(formatted, cfg)
+        text, _ = extract_blame(formatted)
         head = text.splitlines()[0]
         assert "1 distinct" in head
         assert f"{sha[:12]} (400 lines)" in text
@@ -462,18 +461,18 @@ class TestExtractBlame:
         rng = random.Random(9)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"l{i}") for i in range(1, 401)])
-        cfg = CompressionConfig()
-        formatted, _ = format_blame(raw, cfg)
-        text, _ = extract_blame(formatted, cfg)
+        formatted, _ = format_blame(raw, CompressionConfig())
+        text, _ = extract_blame(formatted)
         assert f"{sha[:12]} (200 lines)" in text  # layer-2 cap kept 200
 
     def test_all_hashes_survive_in_summary(self):
         rng = random.Random(10)
         shas = [random_hash(rng) for _ in range(8)]
-        records = [(shas[i % 8], i + 1, f"line {i}") for i in range(160)]
-        cfg = CompressionConfig(k2_head=4, k2_tail=4)
-        formatted, _ = format_blame(make_porcelain(records), cfg)
-        text, elided = extract_blame(formatted, cfg)
+        # 60 lines are kept at each end; shas[2:] blame only elided lines.
+        owners = [0] * 60 + [2 + i % 6 for i in range(80)] + [1] * 60
+        records = [(shas[k], i + 1, f"line {i}") for i, k in enumerate(owners)]
+        formatted, _ = format_blame(make_porcelain(records), CompressionConfig())
+        text, elided = extract_blame(formatted)
         assert elided
         for sha in shas:
             assert sha[:12] in text
@@ -482,54 +481,48 @@ class TestExtractBlame:
         rng = random.Random(11)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, "x" * 30) for i in range(1, 301)])
-        cfg = CompressionConfig(k2_head=10, k2_tail=10)
-        formatted, _ = format_blame(raw, cfg)
-        text, _ = extract_blame(formatted, cfg)
+        formatted, _ = format_blame(raw, CompressionConfig())
+        text, _ = extract_blame(formatted)
         assert len(text) < len(formatted)
 
 
 class TestExtractLogAndGrep:
     def test_log_entry_cap_with_omitted_note(self):
-        cfg = CompressionConfig(k3=30)
         formatted = "\n".join(f"{i:07x} 2020-01-01 subject {i}" for i in range(100))
-        text, truncated = extract_log(formatted, cfg)
+        text, truncated = extract_log(formatted)
         entry_lines = [ln for ln in text.splitlines() if not ln.startswith("[output truncated")]
         assert truncated and len(entry_lines) == 30
         assert "70 omitted" in text
 
     def test_log_block_entries(self):
-        cfg = CompressionConfig(k3=2)
         blocks = []
-        for i in range(5):
+        for i in range(35):
             blocks.append(f"commit {i:040x}\n    message {i}\n+change {i}")
-        text, truncated = extract_log("\n".join(blocks), cfg)
+        text, truncated = extract_log("\n".join(blocks))
         assert truncated
-        assert text.count("commit ") == 2
-        assert "3 omitted" in text
+        assert text.count("commit ") == 30
+        assert "5 omitted" in text
 
     def test_log_under_cap_identity(self):
-        cfg = CompressionConfig(k3=30)
         formatted = "\n".join(f"{i:07x} 2020-01-01 s" for i in range(5))
-        text, truncated = extract_log(formatted, cfg)
+        text, truncated = extract_log(formatted)
         assert text == formatted and not truncated
 
     def test_grep_grouping(self):
-        cfg = CompressionConfig(k4=50)
         lines = [f"abc1234:src/one.c:{i}: hit {i}" for i in range(1, 4)]
         lines += [f"abc1234:src/two.c:{i}: hit {i}" for i in range(1, 3)]
-        text, truncated = extract_grep("\n".join(lines), cfg)
+        text, truncated = extract_grep("\n".join(lines))
         headers = [ln for ln in text.splitlines() if ln.startswith("== ")]
         assert len(headers) == 2
         assert "src/one.c (3 matches)" in headers[0]
         assert not truncated
 
     def test_grep_cap(self):
-        cfg = CompressionConfig(k4=5)
-        lines = [f"abc1234:f{i % 2}.c:{i}: m" for i in range(1, 20)]
-        text, truncated = extract_grep("\n".join(lines), cfg)
+        lines = [f"abc1234:f{i % 2}.c:{i}: m" for i in range(1, 61)]
+        text, truncated = extract_grep("\n".join(lines))
         assert truncated
         kept = [ln for ln in text.splitlines() if not ln.startswith(("==", "[output"))]
-        assert len(kept) == 5
+        assert len(kept) == 50
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context
 from .compress import CompressionConfig, Observation, execute_compressed
-from .gitio import RepoHandle
+from .gitio import GitTimeout, RepoHandle
 from .resolve import ResolutionTrace
 from .tools import SchemaError, ToolName, enforce_search_bound, parse_args
 
@@ -145,9 +145,8 @@ class Transcript:
 class ScriptedBackend:
     """Deterministic step list; the workhorse for tests and fixtures."""
 
-    def __init__(self, steps: list[ModelStep], repeat_last: bool = False):
+    def __init__(self, steps: list[ModelStep]):
         self.steps = list(steps)
-        self.repeat_last = repeat_last
         self.index = 0
 
     def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
@@ -155,8 +154,6 @@ class ScriptedBackend:
             step = self.steps[self.index]
             self.index += 1
             return step
-        if self.repeat_last and self.steps:
-            return self.steps[-1]
         return final_step("")
 
 
@@ -202,31 +199,28 @@ class LiveBackend:
 
         try:
             message = data["choices"][0]["message"]
-        except (KeyError, IndexError) as exc:
-            raise BackendUnavailable(f"malformed endpoint response: {exc}") from exc
-        usage = data.get("usage") or {}
-        tokens = {
-            "prompt_tokens": int(usage.get("prompt_tokens", 0)),
-            "completion_tokens": int(usage.get("completion_tokens", 0)),
-        }
-
-        tool_calls = message.get("tool_calls") or []
-        if len(tool_calls) > 1:
-            return ModelStep(kind="malformed", raw="parallel tool calls", **tokens)
-        if tool_calls:
-            call = tool_calls[0].get("function", {})
-            try:
-                tool = ToolName(call.get("name"))
-                args = json.loads(call.get("arguments") or "{}")
-                if not isinstance(args, dict):
-                    raise ValueError("arguments must be an object")
-            except (ValueError, KeyError):
-                return ModelStep(kind="malformed", raw=json.dumps(tool_calls[0]), **tokens)
-            return ModelStep(kind="tool_call", tool=tool, args=args, **tokens)
-        content = message.get("content") or ""
-        if not content.strip():
-            return ModelStep(kind="malformed", raw="(empty message)", **tokens)
-        return ModelStep(kind="final", text=content, **tokens)
+            usage = data.get("usage") or {}
+            # A missing or null count is 0.
+            tokens = {k: int(usage.get(k) or 0) for k in ("prompt_tokens", "completion_tokens")}
+            tool_calls = message.get("tool_calls") or []
+            if len(tool_calls) > 1:
+                return ModelStep(kind="malformed", raw="parallel tool calls", **tokens)
+            if tool_calls:
+                call = tool_calls[0].get("function", {})
+                try:
+                    tool = ToolName(call.get("name"))
+                    args = json.loads(call.get("arguments") or "{}")
+                    if not isinstance(args, dict):
+                        raise ValueError("arguments must be an object")
+                except ValueError:  # the model's mistake: a malformed step it can correct
+                    return ModelStep(kind="malformed", raw=json.dumps(tool_calls[0]), **tokens)
+                return ModelStep(kind="tool_call", tool=tool, args=args, **tokens)
+            content = message.get("content") or ""
+            if not content.strip():
+                return ModelStep(kind="malformed", raw="(empty message)", **tokens)
+            return ModelStep(kind="final", text=content, **tokens)
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            raise BackendUnavailable(f"malformed endpoint response: {exc!r}") from exc
 
 
 class ReplayBackend:
@@ -335,6 +329,8 @@ def run_investigation(
     Tool-executing turns are hard-capped at max_turns; corrective and
     forced-answer round-trips are counted separately in total_turns. When
     the budget runs out, one last request without tools asks for the answer.
+    A backend failure, or a timeout while resolving the answer, ends the
+    case with `transcript.error` set.
     """
     cfg = cfg or CompressionConfig()
     ctx = assemble_initial_context(fc)
@@ -405,7 +401,7 @@ def run_investigation(
             transcript.add(step, None)
             if step.kind == "final":
                 prediction = _finalize(repo, fc.fix_date, step.text)
-    except BackendUnavailable as exc:
+    except (BackendUnavailable, GitTimeout) as exc:
         transcript.error = str(exc)
 
     if prediction is None:

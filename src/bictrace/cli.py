@@ -99,16 +99,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def load_script(path: str) -> tuple[list[ModelStep], bool]:
+def load_script(path: str) -> list[ModelStep]:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
-    steps, repeat = data, False
-    if isinstance(data, dict):
-        steps, repeat = data.get("steps"), bool(data.get("repeat_last", False))
+    steps = data.get("steps") if isinstance(data, dict) else data
     try:
         if not isinstance(steps, list):
             raise ValueError("found no step list")
-        return [ModelStep.from_dict(s) for s in steps], repeat
+        return [ModelStep.from_dict(s) for s in steps]
     except ValueError as exc:
         raise ValueError(f"{path}: a script is a list (or a {{\"steps\": [...]}} object) "
                          f"of step objects: {exc}") from None
@@ -119,8 +117,8 @@ def make_backend(config: RunConfig):
     spec = config.backend
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
-        steps, repeat = load_script(path)
-        return lambda: ScriptedBackend(steps, repeat_last=repeat)
+        steps = load_script(path)
+        return lambda: ScriptedBackend(steps)
     if spec.startswith("replay:"):
         path = spec.split(":", 1)[1]
         return lambda: ReplayBackend(path)

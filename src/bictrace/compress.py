@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 from . import tools as tk
 from .caseprep import FixContext, strip_trailers
-from .gitio import RepoHandle
+from .gitio import GitTimeout, RepoHandle
 from .tools import ToolArgs, ToolError, ToolName
 
 # Exact wording the agent is trained on by the prompt rules; tests pin it.
@@ -431,9 +431,10 @@ def execute_compressed(
         return Observation(text, truncated=truncated, cache_hit=True)
     try:
         raw = execute_raw(repo, args, fc)
+    except GitTimeout:
+        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False)
     except ToolError as exc:
-        text = TIMEOUT_HINT if exc.kind == "timeout" else f"Error ({exc.kind}): {exc}"
-        return Observation(text, truncated=False, cache_hit=False)
+        return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False)
     try:
         formatted, truncated = _FORMATTERS[args.tool](raw, cfg)
     except MalformedPorcelain as exc:

@@ -114,11 +114,15 @@ def read_results(path: str) -> tuple[str, list[CaseResult]]:
     method = lines[0][1].get("method", path)
     if not isinstance(method, str):
         raise DatasetError(f"{path}:{lines[0][0]}: 'method' must be a string")
+    seen = set()
     for i, record in lines[1:]:
         predicted = record.get("predicted", [])
         if not (isinstance(record.get("case_id"), str) and isinstance(predicted, list)
                 and all(isinstance(p, str) for p in predicted)):
             raise DatasetError(f"{path}:{i}: result needs a string 'case_id' and string 'predicted' ids")
+        if record["case_id"] in seen:
+            raise DatasetError(f"{path}:{i}: duplicate case id {record['case_id']}")
+        seen.add(record["case_id"])
     return method, [CaseResult.from_dict(record) for _, record in lines[1:]]
 
 
@@ -129,12 +133,11 @@ def metrics(
 
     With zero predictions overall, precision is 0 by convention. F1 is
     computed as 2*I/(P+G), which equals the harmonic mean of the micro
-    precision and recall and keeps the division exact.
+    precision and recall and keeps the division exact. Every result's case
+    must be in `ground_truth`; aggregate_report checks that first.
     """
     intersection = predicted_total = truth_total = 0
     for result in results:
-        if result.case_id not in ground_truth:
-            raise MissingGroundTruth(f"no ground truth for case {result.case_id}")
         truth = ground_truth[result.case_id]
         predicted = set(result.predicted)
         intersection += len(truth & predicted)
@@ -153,8 +156,6 @@ def classify_ghost(fc: FixContext) -> bool:
 
 def classify_cross_file(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> bool:
     """True when no ground-truth BIC appears in any fix-touched file's history."""
-    if not case.ground_truth:
-        return False
     history: set[str] = set()
     for path in fc.changed_files:
         out = gitio.run_git(repo, ["log", "--format=%H", "--follow", fc.fix_id, "--", path])

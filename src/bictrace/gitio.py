@@ -10,6 +10,10 @@ through a selector, and git is killed if the deadline passes first. The
 reap follows EOF as one blocking wait. Git's stderr closes only as git
 exits, so that wait returns at once, where a wait with a timeout would
 poll and sleep. Selecting on pipes needs a POSIX system.
+
+A killed git raises GitTimeout, never an outcome a caller could misread. A
+tool call turns it into an uncached retry hint; anywhere else it is the
+case's error.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ class CommitNotFound(GitGatewayError):
     """A commit id that was expected to exist does not resolve."""
 
 
+class GitTimeout(GitGatewayError):
+    """Git was killed at the handle's deadline."""
+
+
 class GitStatus(Enum):
     OK = "ok"
     NONZERO_EXIT = "nonzero_exit"
@@ -64,7 +72,6 @@ class GitOutcome:
     status: GitStatus
     stdout: str
     stderr: str
-    elapsed: float
 
 
 @dataclass
@@ -112,8 +119,7 @@ def _decode(data: bytes) -> str:
 
 def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
     cmd = ["git", "-C", root, "--no-pager", *args]
-    start = time.monotonic()
-    deadline = start + timeout
+    deadline = time.monotonic() + timeout
     with subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_pinned_env()
     ) as proc, selectors.DefaultSelector() as sel:
@@ -136,12 +142,11 @@ def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
             if timed_out:
                 proc.kill()
         returncode = proc.wait()
-    elapsed = time.monotonic() - start
     if timed_out:
-        return GitOutcome(GitStatus.TIMED_OUT, "", "", max(elapsed, timeout))
+        return GitOutcome(GitStatus.TIMED_OUT, "", "")
     status = GitStatus.OK if returncode == 0 else GitStatus.NONZERO_EXIT
     stdout, stderr = (_decode(b"".join(parts)) for parts in chunks.values())
-    return GitOutcome(status, stdout, stderr, elapsed)
+    return GitOutcome(status, stdout, stderr)
 
 
 def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
@@ -149,12 +154,15 @@ def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
 
     Raises NonAllowlistedCommand for anything outside the read-only set;
     that is a programming error, never surfaced to the agent. Raises
-    RepoUnavailable when the path is not a repository (or not a directory).
+    RepoUnavailable when the path is not a repository (or not a directory),
+    and GitTimeout when git outlives the handle's deadline.
     """
     if not args or args[0] not in ALLOWED_SUBCOMMANDS:
         raise NonAllowlistedCommand(f"refusing git subcommand: {args[:1] or '(empty)'}")
     repo.process_count += 1
     out = _spawn(repo.root_path, args, repo.default_timeout)
+    if out.status is GitStatus.TIMED_OUT:
+        raise GitTimeout(f"git {args[0]} timed out after {repo.default_timeout:g}s")
     if out.status is GitStatus.NONZERO_EXIT and out.stderr.startswith(_NO_REPO_ERRORS):
         raise RepoUnavailable(f"{repo.root_path} is not a git repository: {out.stderr.strip()}")
     return out

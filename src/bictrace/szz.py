@@ -25,7 +25,6 @@ MAX_BLAME_RANGES = 1000
 @dataclass(frozen=True)
 class BlameCandidate:
     commit: str
-    file: str
     lines_attributed: int
     committer_time: int
 
@@ -42,11 +41,11 @@ def line_ranges(line_numbers) -> list[tuple[int, int]]:
 
 
 def blame_candidates(repo: RepoHandle, fc: FixContext) -> list[BlameCandidate]:
-    """Blame attribution counts for the fix's pre-image lines, per file.
+    """One candidate per blamed commit, with the traced lines it owns, sorted by id.
 
     Each file is blamed once, on just the traced lines.
     """
-    counts: dict[tuple[str, str], int] = {}
+    counts: dict[str, int] = {}
     times: dict[str, int] = {}
     for path, removed in fc.deleted_or_modified_lines.items():
         ranges = line_ranges(n for n, _ in removed)
@@ -60,12 +59,11 @@ def blame_candidates(repo: RepoHandle, fc: FixContext) -> list[BlameCandidate]:
         for line_no, _ in removed:
             rec = by_line.get(line_no)
             if rec:
-                key = (rec["commit"], path)
-                counts[key] = counts.get(key, 0) + 1
+                counts[rec["commit"]] = counts.get(rec["commit"], 0) + 1
                 times[rec["commit"]] = int(rec["committer-time"])
     return [
-        BlameCandidate(commit=c, file=p, lines_attributed=n, committer_time=times[c])
-        for (c, p), n in sorted(counts.items())
+        BlameCandidate(commit=c, lines_attributed=n, committer_time=times[c])
+        for c, n in sorted(counts.items())
     ]
 
 
@@ -84,9 +82,7 @@ def r_szz(repo: RepoHandle, fc: FixContext) -> str | None:
 
 def l_szz(repo: RepoHandle, fc: FixContext) -> str | None:
     """Candidate owning the most traced lines; ties break to smallest id."""
-    per_commit: dict[str, int] = {}
-    for cand in blame_candidates(repo, fc):
-        per_commit[cand.commit] = per_commit.get(cand.commit, 0) + cand.lines_attributed
-    if not per_commit:
+    candidates = blame_candidates(repo, fc)
+    if not candidates:
         return None
-    return min(per_commit, key=lambda c: (-per_commit[c], c))
+    return min(candidates, key=lambda c: (-c.lines_attributed, c.commit)).commit

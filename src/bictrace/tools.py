@@ -248,8 +248,6 @@ def enforce_search_bound(args: ToolArgs, fix_date: int) -> ToolArgs:
 
 
 def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:
-    if out.status is GitStatus.TIMED_OUT:
-        raise ToolError("timeout", f"{context}: timed out after {out.elapsed:.1f}s")
     if out.status is GitStatus.NONZERO_EXIT:
         err = out.stderr.strip()
         low = err.lower()

@@ -12,6 +12,7 @@ def pytest_runtest_logreport(report):
 
 from repo_helpers import RepoBuilder, find_colliding_commits
 
+from bictrace import gitio
 from bictrace.gitio import RepoHandle
 
 
@@ -191,3 +192,21 @@ def slow_repo(tmp_path_factory):
         }
         rb.commit(files, f"bulk payload {c}")
     return rb
+
+
+@pytest.fixture
+def time_out_git(monkeypatch):
+    """Call it with a test on git's argv: each matching git call times out.
+
+    The matching call is a real spawn with a deadline of 0, so git is
+    started, killed and reaped as on any timeout.
+    """
+    real_spawn = gitio._spawn
+
+    def install(when=lambda args: True):
+        monkeypatch.setattr(
+            gitio, "_spawn",
+            lambda root, args, timeout: real_spawn(root, args, 0 if when(args) else timeout),
+        )
+
+    return install

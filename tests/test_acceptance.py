@@ -83,9 +83,7 @@ def test_c01_baseline_oracle_equivalence(tmp_path):
                 expect_r = min(expected, key=lambda c: (-stamps[c], c))
                 assert r_szz(repo, fc) == expect_r, (i, fix)
 
-                per_commit = {}
-                for cand in blame_candidates(repo, fc):
-                    per_commit[cand.commit] = per_commit.get(cand.commit, 0) + cand.lines_attributed
+                per_commit = {c.commit: c.lines_attributed for c in blame_candidates(repo, fc)}
                 expect_l = min(per_commit, key=lambda c: (-per_commit[c], c))
                 assert l_szz(repo, fc) == expect_l, (i, fix)
             else:
@@ -167,7 +165,7 @@ def test_c04_turn_bound_and_determinism(cross_file_repo, tmp_path):
 
     def run_once(out_path):
         backend = ScriptedBackend(
-            [tool_step(ToolName.GREP, search_string="core_alloc_event")], repeat_last=True
+            [tool_step(ToolName.GREP, search_string="core_alloc_event")] * 20
         )
         prediction, transcript = run_investigation(case, repo, fc, backend)
         record_transcript(transcript, prediction, out_path)

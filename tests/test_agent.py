@@ -8,6 +8,7 @@ import pytest
 import requests
 
 from bictrace.agent import (
+    BackendUnavailable,
     DesyncError,
     LiveBackend,
     ModelStep,
@@ -96,7 +97,7 @@ class TestLoop:
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
         repo, fc = open_case(rb.path, info["fix"])
         backend = ScriptedBackend(
-            [tool_step(ToolName.GREP, search_string="core_alloc_event")], repeat_last=True
+            [tool_step(ToolName.GREP, search_string="core_alloc_event")] * 20
         )
         prediction, transcript = run_investigation(case, repo, fc, backend)
         assert transcript.tool_turns == 15
@@ -138,11 +139,22 @@ class TestLoop:
         assert prediction.status == "discarded"
         assert prediction.trace is not None
 
+    def test_answer_probe_timeout_is_the_case_error(self, cross_file_repo, time_out_git):
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc = open_case(rb.path, info["fix"])
+        time_out_git()
+        prediction, transcript = run_investigation(
+            case, repo, fc, ScriptedBackend([final_step(f"BIC: {info['bic']}")])
+        )
+        assert prediction.status == "no_prediction"
+        assert transcript.error == "git show timed out after 30s"
+
     def test_malformed_retries_then_gives_up(self, cross_file_repo):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
         repo, fc = open_case(rb.path, info["fix"])
-        backend = ScriptedBackend([ModelStep(kind="malformed", raw="???")], repeat_last=True)
+        backend = ScriptedBackend([ModelStep(kind="malformed", raw="???")] * 5)
         prediction, transcript = run_investigation(case, repo, fc, backend)
         assert prediction.status == "no_prediction"
         assert transcript.total_turns == 3  # original + two corrective retries
@@ -318,6 +330,24 @@ class TestLiveBackend:
         step = live_backend().send([], [])
         assert step.kind == "final"
         assert "abc1234def" in step.text
+
+    @pytest.mark.parametrize("body", [
+        [],
+        {"choices": [{"message": "hi"}]},
+        {"choices": [{"message": {"content": "BIC: abc1234def"}}],
+         "usage": {"prompt_tokens": "lots"}},
+    ])
+    def test_malformed_body_is_backend_unavailable(self, monkeypatch, body):
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
+        with pytest.raises(BackendUnavailable, match="^malformed endpoint response: "):
+            live_backend().send([], [])
+
+    def test_missing_or_null_usage_counts_as_zero(self, monkeypatch):
+        body = {"choices": [{"message": {"content": "BIC: abc1234def"}}],
+                "usage": {"prompt_tokens": None}}
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
+        step = live_backend().send([], [])
+        assert (step.kind, step.prompt_tokens, step.completion_tokens) == ("final", 0, 0)
 
     def test_http_error_raises_backend_unavailable(self, monkeypatch):
         from bictrace.agent import BackendUnavailable

@@ -69,6 +69,12 @@ class TestLoadFixContext:
         with pytest.raises(gitio.CommitNotFound):
             load_fix_context(repo, "deadbeef" * 5)
 
+    def test_fix_read_timeout_is_not_a_missing_commit(self, deletion_repo, time_out_git):
+        rb, shas = deletion_repo
+        time_out_git()
+        with pytest.raises(gitio.GitTimeout):
+            load_fix_context(RepoHandle(rb.path), shas[-1])
+
     @pytest.mark.parametrize("ref", [
         "{a}..{b}", "{b}~1..{b}", "{a}...{b}", "^{b}", "{b}^!", "{b}^@", "{b}^-1", "",
         "{tree}", "{prefix}", "--output={out}",

@@ -18,9 +18,9 @@ from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
 
 
-def write_script(path, steps, repeat_last=False):
+def write_script(path, steps):
     with open(path, "w") as f:
-        json.dump({"steps": steps, "repeat_last": repeat_last}, f)
+        json.dump({"steps": steps}, f)
     return str(path)
 
 
@@ -172,6 +172,18 @@ class TestInvestigate:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: a script is a list")
 
+    def test_repeat_last_key_is_ignored(self, linear_repo, tmp_path):
+        rb, shas = linear_repo
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"steps": [
+            {"kind": "tool_call", "tool": "git_show", "args": {"commit": shas[1]}},
+        ], "repeat_last": True}))
+        runs = tmp_path / "runs"
+        assert main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                     "--backend", f"scripted:{path}", "--run-dir", str(runs), "--run-id", "r"]) == 0
+        (transcript,) = (runs / "r" / "transcripts").iterdir()
+        assert json.loads(transcript.read_text().splitlines()[-1])["tool_turns"] == 1
+
 
 class TestReplayCmd:
     @pytest.fixture
@@ -305,6 +317,20 @@ class TestBatchCmd:
         assert [r.case_id for r in results] == ["x:remote", "x:local"]
         assert "--repos-dir" in results[0].error
         assert results[1].error is None and results[1].predicted == [shas[1]]
+
+    def test_classification_timeout_is_the_case_error(self, linear_repo, tmp_path, time_out_git):
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {shas[1]}"}])
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+        time_out_git(lambda args: args[0] == "log" and "--follow" in args)
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        results = str(runs / "b" / "results.jsonl")
+        _, (result,) = read_results(results)
+        assert result.error == "git log timed out after 30s"
+        assert main(["evaluate", "--dataset", ds, "--results", results]) == 3
 
     def test_parallel_run_matches_sequential(self, linear_repo, cross_file_repo, tmp_path,
                                              monkeypatch):
@@ -757,6 +783,7 @@ class TestEvaluateCmd:
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "predicted": "a"}'], 2),
         (['{"schema": "bictrace-results/v1", "method": 5}', '{"case_id": "x:1"}'], 1),
         (['{"schema": "bictrace-results/v1"}', "{oops"], 2),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1"}', '{"case_id": "x:1"}'], 3),
     ])
     def test_malformed_results_file_is_an_error(self, linear_repo, tmp_path, capsys, lines, bad):
         ds, _ = self.make_inputs(tmp_path, linear_repo)

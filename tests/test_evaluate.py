@@ -21,7 +21,7 @@ from bictrace.evaluate import (
     read_results,
     write_results,
 )
-from bictrace.gitio import RepoHandle
+from bictrace.gitio import GitTimeout, RepoHandle
 
 
 def make_results(pred_map):
@@ -88,10 +88,6 @@ class TestMetrics:
             p, r, f1 = metrics(make_results(pred), gt)
             assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f1 <= 1.0
 
-    def test_missing_ground_truth(self):
-        with pytest.raises(MissingGroundTruth):
-            metrics([CaseResult(case_id="ghost-case")], {"other": {"A"}})
-
 
 class TestClassifiers:
     def test_ghost_true_on_addition_only(self, ghost_repo):
@@ -130,6 +126,15 @@ class TestClassifiers:
         case = CaseSpec(repo_path=rb.path, fix_commit=shas[2], ground_truth={shas[1]})
         fc = load_fix_context(repo, shas[2])
         assert classify_cross_file(repo, case, fc) is False
+
+    def test_cross_file_timeout_raises(self, linear_repo, time_out_git):
+        rb, shas = linear_repo
+        repo = RepoHandle(rb.path)
+        case = CaseSpec(repo_path=rb.path, fix_commit=shas[2], ground_truth={shas[1]})
+        fc = load_fix_context(repo, shas[2])
+        time_out_git()
+        with pytest.raises(GitTimeout):
+            classify_cross_file(repo, case, fc)
 
     def test_cross_file_mixed_bics_false(self, cross_file_repo):
         rb, info = cross_file_repo
@@ -264,8 +269,9 @@ class TestReport:
 
     def test_unknown_case_id_named_in_error(self):
         ds = self.make_dataset()
-        with pytest.raises(MissingGroundTruth, match="c99"):
-            aggregate_report(ds, [CaseResult(case_id="c99")])
+        with pytest.raises(MissingGroundTruth, match="unknown case ids: c98, c99$"):
+            aggregate_report(ds, [CaseResult(case_id="c99"), CaseResult(case_id="c1"),
+                                  CaseResult(case_id="c98")])
 
     def test_dollar_cost_only_with_prices(self):
         ds = self.make_dataset()

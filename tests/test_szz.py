@@ -37,6 +37,13 @@ class TestBSzz:
         rb, info = ghost_repo
         assert b_szz(*loaded(rb.path, info["fix"])) == set()
 
+    def test_blame_timeout_is_an_error_not_an_empty_answer(self, three_commit_repo, time_out_git):
+        rb, shas = three_commit_repo
+        repo, fc = loaded(rb.path, shas[2])
+        time_out_git(lambda args: args[0] == "blame")
+        with pytest.raises(gitio.GitTimeout):
+            b_szz(repo, fc)
+
     def test_two_introducers_match_oracle(self, tmp_path):
         rb = RepoBuilder(tmp_path / "two")
         c1 = rb.commit({"m.c": "alpha original\nbeta original\ngamma original\n"}, "seed")
@@ -70,11 +77,18 @@ class TestSelectors:
             {"m.c": "a v3\nb v3\nc v3\nd v3\ne v3\nf v3\ng v3\n"}, "rewrite all"
         )
         repo, fc = loaded(rb.path, fix)
-        per_commit = {}
-        for cand in blame_candidates(repo, fc):
-            per_commit[cand.commit] = per_commit.get(cand.commit, 0) + cand.lines_attributed
-        assert per_commit == {big: 5, small: 2}
+        assert [(c.commit, c.lines_attributed) for c in blame_candidates(repo, fc)] == sorted(
+            [(big, 5), (small, 2)]
+        )
         assert l_szz(repo, fc) == big
+
+    def test_one_candidate_per_commit_across_files(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "twofiles")
+        rb.commit({"a.c": "a1\nkeep\n", "b.c": "b1\nkeep\n"}, "seed")
+        both = rb.commit({"a.c": "a2\nkeep\n", "b.c": "b2\nkeep\n"}, "touch both files")
+        fix = rb.commit({"a.c": "a3\nkeep\n", "b.c": "b3\nkeep\n"}, "fix both files")
+        repo, fc = loaded(rb.path, fix)
+        assert [(c.commit, c.lines_attributed) for c in blame_candidates(repo, fc)] == [(both, 2)]
 
     def test_ghost_fix_yields_none(self, ghost_repo):
         rb, info = ghost_repo

@@ -88,6 +88,16 @@ class TestMetrics:
             p, r, f1 = metrics(make_results(pred), gt)
             assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f1 <= 1.0
 
+    def test_missing_ground_truth(self):
+        # metrics() trusts its caller; aggregate_report refuses the result
+        # before any score is computed.
+        ds = ev.Dataset(
+            name="synthetic",
+            cases=[CaseSpec(repo_path="/r", fix_commit="f", ground_truth={"A"}, case_id="other")],
+        )
+        with pytest.raises(MissingGroundTruth, match="ghost-case"):
+            aggregate_report(ds, [CaseResult(case_id="ghost-case")])
+
 
 class TestClassifiers:
     def test_ghost_true_on_addition_only(self, ghost_repo):

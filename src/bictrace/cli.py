@@ -180,29 +180,18 @@ def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
     return repo_field
 
 
-def _open_case(case: CaseSpec, method) -> tuple[object, float, dict]:
-    """`method(repo, fc)`'s result, its seconds (fix read plus method) and the hard-case flags.
-
-    Once the fix read succeeds the case is classified even if the method
-    raises: the exception carries the flags as `category_flags`, so a failed
-    case counts in every method's hard-case subsets alike.
-    """
+def _open_case(case: CaseSpec, method) -> tuple[object, float]:
+    """`method(repo, fc)`'s result and its seconds (fix read plus method)."""
     start = time.monotonic()
     repo = RepoHandle(case.repo_path)
-    fc = load_fix_context(repo, case.fix_commit)
-    try:
-        outcome = method(repo, fc)
-    except Exception as exc:
-        exc.category_flags = ev.category_flags(repo, case, fc)
-        raise
-    seconds = time.monotonic() - start
-    return outcome, seconds, ev.category_flags(repo, case, fc)
+    outcome = method(repo, load_fix_context(repo, case.fix_commit))
+    return outcome, time.monotonic() - start
 
 
 def _investigate_one(
     case: CaseSpec, config: RunConfig, backend_factory, paths: dict
 ) -> tuple[Prediction, CaseResult]:
-    (prediction, transcript), seconds, flags = _open_case(case, lambda repo, fc: run_investigation(
+    (prediction, transcript), seconds = _open_case(case, lambda repo, fc: run_investigation(
         case, repo, fc, backend_factory(), max_turns=config.max_turns, cfg=config.compression,
     ))
 
@@ -213,7 +202,6 @@ def _investigate_one(
         case_id=case.case_id,
         predicted=[prediction.resolved_id] if prediction.resolved_id else [],
         transcript_ref=transcript_path,
-        category_flags=flags,
         cost={
             "tokens": transcript.total_tokens,
             "prompt_tokens": transcript.prompt_tokens,
@@ -257,8 +245,7 @@ def _case_result(case: CaseSpec, repos_dir: str | None, run_case) -> CaseResult:
     try:
         return run_case(replace(case, repo_path=_materialize_repo(case.repo_path, repos_dir)))
     except Exception as exc:  # noqa: BLE001 - a dataset run must survive any case
-        return CaseResult(case_id=case.case_id, error=str(exc),
-                          category_flags=getattr(exc, "category_flags", {}))
+        return CaseResult(case_id=case.case_id, error=str(exc))
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -290,11 +277,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
     def run_case(case: CaseSpec) -> CaseResult:
-        outcome, seconds, flags = _open_case(case, algorithm)
+        outcome, seconds = _open_case(case, algorithm)
         return CaseResult(
             case_id=case.case_id,
             predicted=sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else []),
-            category_flags=flags,
             cost={"seconds": seconds},
         )
 
@@ -304,6 +290,18 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _hard_case_flags(dataset: Dataset, repos_dir: str | None) -> dict[str, dict]:
+    """Each dataset case's flags; a case that cannot be classified is named on stderr and left out."""
+    flags = {}
+    for case in dataset.cases:
+        try:
+            repo = RepoHandle(_materialize_repo(case.repo_path, repos_dir))
+            flags[case.case_id] = ev.hard_case_flags(repo, case, load_fix_context(repo, case.fix_commit))
+        except USER_ERRORS as exc:
+            print(f"{case.case_id}: not classified, so in no hard-case subset: {exc}", file=sys.stderr)
+    return flags
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     price = read_config(args.config).get("price_table") if args.config else None
@@ -311,35 +309,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         isinstance(price, dict) and all(type(v) in (int, float) for v in price.values())
     ):
         raise ValueError(f"{args.config}: price_table must map price names to numbers")
+    runs = [(path, *ev.read_results(path)) for path in args.results]
+    flags = _hard_case_flags(dataset, args.repos_dir)
+    failed = len(flags) < len(dataset.cases)
     reports = []
-    infra_failures = 0
-    for results_path in args.results:
-        method, results = ev.read_results(results_path)
-        report = ev.aggregate_report(dataset, results, name=method, price_table=price)
-        infra_failures += sum(1 for r in results if r.error)
+    for path, method, results in runs:
+        report = ev.aggregate_report(dataset, results, flags, name=method, price_table=price)
+        errors = sum(1 for r in results if r.error)
+        if errors or report.missing:
+            # Wrong predictions are a score, not a failure; broken or missing cases are.
+            print(f"{path}: {errors} case(s) carry infrastructure errors, "
+                  f"{report.missing} dataset case(s) missing", file=sys.stderr)
+            failed = True
         reports.append(report)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            stem = _safe_name(report.name)
-            ev.emit_report(
-                report,
-                os.path.join(args.out, f"{stem}.report.json"),
-                os.path.join(args.out, f"{stem}.report.txt"),
-            )
+            stem = os.path.join(args.out, _safe_name(report.name))
+            ev.emit_report(report, f"{stem}.report.json", f"{stem}.report.txt")
     if len(reports) == 1:
         print(reports[0].render_table())
     else:
         print(f"{'method':<24} {'n':>5} {'prec':>8} {'recall':>8} {'f1':>8}")
         for report in reports:
-            print(
-                f"{report.name:<24} {report.n_cases:>5} {report.precision:>8.4f} "
-                f"{report.recall:>8.4f} {report.f1:>8.4f}"
-            )
-    if infra_failures:
-        # Wrong predictions are a score, not a failure; broken cases are.
-        print(f"{infra_failures} case(s) carry infrastructure errors", file=sys.stderr)
-        return 3
-    return 0
+            print(f"{report.name:<24} {report.n_cases:>5} {report.precision:>8.4f} "
+                  f"{report.recall:>8.4f} {report.f1:>8.4f}")
+    return 3 if failed else 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -416,6 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_dataset_flags(p):
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--repos-dir", dest="repos_dir", help="directory of pre-fetched clones")
+
     def add_run_flags(p):
         p.add_argument("--backend", help="live | scripted:<path> | replay:<path>")
         p.add_argument("--model", help="model name for the live backend")
@@ -434,21 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_investigate)
 
     p = sub.add_parser("batch", help="run investigations over a dataset file")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--repos-dir", dest="repos_dir", help="directory of pre-fetched clones")
+    add_dataset_flags(p)
     p.add_argument("--parallelism", type=int, help="concurrent cases (default 1)")
     add_run_flags(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("baseline", help="run a blame baseline over a dataset file")
     p.add_argument("--algorithm", required=True, choices=["b", "r", "l"])
-    p.add_argument("--dataset", required=True)
+    add_dataset_flags(p)
     p.add_argument("--out", required=True, help="results JSONL output path")
-    p.add_argument("--repos-dir", dest="repos_dir", help="directory of pre-fetched clones")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", help="compute metrics for result files")
-    p.add_argument("--dataset", required=True)
+    add_dataset_flags(p)
     p.add_argument("--results", required=True, nargs="+")
     p.add_argument("--out", help="directory for report files")
     p.add_argument("--config", help="JSON config (price_table for dollar costs)")

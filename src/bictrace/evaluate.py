@@ -16,7 +16,7 @@ from .gitio import GitStatus, RepoHandle
 
 DATASET_SCHEMA = "bictrace-dataset/v1"
 RESULTS_SCHEMA = "bictrace-results/v1"
-REPORT_SCHEMA = "bictrace-report/v1"
+REPORT_SCHEMA = "bictrace-report/v2"
 
 
 class DatasetError(Exception):
@@ -87,7 +87,6 @@ class CaseResult:
     case_id: str
     predicted: list[str] = field(default_factory=list)
     transcript_ref: str | None = None
-    category_flags: dict = field(default_factory=dict)  # {"ghost": bool, "cross_file": bool}
     cost: dict = field(default_factory=dict)  # tokens, turns, seconds, dollars?
     error: str | None = None
 
@@ -164,12 +163,9 @@ def classify_cross_file(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> boo
     return all(bic not in history for bic in case.ground_truth)
 
 
-def category_flags(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> dict:
-    """Hard-case flags: ghost always, cross_file only when the case has ground truth."""
-    flags = {"ghost": classify_ghost(fc)}
-    if case.ground_truth:
-        flags["cross_file"] = classify_cross_file(repo, case, fc)
-    return flags
+def hard_case_flags(repo: RepoHandle, case: CaseSpec, fc: FixContext) -> dict:
+    """A dataset case's hard-case flags; they depend on the case, never on the method."""
+    return {"ghost": classify_ghost(fc), "cross_file": classify_cross_file(repo, case, fc)}
 
 
 @dataclass
@@ -179,6 +175,7 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
+    missing: int = 0  # dataset cases without a results line, scored as misses
     category_recall: dict = field(default_factory=dict)  # {"ghost": {...}, "cross_file": {...}}
     cost_means: dict = field(default_factory=dict)
 
@@ -192,10 +189,10 @@ class EvalReport:
             f"  recall:    {self.recall:.4f}",
             f"  f1:        {self.f1:.4f}",
         ]
+        if self.missing:
+            lines.append(f"  missing: {self.missing}")
         for category, stats in self.category_recall.items():
-            lines.append(
-                f"  {category}: {stats['n_cases']} cases, recall {stats['recall']:.4f}"
-            )
+            lines.append(f"  {category}: {stats['n_cases']} cases, recall {stats['recall']:.4f}")
         for key, value in self.cost_means.items():
             lines.append(f"  mean {key}: {value:.4f}")
         return "\n".join(lines)
@@ -204,19 +201,25 @@ class EvalReport:
 def aggregate_report(
     dataset: Dataset,
     results: list[CaseResult],
+    flags: dict[str, dict],
     name: str = "",
     price_table: dict | None = None,
 ) -> EvalReport:
-    by_case = {case.case_id: case for case in dataset.cases}
-    unknown = [r.case_id for r in results if r.case_id not in by_case]
+    """Scores over every dataset case, a case without a results line as a miss.
+
+    `flags` maps case ids to `hard_case_flags`; a case it lacks is in no subset.
+    """
+    ground_truth = {case.case_id: case.ground_truth for case in dataset.cases}
+    unknown = [r.case_id for r in results if r.case_id not in ground_truth]
     if unknown:
         raise MissingGroundTruth(f"results for unknown case ids: {', '.join(sorted(unknown))}")
-    ground_truth = {cid: case.ground_truth or set() for cid, case in by_case.items()}
-    precision, recall, f1 = metrics(results, ground_truth)
+    seen = {r.case_id for r in results}
+    scored = results + [CaseResult(case_id=cid) for cid in ground_truth if cid not in seen]
+    precision, recall, f1 = metrics(scored, ground_truth)
 
     category_recall = {}
     for category in ("ghost", "cross_file"):
-        subset = [r for r in results if r.category_flags.get(category)]
+        subset = [r for r in scored if flags.get(r.case_id, {}).get(category)]
         _, cat_recall, _ = metrics(subset, ground_truth)
         category_recall[category] = {"n_cases": len(subset), "recall": cat_recall}
 
@@ -225,24 +228,19 @@ def aggregate_report(
         values = [r.cost.get(key) for r in results if r.cost.get(key) is not None]
         if values:
             cost_means[key] = sum(values) / len(values)
-    if price_table:
-        dollars = []
-        for result in results:
-            prompt = result.cost.get("prompt_tokens", 0)
-            completion = result.cost.get("completion_tokens", 0)
-            dollars.append(
-                prompt / 1000 * price_table.get("prompt_usd_per_1k", 0.0)
-                + completion / 1000 * price_table.get("completion_usd_per_1k", 0.0)
-            )
-        if dollars:
-            cost_means["dollars"] = sum(dollars) / len(dollars)
+    if price_table and results:
+        dollars = [r.cost.get("prompt_tokens", 0) / 1000 * price_table.get("prompt_usd_per_1k", 0.0)
+                   + r.cost.get("completion_tokens", 0) / 1000 * price_table.get("completion_usd_per_1k", 0.0)
+                   for r in results]
+        cost_means["dollars"] = sum(dollars) / len(dollars)
 
     return EvalReport(
         name=name or dataset.name,
-        n_cases=len(results),
+        n_cases=len(scored),
         precision=precision,
         recall=recall,
         f1=f1,
+        missing=len(scored) - len(results),
         category_recall=category_recall,
         cost_means=cost_means,
     )

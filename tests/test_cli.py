@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -318,19 +317,51 @@ class TestBatchCmd:
         assert "--repos-dir" in results[0].error
         assert results[1].error is None and results[1].predicted == [shas[1]]
 
-    def test_classification_timeout_is_the_case_error(self, linear_repo, tmp_path, time_out_git):
+    def test_classification_timeout_costs_the_run_nothing(self, linear_repo, tmp_path,
+                                                           time_out_git, capsys):
         rb, shas = linear_repo
         script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {shas[1]}"}])
         ds = write_dataset(tmp_path / "ds.jsonl",
-                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]],
+                             "case_id": "x:1"}])
         time_out_git(lambda args: args[0] == "log" and "--follow" in args)
         runs = tmp_path / "runs"
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(runs), "--run-id", "b"]) == 0
         results = str(runs / "b" / "results.jsonl")
         _, (result,) = read_results(results)
-        assert result.error == "git log timed out after 30s"
+        assert result.error is None and result.predicted == [shas[1]]
+        capsys.readouterr()
+        # Only evaluate classifies: it names the case, leaves it out of every subset, exits 3.
         assert main(["evaluate", "--dataset", ds, "--results", results]) == 3
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "x:1: not classified, so in no hard-case subset: git log timed out after 30s"]
+        assert "recall:    1.0000" in out and "cross_file: 0 cases" in out
+
+    def test_failed_classification_keeps_the_run(self, linear_repo, tmp_path, monkeypatch):
+        rb, shas = linear_repo
+
+        def broken(*args):
+            raise gitio.GitTimeout("git log timed out after 30s")
+
+        monkeypatch.setattr(evaluate, "classify_cross_file", broken)
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {shas[1]}"}])
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]],
+                             "case_id": "x:1"}])
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds,
+                     "--out", str(tmp_path / "b.jsonl")]) == 0
+        for path in (runs / "b" / "results.jsonl", tmp_path / "b.jsonl"):
+            (result,) = read_results(str(path))[1]
+            assert result.error is None and result.predicted == [shas[1]]
+        assert [p.name for p in (runs / "b" / "transcripts").iterdir()] == ["x_1.jsonl"]
+        case = json.loads((runs / "b" / "cases" / "x_1.json").read_text())
+        assert case["prediction"]["resolved_id"] == shas[1]
+        assert "category_flags" not in case
 
     def test_parallel_run_matches_sequential(self, linear_repo, cross_file_repo, tmp_path,
                                              monkeypatch):
@@ -455,10 +486,10 @@ class TestSpawnBudget:
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(tmp_path / "runs"), "--run-id", "b"]) == 0
         # The fix read (1), five tool calls (the repeated blame is a cache
-        # hit), one show -s for the answer, one history read for cross_file.
+        # hit) and one show -s for the answer.
         assert spawned == ["show",
                            "show", "blame", "log", "log", "grep",
-                           "show", "log"]
+                           "show"]
 
     def test_baseline_op(self, linear_repo, tmp_path, spawned):
         rb, shas = linear_repo
@@ -466,8 +497,8 @@ class TestSpawnBudget:
                            [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
         assert main(["baseline", "--algorithm", "b", "--dataset", ds,
                      "--out", str(tmp_path / "b.jsonl")]) == 0
-        # The fix read (1), one blame per changed file, one history read.
-        assert spawned == ["show", "blame", "log"]
+        # The fix read (1) and one blame per changed file.
+        assert spawned == ["show", "blame"]
 
     def test_baseline_op_blames_only_the_removed_lines(self, tmp_path, monkeypatch):
         rb = RepoBuilder(tmp_path / "ranged")
@@ -484,7 +515,7 @@ class TestSpawnBudget:
         out_path = str(tmp_path / "b.jsonl")
         assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path]) == 0
         assert read_results(out_path)[1][0].predicted == [bic]
-        assert [argv[0] for argv in argvs] == ["show", "blame", "log"]
+        assert [argv[0] for argv in argvs] == ["show", "blame"]
         assert argvs[1] == ["blame", "--porcelain", "-L", "3,5", "-L", "9,9", bic, "--", "m.c"]
 
 
@@ -492,14 +523,10 @@ class TestCaseSeconds:
     """`seconds` covers the fix read and the method, for agents and baselines alike."""
 
     def test_hard_case_classification_is_not_timed(self, linear_repo, tmp_path, monkeypatch):
+        # Only evaluate classifies: batch and baseline never call the classifier.
         rb, shas = linear_repo
-        classify = evaluate.classify_cross_file
-
-        def slow_classify(*args):
-            time.sleep(1.0)
-            return classify(*args)
-
-        monkeypatch.setattr(evaluate, "classify_cross_file", slow_classify)
+        calls = []
+        monkeypatch.setattr(evaluate, "classify_cross_file", lambda *args: calls.append(args))
         script = write_script(
             tmp_path / "s.json",
             [{"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"}],
@@ -514,8 +541,8 @@ class TestCaseSeconds:
         for path in (runs / "b" / "results.jsonl", tmp_path / "b.jsonl"):
             (result,) = read_results(str(path))[1]
             assert result.predicted == [shas[1]]
-            assert result.category_flags == {"ghost": False, "cross_file": False}
             assert 0 < result.cost["seconds"] < 1.0
+        assert calls == []
 
 
 class TestAgentCost:
@@ -566,7 +593,11 @@ class TestBaselineCmd:
         _, results = read_results(out_path)
         oracle = AttributionOracle(rb.path)
         assert set(results[0].predicted) == oracle.last_writer_b_szz(info["fix"])
-        assert results[0].category_flags == {"ghost": False, "cross_file": True}
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--dataset", ds, "--results", out_path, "--out", reports]) == 0
+        report = json.loads(Path(os.path.join(reports, "b-szz.report.json")).read_text())
+        assert {k: v["n_cases"] for k, v in report["category_recall"].items()} == {
+            "ghost": 0, "cross_file": 1}
 
     def test_r_subset_of_b(self, linear_repo, tmp_path):
         rb, shas = linear_repo
@@ -651,10 +682,12 @@ class TestGroundTruthIds:
         assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path]) == 0
         (result,) = read_results(out_path)[1]
         assert result.predicted == [shas[1]]
-        assert result.category_flags == {"ghost": False, "cross_file": False}
         reports = str(tmp_path / "reports")
         assert main(["evaluate", "--dataset", ds, "--results", out_path, "--out", reports]) == 0
-        assert json.loads(Path(os.path.join(reports, "b-szz.report.json")).read_text())["recall"] == 1.0
+        report = json.loads(Path(os.path.join(reports, "b-szz.report.json")).read_text())
+        assert report["recall"] == 1.0
+        assert {k: v["n_cases"] for k, v in report["category_recall"].items()} == {
+            "ghost": 0, "cross_file": 0}
 
     def test_abbreviated_bic_rejected_before_any_git_call(self, linear_repo, tmp_path, capsys,
                                                           monkeypatch):
@@ -694,7 +727,9 @@ class TestFailedCaseFlags:
                      "--run-dir", str(runs), "--run-id", "rep"]) == 0
         (failed,) = read_results(str(runs / "rep" / "results.jsonl"))[1]
         assert "differs from the recorded run" in failed.error
-        assert failed.category_flags == {"ghost": False, "cross_file": True}
+        # The flags come from evaluate alone, never from a method's results line.
+        (line,) = (runs / "rep" / "results.jsonl").read_text().splitlines()[1:]
+        assert "category_flags" not in json.loads(line)
         b_path = str(tmp_path / "b.jsonl")
         assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", b_path]) == 0
 
@@ -766,6 +801,55 @@ class TestEvaluateCmd:
             f.write("\n".join([lines[0], json.dumps(broken), lines[2]]) + "\n")
         assert main(["evaluate", "--dataset", ds, "--results", results]) == 3
         assert "infrastructure errors" in capsys.readouterr().err
+
+    def test_partial_results_file_scores_missing_cases_as_misses(self, linear_repo, tmp_path,
+                                                                 capsys):
+        ds, _ = self.make_inputs(tmp_path, linear_repo)
+        _, shas = linear_repo
+        partial, full = tmp_path / "partial.jsonl", tmp_path / "full.jsonl"
+        hit, miss = {"case_id": "x:1", "predicted": [shas[1]]}, {"case_id": "x:2", "predicted": []}
+        for path, records in ((partial, [hit]), (full, [hit, miss])):
+            path.write_text("".join(json.dumps(r) + "\n" for r in [
+                {"schema": "bictrace-results/v1", "method": path.stem}, *records]))
+        assert main(["evaluate", "--dataset", ds, "--results", str(partial), str(full)]) == 3
+        out, err = capsys.readouterr()
+        rows = [ln.split() for ln in out.splitlines()[1:]]
+        assert rows == [["partial", "2", "1.0000", "0.5000", "0.6667"],
+                        ["full", "2", "1.0000", "0.5000", "0.6667"]]
+        assert err == f"{partial}: 0 case(s) carry infrastructure errors, 1 dataset case(s) missing\n"
+        assert main(["evaluate", "--dataset", ds, "--results", str(partial)]) == 3
+        assert "  missing: 1\n" in capsys.readouterr().out
+        assert main(["evaluate", "--dataset", ds, "--results", str(full)]) == 0
+        assert "missing" not in capsys.readouterr().out
+
+    def test_old_category_flags_are_ignored(self, linear_repo, tmp_path, capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        lines = Path(results).read_text().splitlines()
+        old = [json.loads(ln) for ln in lines[1:]]
+        for record in old:
+            record["category_flags"] = {"ghost": True, "cross_file": True}
+        Path(results).write_text("\n".join([lines[0], *map(json.dumps, old)]) + "\n")
+        assert main(["evaluate", "--dataset", ds, "--results", results]) == 0
+        out = capsys.readouterr().out
+        # Neither linear fix is addition-only, and each BIC is in its file's history.
+        assert "ghost: 0 cases" in out and "cross_file: 0 cases" in out
+
+    def test_remote_repo_needs_repos_dir(self, tmp_path, capsys):
+        rb = RepoBuilder(tmp_path / "clones" / "name")
+        rb.commit({"m.c": "keep\nold line\n"}, "seed")
+        bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
+        fix = rb.commit({"m.c": "keep\nfixed line\n"}, "fix")
+        ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": "https://host/org/name.git",
+                                                    "fix_commit": fix, "bics": [bic],
+                                                    "case_id": "x:1"}])
+        results = tmp_path / "res.jsonl"
+        results.write_text(json.dumps({"schema": "bictrace-results/v1", "method": "hand"}) + "\n"
+                           + json.dumps({"case_id": "x:1", "predicted": [bic]}) + "\n")
+        assert main(["evaluate", "--dataset", ds, "--results", str(results)]) == 3
+        assert "--repos-dir" in capsys.readouterr().err
+        assert main(["evaluate", "--dataset", ds, "--results", str(results),
+                     "--repos-dir", str(tmp_path / "clones")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_config_not_an_object_is_an_error(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)

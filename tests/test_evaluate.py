@@ -96,7 +96,7 @@ class TestMetrics:
             cases=[CaseSpec(repo_path="/r", fix_commit="f", ground_truth={"A"}, case_id="other")],
         )
         with pytest.raises(MissingGroundTruth, match="ghost-case"):
-            aggregate_report(ds, [CaseResult(case_id="ghost-case")])
+            aggregate_report(ds, [CaseResult(case_id="ghost-case")], {})
 
 
 class TestClassifiers:
@@ -217,13 +217,13 @@ class TestDatasetIO:
         result = CaseResult(case_id="x:1", predicted=["c" * 40, "a" * 40])
         assert result.to_dict() == {
             "case_id": "x:1", "predicted": ["a" * 40, "c" * 40], "transcript_ref": None,
-            "category_flags": {}, "cost": {}, "error": None,
+            "cost": {}, "error": None,
         }
         assert result.predicted == ["c" * 40, "a" * 40]
 
     def test_results_round_trip(self, tmp_path):
         results = [
-            CaseResult(case_id="x:1", predicted=["b" * 40], category_flags={"ghost": False},
+            CaseResult(case_id="x:1", predicted=["b" * 40],
                        cost={"tokens": 50, "turns": 3, "seconds": 0.5}),
             CaseResult(case_id="x:2", error="repo missing"),
         ]
@@ -232,6 +232,15 @@ class TestDatasetIO:
         method, loaded = read_results(path)
         assert method == "b-szz"
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in results]
+
+    def test_old_category_flags_key_is_ignored(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps({"schema": ev.RESULTS_SCHEMA, "method": "b-szz"}) + "\n"
+                        + json.dumps({"case_id": "x:1", "predicted": ["b" * 40],
+                                      "category_flags": {"ghost": True, "cross_file": True}}) + "\n")
+        _, (result,) = read_results(str(path))
+        assert result == CaseResult(case_id="x:1", predicted=["b" * 40])
+        assert "category_flags" not in result.to_dict()
 
 
 class TestReport:
@@ -247,11 +256,33 @@ class TestReport:
     def test_all_ghost_dataset_recall_match(self):
         ds = self.make_dataset()
         results = [
-            CaseResult(case_id="c1", predicted=["A"], category_flags={"ghost": True}),
-            CaseResult(case_id="c2", predicted=[], category_flags={"ghost": True}),
+            CaseResult(case_id="c1", predicted=["A"]),
+            CaseResult(case_id="c2", predicted=[]),
         ]
-        report = aggregate_report(ds, results)
-        assert report.category_recall["ghost"]["recall"] == report.recall
+        flags = {"c1": {"ghost": True}, "c2": {"ghost": True}}
+        report = aggregate_report(ds, results, flags)
+        assert report.category_recall["ghost"] == {"n_cases": 2, "recall": report.recall}
+
+    def test_subsets_come_from_the_flags_map(self):
+        ds = self.make_dataset()
+        results = [CaseResult(case_id="c1", predicted=["A"]), CaseResult(case_id="c2")]
+        # c2 could not be classified: it is in no subset, but still scored.
+        report = aggregate_report(ds, results, {"c1": {"ghost": False, "cross_file": True}})
+        assert report.category_recall == {"ghost": {"n_cases": 0, "recall": 0.0},
+                                          "cross_file": {"n_cases": 1, "recall": 1.0}}
+        assert (report.n_cases, report.recall) == (2, 0.5)
+
+    def test_partial_results_score_missing_cases_as_misses(self):
+        ds = self.make_dataset()
+        flags = {"c1": {"ghost": True}, "c2": {"ghost": True}}
+        partial = aggregate_report(ds, [CaseResult(case_id="c1", predicted=["A"])], flags)
+        full = aggregate_report(ds, [CaseResult(case_id="c1", predicted=["A"]),
+                                     CaseResult(case_id="c2")], flags)
+        assert (partial.n_cases, partial.missing, partial.recall) == (2, 1, 0.5)
+        assert (full.n_cases, full.missing, full.recall) == (2, 0, 0.5)
+        assert partial.category_recall == full.category_recall
+        assert "  missing: 1" in partial.render_table().splitlines()
+        assert "missing" not in full.render_table()
 
     def test_turn_mean(self):
         ds = self.make_dataset()
@@ -259,29 +290,31 @@ class TestReport:
             CaseResult(case_id="c1", predicted=["A"], cost={"turns": 4}),
             CaseResult(case_id="c2", predicted=["B"], cost={"turns": 6}),
         ]
-        report = aggregate_report(ds, results)
+        report = aggregate_report(ds, results, {})
         assert report.cost_means["turns"] == 5.0
 
     def test_report_round_trip(self, tmp_path):
         ds = self.make_dataset()
         results = [
-            CaseResult(case_id="c1", predicted=["A"], category_flags={"ghost": True},
+            CaseResult(case_id="c1", predicted=["A"],
                        cost={"tokens": 10, "turns": 2, "seconds": 1.25}),
-            CaseResult(case_id="c2", predicted=["X"], category_flags={"cross_file": True},
+            CaseResult(case_id="c2", predicted=["X"],
                        cost={"tokens": 30, "turns": 4, "seconds": 0.75}),
         ]
-        report = aggregate_report(ds, results)
+        report = aggregate_report(ds, results, {"c1": {"ghost": True}, "c2": {"cross_file": True}})
         path = str(tmp_path / "report.json")
         ev.emit_report(report, path, str(tmp_path / "report.txt"))
         with open(path) as f:
             assert json.load(f) == report.to_dict()
+        assert report.to_dict()["schema"] == "bictrace-report/v2"
+        assert report.to_dict()["missing"] == 0
         assert "precision" in (tmp_path / "report.txt").read_text()
 
     def test_unknown_case_id_named_in_error(self):
         ds = self.make_dataset()
         with pytest.raises(MissingGroundTruth, match="unknown case ids: c98, c99$"):
             aggregate_report(ds, [CaseResult(case_id="c99"), CaseResult(case_id="c1"),
-                                  CaseResult(case_id="c98")])
+                                  CaseResult(case_id="c98")], {})
 
     def test_dollar_cost_only_with_prices(self):
         ds = self.make_dataset()
@@ -289,10 +322,10 @@ class TestReport:
             CaseResult(case_id="c1", predicted=["A"],
                        cost={"prompt_tokens": 1000, "completion_tokens": 500}),
         ]
-        no_price = aggregate_report(ds, results)
+        no_price = aggregate_report(ds, results, {})
         assert "dollars" not in no_price.cost_means
         priced = aggregate_report(
-            ds, results,
+            ds, results, {},
             price_table={"prompt_usd_per_1k": 0.25, "completion_usd_per_1k": 2.0},
         )
         assert priced.cost_means["dollars"] == pytest.approx(0.25 + 1.0)

@@ -227,13 +227,9 @@ class ReplayBackend:
     """Plays back a recorded transcript, verifying observations en route."""
 
     def __init__(self, path: str):
-        self.header: dict = {}
         self.steps: list[ModelStep] = []
         self.observations: dict[int, str] = {}
-        self._load(path)
         self.index = 0
-
-    def _load(self, path: str):
         try:
             with open(path, encoding="utf-8") as f:
                 lines = [json.loads(ln) for ln in f if ln.strip()]
@@ -243,9 +239,10 @@ class ReplayBackend:
                 and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
             raise SchemaMismatch(f"{path} is not a {TRANSCRIPT_SCHEMA} file")
         header = self.header = lines[0]
-        if not (isinstance(header.get("repo"), str) and isinstance(header.get("fix"), str)
-                and isinstance(header.get("case_id", ""), str)):
-            raise SchemaMismatch(f"{path}: the header needs string 'repo', 'fix' and 'case_id'")
+        if not (all(isinstance(header.get(k), str) for k in ("repo", "fix", "case_id"))
+                and header["case_id"]):
+            raise SchemaMismatch(
+                f"{path}: the header needs string 'repo' and 'fix' and a nonempty 'case_id'")
         if lines[-1].get("event") != "result":
             raise SchemaMismatch(f"{path} is truncated (no result record)")
         for record in lines[1:-1]:

@@ -34,7 +34,7 @@ from .agent import (
 )
 from .caseprep import CaseSpec, RootCommit, load_fix_context
 from .compress import CompressionConfig, execute_compressed
-from .evaluate import CaseResult, Dataset, load_dataset
+from .evaluate import CaseResult, load_dataset
 from .gitio import RepoHandle
 from .tools import SchemaError, ToolName, enforce_search_bound
 from .tools import parse_args as parse_tool_args
@@ -42,14 +42,14 @@ from .tools import parse_args as parse_tool_args
 # Failures the user can cause. main reports each as one "error:" line and
 # exit 1; anything else (KeyError, TypeError, ...) is a bug and propagates.
 USER_ERRORS = (
-    OSError, ValueError, ev.DatasetError, ev.MissingGroundTruth, gitio.GitGatewayError,
-    RootCommit, BackendUnavailable, SchemaMismatch, DesyncError,
+    OSError, ValueError, ev.DatasetError, gitio.GitGatewayError, RootCommit,
+    BackendUnavailable, SchemaMismatch, DesyncError,
 )
 
 
 @dataclass
 class RunConfig:
-    backend: str = "live"  # live | scripted:<path> | replay:<path>
+    backend: str = "live"  # live | scripted:<path>; a replay records replay:<path>
     model: str = ""
     endpoint_url: str = ""
     api_key: str = ""
@@ -116,12 +116,8 @@ def make_backend(config: RunConfig):
     """Backend factory; called once per case so sessions stay independent."""
     spec = config.backend
     if spec.startswith("scripted:"):
-        path = spec.split(":", 1)[1]
-        steps = load_script(path)
+        steps = load_script(spec.split(":", 1)[1])
         return lambda: ScriptedBackend(steps)
-    if spec.startswith("replay:"):
-        path = spec.split(":", 1)[1]
-        return lambda: ReplayBackend(path)
     if spec == "live":
         return lambda: LiveBackend(config.endpoint_url, config.model, config.api_key)
     raise ValueError(f"unknown backend spec: {spec}")
@@ -129,6 +125,12 @@ def make_backend(config: RunConfig):
 
 def _safe_name(case_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", case_id)
+
+
+def _write_json(path: str, data: dict):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _run_paths(config: RunConfig) -> dict:
@@ -140,20 +142,10 @@ def _run_paths(config: RunConfig) -> dict:
     }
     for p in paths.values():
         os.makedirs(p, exist_ok=True)
-    with open(os.path.join(base, "config.json"), "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "backend": config.backend,
-                "model": config.model,
-                "max_turns": config.max_turns,
-                "parallelism": config.parallelism,
-                "compression": config.compression.to_dict(),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    _write_json(os.path.join(base, "config.json"), {
+        "backend": config.backend, "model": config.model, "max_turns": config.max_turns,
+        "parallelism": config.parallelism, "compression": config.compression.to_dict(),
+    })
     return paths
 
 
@@ -212,12 +204,8 @@ def _investigate_one(
         },
         error=transcript.error,
     )
-    case_path = os.path.join(paths["cases"], _safe_name(case.case_id) + ".json")
-    payload = result.to_dict()
-    payload["prediction"] = asdict(prediction)
-    with open(case_path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(paths["cases"], _safe_name(case.case_id) + ".json"),
+                {**result.to_dict(), "prediction": asdict(prediction)})
     return prediction, result
 
 
@@ -250,7 +238,7 @@ def _case_result(case: CaseSpec, repos_dir: str | None, run_case) -> CaseResult:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    dataset = load_dataset(args.dataset)
+    cases = load_dataset(args.dataset)
     backend_factory = make_backend(config)
     paths = _run_paths(config)
 
@@ -259,9 +247,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     results: list[CaseResult] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        for result in pool.map(lambda c: _case_result(c, args.repos_dir, run_case), dataset.cases):
+        for result in pool.map(lambda c: _case_result(c, args.repos_dir, run_case), cases):
             results.append(result)
-            print(f"[{len(results)}/{len(dataset.cases)}] {result.case_id}: "
+            print(f"[{len(results)}/{len(cases)}] {result.case_id}: "
                   f"{'error: ' + result.error if result.error else ','.join(result.predicted) or 'no prediction'}")
     out = os.path.join(paths["base"], "results.jsonl")
     ev.write_results(out, f"agent-{config.backend.split(':', 1)[0]}", results)
@@ -273,7 +261,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
+    cases = load_dataset(args.dataset)
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
     def run_case(case: CaseSpec) -> CaseResult:
@@ -284,16 +272,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             cost={"seconds": seconds},
         )
 
-    results = [_case_result(case, args.repos_dir, run_case) for case in dataset.cases]
+    results = [_case_result(case, args.repos_dir, run_case) for case in cases]
     ev.write_results(args.out, f"{args.algorithm}-szz", results)
     print(f"wrote {len(results)} case results to {args.out}")
     return 0
 
 
-def _hard_case_flags(dataset: Dataset, repos_dir: str | None) -> dict[str, dict]:
+def _hard_case_flags(cases: list[CaseSpec], repos_dir: str | None) -> dict[str, dict]:
     """Each dataset case's flags; a case that cannot be classified is named on stderr and left out."""
     flags = {}
-    for case in dataset.cases:
+    for case in cases:
         try:
             repo = RepoHandle(_materialize_repo(case.repo_path, repos_dir))
             flags[case.case_id] = ev.hard_case_flags(repo, case, load_fix_context(repo, case.fix_commit))
@@ -302,19 +290,33 @@ def _hard_case_flags(dataset: Dataset, repos_dir: str | None) -> dict[str, dict]
     return flags
 
 
+def _report_names(runs: list[tuple[str, str, list]]) -> list[str]:
+    """Each results file's report name: its method, with its path where methods repeat."""
+    methods = [method for _, method, _ in runs]
+    names = [method if methods.count(method) == 1 else f"{method}:{path}" for path, method, _ in runs]
+    stems: dict[str, str] = {}
+    for name in names:
+        if stems.setdefault(_safe_name(name), name) != name:
+            raise ValueError(f"reports {stems[_safe_name(name)]} and {name} would share a file name")
+    return names
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
+    cases = load_dataset(args.dataset)
     price = read_config(args.config).get("price_table") if args.config else None
-    if price is not None and not (
-        isinstance(price, dict) and all(type(v) in (int, float) for v in price.values())
-    ):
-        raise ValueError(f"{args.config}: price_table must map price names to numbers")
+    if price is not None:
+        if not (isinstance(price, dict) and all(type(v) in (int, float) for v in price.values())):
+            raise ValueError(f"{args.config}: price_table must map price names to numbers")
+        unknown = sorted(set(price) - set(ev.PRICED_TOKENS))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown price_table key(s): {', '.join(unknown)}")
     runs = [(path, *ev.read_results(path)) for path in args.results]
-    flags = _hard_case_flags(dataset, args.repos_dir)
-    failed = len(flags) < len(dataset.cases)
+    names = _report_names(runs)
+    flags = _hard_case_flags(cases, args.repos_dir)
+    failed = len(flags) < len(cases)
     reports = []
-    for path, method, results in runs:
-        report = ev.aggregate_report(dataset, results, flags, name=method, price_table=price)
+    for (path, _, results), name in zip(runs, names):
+        report = ev.aggregate_report(cases, results, flags, name=name, price_table=price)
         errors = sum(1 for r in results if r.error)
         if errors or report.missing:
             # Wrong predictions are a score, not a failure; broken or missing cases are.
@@ -339,28 +341,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     backend = ReplayBackend(args.transcript)
     header = backend.header
-    case = CaseSpec(
-        repo_path=args.repo or header["repo"],
-        fix_commit=header["fix"],
-        dataset_tag="replay",  # names the case only when the header has no case_id
-        case_id=header.get("case_id", ""),
-    )
-    config = replace(build_run_config(args), backend=f"replay:{args.transcript}")
+    case = CaseSpec(repo_path=args.repo or header["repo"], fix_commit=header["fix"],
+                    case_id=header["case_id"])
+    # No model runs in a replay, so none is recorded.
+    config = replace(build_run_config(args), backend=f"replay:{args.transcript}", model="")
     return _investigate_and_print(case, config, lambda: backend)
 
 
 def cmd_tool(args: argparse.Namespace) -> int:
-    try:
-        tool = ToolName(args.tool)
-    except ValueError:
-        print(f"error: unknown tool {args.tool!r}; choose from "
-              f"{', '.join(t.value for t in ToolName)}", file=sys.stderr)
-        return 1
+    names = [t.value for t in ToolName]
+    if args.tool not in names:
+        raise ValueError(f"unknown tool {args.tool!r}; choose from {', '.join(names)}")
+    tool = ToolName(args.tool)
     try:
         tool_args = parse_tool_args(tool, json.loads(args.args))
     except json.JSONDecodeError as exc:
-        print(f"error: --args is not valid JSON: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--args is not valid JSON: {exc}") from None
     except SchemaError as exc:
         # Mirror exactly what the agent would observe.
         print(f"Error (schema): {exc}")
@@ -377,11 +373,11 @@ def cmd_tool(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch_datasets(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
+    cases = load_dataset(args.dataset)
     os.makedirs(args.dest, exist_ok=True)
     failures = 0
     seen = set()
-    for case in dataset.cases:
+    for case in cases:
         url = case.repo_path
         if url in seen:
             continue
@@ -414,10 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", required=True)
         p.add_argument("--repos-dir", dest="repos_dir", help="directory of pre-fetched clones")
 
-    def add_run_flags(p):
-        p.add_argument("--backend", help="live | scripted:<path> | replay:<path>")
+    def add_backend_flags(p):
+        p.add_argument("--backend", help="live | scripted:<path>")
         p.add_argument("--model", help="model name for the live backend")
         p.add_argument("--endpoint-url", dest="endpoint_url", help="chat-completions endpoint URL")
+
+    def add_run_flags(p):
         p.add_argument("--max-turns", dest="max_turns", type=int,
                        help=f"tool-turn budget (default {DEFAULT_MAX_TURNS})")
         p.add_argument("--run-dir", dest="run_dir", help="output directory for runs")
@@ -428,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repo", required=True, help="path to the local git repository")
     p.add_argument("--fix", required=True, help="bug-fixing commit ref")
     p.add_argument("--tag", help="dataset tag for the case id")
+    add_backend_flags(p)
     add_run_flags(p)
     p.set_defaults(func=cmd_investigate)
 
     p = sub.add_parser("batch", help="run investigations over a dataset file")
     add_dataset_flags(p)
     p.add_argument("--parallelism", type=int, help="concurrent cases (default 1)")
+    add_backend_flags(p)
     add_run_flags(p)
     p.set_defaults(func=cmd_batch)
 

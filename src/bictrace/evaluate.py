@@ -19,18 +19,12 @@ RESULTS_SCHEMA = "bictrace-results/v1"
 REPORT_SCHEMA = "bictrace-report/v2"
 
 
+# Each name a `price_table` may set (US dollars per 1000 tokens) and the cost it prices.
+PRICED_TOKENS = {"prompt_usd_per_1k": "prompt_tokens", "completion_usd_per_1k": "completion_tokens"}
+
+
 class DatasetError(Exception):
-    """A dataset file that cannot be used as ground truth."""
-
-
-class MissingGroundTruth(Exception):
-    """A result refers to a case the dataset does not define."""
-
-
-@dataclass
-class Dataset:
-    name: str
-    cases: list[CaseSpec] = field(default_factory=list)
+    """An input that does not fit the dataset: a bad dataset or results file, or an unknown case."""
 
 
 def _json_object(path: str, i: int, line: str) -> dict:
@@ -44,9 +38,8 @@ def _json_object(path: str, i: int, line: str) -> dict:
     return record
 
 
-def load_dataset(path: str) -> Dataset:
+def load_dataset(path: str) -> list[CaseSpec]:
     """Read a line-delimited dataset file of fix commits and their BICs."""
-    name = None
     cases = []
     seen = set()
     with open(path, encoding="utf-8") as f:
@@ -56,10 +49,11 @@ def load_dataset(path: str) -> Dataset:
                 continue
             record = _json_object(path, i, line)
             if record.get("schema") == DATASET_SCHEMA:
-                name = name or record.get("name")
                 continue
-            if not all(isinstance(record.get(k), str) for k in ("repo", "fix_commit")):
-                raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields")
+            if not (all(isinstance(record.get(k), str) for k in ("repo", "fix_commit"))
+                    and all(isinstance(record.get(k, ""), str) for k in ("dataset_tag", "case_id"))):
+                raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields, "
+                                   "and string 'dataset_tag' and 'case_id' if given")
             bics = record.get("bics") or []
             if not bics:
                 raise DatasetError(f"{path}:{i}: case without ground-truth bics")
@@ -79,7 +73,7 @@ def load_dataset(path: str) -> Dataset:
                 raise DatasetError(f"{path}:{i}: duplicate case id {case.case_id}")
             seen.add(case.case_id)
             cases.append(case)
-    return Dataset(name=name or path, cases=cases)
+    return cases
 
 
 @dataclass
@@ -110,7 +104,7 @@ def read_results(path: str) -> tuple[str, list[CaseResult]]:
         lines = [(i, _json_object(path, i, ln)) for i, ln in enumerate(f, start=1) if ln.strip()]
     if not lines or lines[0][1].get("schema") != RESULTS_SCHEMA:
         raise DatasetError(f"{path} is not a {RESULTS_SCHEMA} file")
-    method = lines[0][1].get("method", path)
+    method = lines[0][1].get("method", "")
     if not isinstance(method, str):
         raise DatasetError(f"{path}:{lines[0][0]}: 'method' must be a string")
     seen = set()
@@ -119,10 +113,15 @@ def read_results(path: str) -> tuple[str, list[CaseResult]]:
         if not (isinstance(record.get("case_id"), str) and isinstance(predicted, list)
                 and all(isinstance(p, str) for p in predicted)):
             raise DatasetError(f"{path}:{i}: result needs a string 'case_id' and string 'predicted' ids")
+        cost = record.get("cost", {})
+        if not (isinstance(cost, dict) and all(type(v) in (int, float) for v in cost.values())
+                and type(record.get("error")) in (str, type(None))):
+            raise DatasetError(f"{path}:{i}: 'cost' must be an object of numbers, "
+                               "and 'error' a string or null")
         if record["case_id"] in seen:
             raise DatasetError(f"{path}:{i}: duplicate case id {record['case_id']}")
         seen.add(record["case_id"])
-    return method, [CaseResult.from_dict(record) for _, record in lines[1:]]
+    return method or path, [CaseResult.from_dict(record) for _, record in lines[1:]]
 
 
 def metrics(
@@ -199,20 +198,20 @@ class EvalReport:
 
 
 def aggregate_report(
-    dataset: Dataset,
+    cases: list[CaseSpec],
     results: list[CaseResult],
     flags: dict[str, dict],
-    name: str = "",
+    name: str,
     price_table: dict | None = None,
 ) -> EvalReport:
     """Scores over every dataset case, a case without a results line as a miss.
 
     `flags` maps case ids to `hard_case_flags`; a case it lacks is in no subset.
     """
-    ground_truth = {case.case_id: case.ground_truth for case in dataset.cases}
+    ground_truth = {case.case_id: case.ground_truth for case in cases}
     unknown = [r.case_id for r in results if r.case_id not in ground_truth]
     if unknown:
-        raise MissingGroundTruth(f"results for unknown case ids: {', '.join(sorted(unknown))}")
+        raise DatasetError(f"results for unknown case ids: {', '.join(sorted(unknown))}")
     seen = {r.case_id for r in results}
     scored = results + [CaseResult(case_id=cid) for cid in ground_truth if cid not in seen]
     precision, recall, f1 = metrics(scored, ground_truth)
@@ -229,13 +228,12 @@ def aggregate_report(
         if values:
             cost_means[key] = sum(values) / len(values)
     if price_table and results:
-        dollars = [r.cost.get("prompt_tokens", 0) / 1000 * price_table.get("prompt_usd_per_1k", 0.0)
-                   + r.cost.get("completion_tokens", 0) / 1000 * price_table.get("completion_usd_per_1k", 0.0)
-                   for r in results]
+        dollars = [sum(r.cost.get(tokens, 0) / 1000 * price_table.get(price, 0.0)
+                       for price, tokens in PRICED_TOKENS.items()) for r in results]
         cost_means["dollars"] = sum(dollars) / len(dollars)
 
     return EvalReport(
-        name=name or dataset.name,
+        name=name,
         n_cases=len(scored),
         precision=precision,
         recall=recall,

@@ -58,7 +58,7 @@ class CommitNotFound(GitGatewayError):
 
 
 class GitTimeout(GitGatewayError):
-    """Git was killed at the handle's deadline."""
+    """Git was killed at the gateway's deadline."""
 
 
 class GitStatus(Enum):
@@ -76,7 +76,7 @@ class GitOutcome:
 
 @dataclass
 class RepoHandle:
-    """A local repository path plus per-call defaults.
+    """A local repository path.
 
     Construction starts no process: a path that is not a repository is
     reported by the first git call (RepoUnavailable). Safe for concurrent
@@ -85,7 +85,6 @@ class RepoHandle:
     """
 
     root_path: str
-    default_timeout: float = DEFAULT_TIMEOUT
     process_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
@@ -155,14 +154,14 @@ def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
     Raises NonAllowlistedCommand for anything outside the read-only set;
     that is a programming error, never surfaced to the agent. Raises
     RepoUnavailable when the path is not a repository (or not a directory),
-    and GitTimeout when git outlives the handle's deadline.
+    and GitTimeout when git outlives DEFAULT_TIMEOUT, read at call time.
     """
     if not args or args[0] not in ALLOWED_SUBCOMMANDS:
         raise NonAllowlistedCommand(f"refusing git subcommand: {args[:1] or '(empty)'}")
     repo.process_count += 1
-    out = _spawn(repo.root_path, args, repo.default_timeout)
+    out = _spawn(repo.root_path, args, DEFAULT_TIMEOUT)
     if out.status is GitStatus.TIMED_OUT:
-        raise GitTimeout(f"git {args[0]} timed out after {repo.default_timeout:g}s")
+        raise GitTimeout(f"git {args[0]} timed out after {DEFAULT_TIMEOUT:g}s")
     if out.status is GitStatus.NONZERO_EXIT and out.stderr.startswith(_NO_REPO_ERRORS):
         raise RepoUnavailable(f"{repo.root_path} is not a git repository: {out.stderr.strip()}")
     return out

@@ -20,6 +20,7 @@ from repo_helpers import (
     FAR_FUTURE, RepoBuilder, committer_time, generate_random_repo, object_set_digest, parent_context,
 )
 
+from bictrace import gitio
 from bictrace.agent import (
     LiveBackend,
     ScriptedBackend,
@@ -118,7 +119,7 @@ def test_c02_compression_constants_and_bounds():
                 assert text.splitlines()[-1].startswith("[output truncated"), (tool.value, trial)
 
 
-def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
+def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo, monkeypatch):
     """One process per distinct call; timeouts hint and are never cached."""
     rb = RepoBuilder(tmp_path / "cache")
     rb.commit({"f.c": "int f(void) {\n  return 1;\n}\n"}, "seed")
@@ -147,7 +148,8 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo):
         assert first.text == second.text == third.text
         assert second.cache_hit and third.cache_hit and not first.cache_hit
 
-    slow = RepoHandle(slow_repo.path, default_timeout=0.001)
+    slow = RepoHandle(slow_repo.path)
+    monkeypatch.setattr(gitio, "DEFAULT_TIMEOUT", 0.001)
     timeout_cache = {}
     obs = execute_compressed(
         slow, LogSArgs(search_string="return"), parent_context(slow_repo.head()),

@@ -368,6 +368,18 @@ class TestLiveBackend:
         step = live_backend().send([], [])
         assert step.kind == "malformed"
 
+    @pytest.mark.parametrize("message, raw", [
+        ({"tool_calls": [{"function": {"name": "git_grep", "arguments": "[1]"}}]},
+         json.dumps({"function": {"name": "git_grep", "arguments": "[1]"}})),
+        ({"content": "  \n"}, "(empty message)"),
+        ({"content": None}, "(empty message)"),
+    ])
+    def test_non_object_arguments_and_empty_content_are_malformed(self, monkeypatch, message, raw):
+        body = {"choices": [{"message": message}], "usage": {"prompt_tokens": 3}}
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
+        step = live_backend().send([], [])
+        assert (step.kind, step.raw, step.prompt_tokens) == ("malformed", raw, 3)
+
 
 class TestRecordReplay:
     def _run_and_record(self, repo_info, path):
@@ -423,6 +435,24 @@ class TestRecordReplay:
         with open(path, "w") as f:
             f.write("\n".join(lines[:-1]))
         with pytest.raises(SchemaMismatch):
+            ReplayBackend(path)
+
+    def test_replay_past_the_recording_is_exhausted(self, cross_file_repo, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        case, repo, fc, _, _ = self._run_and_record(cross_file_repo, path)
+        # Without its final answer the recording runs out while the loop still asks.
+        lines = Path(path).read_text().splitlines()
+        kept = [ln for ln in lines if json.loads(ln).get("step", {}).get("kind") != "final"]
+        Path(path).write_text("\n".join(kept) + "\n")
+        with pytest.raises(DesyncError, match="^replay exhausted"):
+            run_investigation(case, repo, fc, ReplayBackend(path))
+
+    def test_line_that_is_not_json_schema_mismatch(self, cross_file_repo, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        self._run_and_record(cross_file_repo, path)
+        lines = Path(path).read_text().splitlines()
+        Path(path).write_text("\n".join([lines[0], "{oops", *lines[1:]]) + "\n")
+        with pytest.raises(SchemaMismatch, match=f"^unreadable transcript {re.escape(path)}: "):
             ReplayBackend(path)
 
     def test_wrong_schema(self, tmp_path):

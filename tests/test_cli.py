@@ -101,6 +101,17 @@ class TestInvestigate:
         assert code == 1
         assert "not configured" in err
 
+    @pytest.mark.parametrize("command", [["investigate", "--repo", ".", "--fix", "HEAD"],
+                                         ["batch", "--dataset"]])
+    def test_replay_backend_spec_is_unknown(self, tmp_path, capsys, command):
+        # One way to replay: `replay --transcript`, for the one case it recorded.
+        if command[0] == "batch":
+            command = [*command, write_dataset(tmp_path / "ds.jsonl", [])]
+        assert main([*command, "--backend", "replay:x.jsonl",
+                     "--run-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == "error: unknown backend spec: replay:x.jsonl\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_config_file_is_an_error(self, linear_repo, tmp_path, capsys):
         rb, shas = linear_repo
         code = main(["investigate", "--repo", rb.path, "--fix", shas[2],
@@ -209,6 +220,23 @@ class TestReplayCmd:
         config = json.loads((tmp_path / "runs" / "rep" / "config.json").read_text())
         assert config["backend"] == f"replay:{transcript}"
 
+    def test_config_records_no_model(self, recorded, tmp_path, monkeypatch):
+        rb, transcript = recorded
+        monkeypatch.setenv("BICTRACE_MODEL", "env-model")
+        assert self.replay(transcript, tmp_path) == 0
+        config = json.loads((tmp_path / "runs" / "rep" / "config.json").read_text())
+        assert config["model"] == ""
+
+    @pytest.mark.parametrize("flag", [["--backend", "live"], ["--model", "gpt-imaginary"],
+                                      ["--endpoint-url", "https://x.test"]])
+    def test_backend_flags_are_not_replay_flags(self, recorded, tmp_path, capsys, flag):
+        rb, transcript = recorded
+        with pytest.raises(SystemExit) as exit_info:
+            self.replay(transcript, tmp_path, *flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "rep").exists()
+
     def test_replayed_transcript_is_the_recording(self, linear_repo, tmp_path, capsys):
         # A fix given as a ref names the case "t:HEAD"; replay keeps that id.
         rb, shas = linear_repo
@@ -226,7 +254,8 @@ class TestReplayCmd:
         assert "case: t:HEAD" in capsys.readouterr().out
         assert (runs / "rep" / "transcripts" / "t_HEAD.jsonl").read_bytes() == recorded.read_bytes()
 
-    @pytest.mark.parametrize("header", [[1], {"schema": TRANSCRIPT_SCHEMA, "repo": "r"}])
+    @pytest.mark.parametrize("header", [[1], {"schema": TRANSCRIPT_SCHEMA, "repo": "r"},
+                                        {"schema": TRANSCRIPT_SCHEMA, "repo": "r", "fix": "HEAD"}])
     def test_bad_header_is_one_error_line(self, recorded, tmp_path, capsys, header):
         rb, transcript = recorded
         lines = Path(transcript).read_text().splitlines()
@@ -631,7 +660,11 @@ class TestBaselineCmd:
         _, results = read_results(out_path)
         assert [(r.error, r.predicted) for r in results] == [(None, [bic])] * len(urls)
 
-    @pytest.mark.parametrize("record", [{"fix_commit": "a" * 40, "bics": ["b" * 40]}, [1]])
+    @pytest.mark.parametrize("record", [
+        {"fix_commit": "a" * 40, "bics": ["b" * 40]}, [1],
+        {"repo": "/r", "fix_commit": "a" * 40, "bics": ["b" * 40], "case_id": 5},
+        {"repo": "/r", "fix_commit": "a" * 40, "bics": ["b" * 40], "dataset_tag": 7},
+    ])
     def test_malformed_dataset_is_an_error(self, tmp_path, capsys, record):
         ds = write_dataset(tmp_path / "bad.jsonl", [record])
         code = main(["baseline", "--algorithm", "b", "--dataset", ds,
@@ -705,28 +738,14 @@ class TestGroundTruthIds:
 class TestFailedCaseFlags:
     def test_desynced_case_counts_in_every_category(self, cross_file_repo, tmp_path, capsys):
         rb, info = cross_file_repo
-        script = write_script(tmp_path / "s.json", [
-            {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "driver/hotplug.c"}},
-            {"kind": "final", "text": f"BIC: {info['bic']}\nConfidence: high\nReasoning: r"},
-        ])
+        # no_live_env clears the BICTRACE_* settings, so the live backend fails the agent case.
         runs = tmp_path / "runs"
-        assert main(["investigate", "--repo", rb.path, "--fix", info["fix"], "--tag", "t",
-                     "--backend", f"scripted:{script}", "--run-dir", str(runs),
-                     "--run-id", "rec"]) == 0
-        # A tampered observation makes the replay desync at its second step.
-        transcript = runs / "rec" / "transcripts" / f"t_{info['fix'][:12]}.jsonl"
-        records = [json.loads(line) for line in transcript.read_text().splitlines()]
-        for record in records:
-            if record.get("event") == "observation":
-                record["text"] = "tampered"
-        transcript.write_text("".join(json.dumps(r) + "\n" for r in records))
-
         ds = write_dataset(tmp_path / "ds.jsonl",
                            [{"repo": rb.path, "fix_commit": info["fix"], "bics": [info["bic"]]}])
-        assert main(["batch", "--dataset", ds, "--backend", f"replay:{transcript}",
+        assert main(["batch", "--dataset", ds, "--backend", "live",
                      "--run-dir", str(runs), "--run-id", "rep"]) == 0
         (failed,) = read_results(str(runs / "rep" / "results.jsonl"))[1]
-        assert "differs from the recorded run" in failed.error
+        assert failed.error.startswith("live backend not configured")
         # The flags come from evaluate alone, never from a method's results line.
         (line,) = (runs / "rep" / "results.jsonl").read_text().splitlines()[1:]
         assert "category_flags" not in json.loads(line)
@@ -737,7 +756,7 @@ class TestFailedCaseFlags:
         assert main(["evaluate", "--dataset", ds, "--out", reports, "--results",
                      str(runs / "rep" / "results.jsonl"), b_path]) == 3
         agent, baseline = (json.loads(Path(os.path.join(reports, f"{name}.report.json")).read_text())
-                           for name in ("agent-replay", "b-szz"))
+                           for name in ("agent-live", "b-szz"))
         for category in ("ghost", "cross_file"):
             assert (agent["category_recall"][category]["n_cases"]
                     == baseline["category_recall"][category]["n_cases"])
@@ -868,6 +887,10 @@ class TestEvaluateCmd:
         (['{"schema": "bictrace-results/v1", "method": 5}', '{"case_id": "x:1"}'], 1),
         (['{"schema": "bictrace-results/v1"}', "{oops"], 2),
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1"}', '{"case_id": "x:1"}'], 3),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "cost": []}'], 2),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "cost": {"seconds": "5"}}'], 2),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "cost": {"turns": true}}'], 2),
+        (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "error": 5}'], 2),
     ])
     def test_malformed_results_file_is_an_error(self, linear_repo, tmp_path, capsys, lines, bad):
         ds, _ = self.make_inputs(tmp_path, linear_repo)
@@ -884,6 +907,53 @@ class TestEvaluateCmd:
                      "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "price_table" in err
+
+    def test_unknown_price_key_is_an_error(self, linear_repo, tmp_path, capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"price_table": {"prompt_usd_per_1K": 0.25}}))
+        assert main(["evaluate", "--dataset", ds, "--results", results,
+                     "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: unknown price_table key(s): prompt_usd_per_1K\n")
+
+    def test_repeated_method_names_a_report_by_its_path(self, linear_repo, tmp_path, capsys):
+        ds, first = self.make_inputs(tmp_path, linear_repo)
+        second = tmp_path / "second.jsonl"
+        second.write_text(json.dumps({"schema": "bictrace-results/v1", "method": "hand"}) + "\n"
+                          + json.dumps({"case_id": "x:1", "predicted": []}) + "\n"
+                          + json.dumps({"case_id": "x:2", "predicted": []}) + "\n")
+        out_dir = tmp_path / "reports"
+        assert main(["evaluate", "--dataset", ds, "--results", first, str(second),
+                     "--out", str(out_dir)]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [[f"hand:{first}", "2", "0.5000", "0.5000", "0.5000"],
+                        [f"hand:{second}", "2", "0.0000", "0.0000", "0.0000"]]
+        reports = {json.loads(p.read_text())["name"]: json.loads(p.read_text())["recall"]
+                   for p in out_dir.glob("*.report.json")}
+        assert reports == {f"hand:{first}": 0.5, f"hand:{second}": 0.0}
+
+    def test_report_names_that_share_a_file_name_are_an_error(self, linear_repo, tmp_path,
+                                                              capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        (tmp_path / "a").mkdir()
+        nested, flat = tmp_path / "a" / "b.jsonl", tmp_path / "a_b.jsonl"
+        for path in (nested, flat):
+            path.write_text(Path(results).read_text())
+        out_dir = tmp_path / "reports"
+        assert main(["evaluate", "--dataset", ds, "--results", str(nested), str(flat),
+                     "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: reports hand:{nested} and hand:{flat} would share a file name\n")
+        assert not out_dir.exists()
+
+    def test_empty_method_names_a_report_by_its_path(self, linear_repo, tmp_path, capsys):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        lines = Path(results).read_text().splitlines()
+        Path(results).write_text("\n".join(['{"schema": "bictrace-results/v1", "method": ""}',
+                                            *lines[1:]]) + "\n")
+        assert main(["evaluate", "--dataset", ds, "--results", results]) == 0
+        assert capsys.readouterr().out.startswith(f"Report: {results} (2 cases)\n")
 
     def test_boolean_price_is_an_error(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)
@@ -938,6 +1008,18 @@ class TestToolCmd:
         )
         assert code == 1
         assert "has no parent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tool, args, err", [
+        ("git_push", "{}", "error: unknown tool 'git_push'; choose from "
+                           "git_show, git_blame, git_log_s, git_log_func, git_grep\n"),
+        ("git_show", "{oops", "error: --args is not valid JSON: "
+                              "Expecting property name enclosed in double quotes: "
+                              "line 1 column 2 (char 1)\n"),
+    ])
+    def test_bad_tool_or_args_is_one_error_line(self, linear_repo, capsys, tool, args, err):
+        rb, _ = linear_repo
+        assert main(["tool", tool, "--repo", rb.path, "--args", args]) == 1
+        assert capsys.readouterr() == ("", err)
 
     def test_missing_required_arg_schema_text(self, linear_repo, capsys):
         rb, _ = linear_repo
@@ -1121,6 +1203,23 @@ class TestFetchDatasets:
               "dataset_tag": "x", "case_id": "x:1"}],
         )
         assert main(["fetch-datasets", "--dataset", ds, "--dest", str(tmp_path / "repos")]) == 0
+
+    def test_file_url_clones_offline_for_baseline(self, linear_repo, tmp_path, capsys):
+        rb, shas = linear_repo
+        url = Path(rb.path).as_uri()
+        ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": url, "fix_commit": shas[2],
+                                                    "bics": [shas[1]], "case_id": "x:1"}])
+        dest = tmp_path / "repos"
+        target = dest / Path(rb.path).name
+        assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 0
+        assert capsys.readouterr().out == f"cloning {url} -> {target}\n"
+        assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 0
+        assert capsys.readouterr().out == f"exists: {target}\n"
+        out_path = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path,
+                     "--repos-dir", str(dest)]) == 0
+        _, (result,) = read_results(out_path)
+        assert (result.error, result.predicted) == (None, [shas[1]])
 
     def test_missing_local_path_fails(self, tmp_path, capsys):
         ds = write_dataset(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repo_helpers import RepoBuilder, parent_context
 
-from bictrace import agent, caseprep, cli, compress, tools
+from bictrace import agent, caseprep, cli, compress, gitio, tools
 from bictrace.caseprep import CaseSpec, load_fix_context, strip_trailers
 from bictrace.compress import (
     CompressionConfig,
@@ -595,23 +595,36 @@ class TestExecuteCompressed:
             f"L1: {sha[:12]} | a", f"L2: {sha[:12]} | b\rx", f"L3: {sha[:12]} | c",
         ]
 
-    def test_timeout_hint_and_no_caching(self, slow_repo):
+    def test_timeout_hint_and_no_caching(self, slow_repo, monkeypatch):
         head = slow_repo.head()
-        slow = RepoHandle(slow_repo.path, default_timeout=0.001)
+        repo = RepoHandle(slow_repo.path)
         cache = {}
-        obs = execute_compressed(
-            slow, LogSArgs(search_string="f"), parent_context(head), cache,
-            CompressionConfig(),
-        )
+        with monkeypatch.context() as m:
+            m.setattr(gitio, "DEFAULT_TIMEOUT", 0.001)
+            obs = execute_compressed(
+                repo, LogSArgs(search_string="f"), parent_context(head), cache,
+                CompressionConfig(),
+            )
         assert "Retry with narrower parameters" in obs.text
         assert len(cache) == 0
         # A later call with a sane timeout executes fresh and caches.
-        ok = RepoHandle(slow_repo.path)
         obs2 = execute_compressed(
-            ok, LogSArgs(search_string="f"), parent_context(head), cache,
+            repo, LogSArgs(search_string="f"), parent_context(head), cache,
             CompressionConfig(),
         )
         assert not obs2.cache_hit and len(cache) == 1
+
+    def test_generic_notice_when_extraction_drops_the_cap_notice(self, tmp_path):
+        # Layer 2 caps the 300 added lines, and extraction brings the text under tau
+        # without the cap's notice, so the generic notice says the output is cut.
+        rb = RepoBuilder(tmp_path / "long-diff")
+        rb.commit({"f.c": "seed\n"}, "seed")
+        sha = rb.commit({"f.c": "seed\n" + "".join(f"line number {i:03d}\n" for i in range(300))},
+                        "add")
+        obs = execute_compressed(RepoHandle(rb.path), ShowArgs(commit=sha), parent_context(sha),
+                                 {}, CompressionConfig())
+        assert obs.truncated and len(obs.text) <= CompressionConfig().tau
+        assert obs.text.endswith("\n" + compress._GENERIC_NOTICE)
 
     def test_small_output_unchanged_by_layer3(self, pipeline_repo):
         repo, shas, _ = pipeline_repo

@@ -12,7 +12,7 @@ from bictrace import evaluate as ev
 from bictrace.caseprep import CaseSpec, load_fix_context
 from bictrace.evaluate import (
     CaseResult,
-    MissingGroundTruth,
+    DatasetError,
     aggregate_report,
     classify_cross_file,
     classify_ghost,
@@ -91,12 +91,9 @@ class TestMetrics:
     def test_missing_ground_truth(self):
         # metrics() trusts its caller; aggregate_report refuses the result
         # before any score is computed.
-        ds = ev.Dataset(
-            name="synthetic",
-            cases=[CaseSpec(repo_path="/r", fix_commit="f", ground_truth={"A"}, case_id="other")],
-        )
-        with pytest.raises(MissingGroundTruth, match="ghost-case"):
-            aggregate_report(ds, [CaseResult(case_id="ghost-case")], {})
+        cases = [CaseSpec(repo_path="/r", fix_commit="f", ground_truth={"A"}, case_id="other")]
+        with pytest.raises(DatasetError, match="ghost-case"):
+            aggregate_report(cases, [CaseResult(case_id="ghost-case")], {}, name="synthetic")
 
 
 class TestClassifiers:
@@ -178,9 +175,8 @@ class TestDatasetIO:
             + json.dumps({"repo": "/r2", "fix_commit": "c" * 40, "bics": ["d" * 40],
                           "dataset_tag": "x", "case_id": "x:2"}) + "\n"
         )
-        ds = load_dataset(str(path))
-        assert ds.name == "mini"
-        assert [c.case_id for c in ds.cases] == ["x:1", "x:2"]
+        # The header's "name" is read by nothing; a report is named by its results file.
+        assert [c.case_id for c in load_dataset(str(path))] == ["x:1", "x:2"]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -204,6 +200,8 @@ class TestDatasetIO:
           for bic in ("b" * 12, "b" * 41, "g" * 40, "b" * 40 + "\n", 7)),
         ["not", "an", "object"],
         "a string",
+        {"repo": "/r", "fix_commit": "a" * 40, "bics": ["b" * 40], "case_id": 5},
+        {"repo": "/r", "fix_commit": "a" * 40, "bics": ["b" * 40], "dataset_tag": 7},
     ])
     def test_malformed_record_names_its_line(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"
@@ -245,13 +243,10 @@ class TestDatasetIO:
 
 class TestReport:
     def make_dataset(self):
-        return ev.Dataset(
-            name="synthetic",
-            cases=[
-                CaseSpec(repo_path="/r", fix_commit="f1", ground_truth={"A"}, case_id="c1"),
-                CaseSpec(repo_path="/r", fix_commit="f2", ground_truth={"B"}, case_id="c2"),
-            ],
-        )
+        return [
+            CaseSpec(repo_path="/r", fix_commit="f1", ground_truth={"A"}, case_id="c1"),
+            CaseSpec(repo_path="/r", fix_commit="f2", ground_truth={"B"}, case_id="c2"),
+        ]
 
     def test_all_ghost_dataset_recall_match(self):
         ds = self.make_dataset()
@@ -260,14 +255,15 @@ class TestReport:
             CaseResult(case_id="c2", predicted=[]),
         ]
         flags = {"c1": {"ghost": True}, "c2": {"ghost": True}}
-        report = aggregate_report(ds, results, flags)
+        report = aggregate_report(ds, results, flags, name="m")
         assert report.category_recall["ghost"] == {"n_cases": 2, "recall": report.recall}
 
     def test_subsets_come_from_the_flags_map(self):
         ds = self.make_dataset()
         results = [CaseResult(case_id="c1", predicted=["A"]), CaseResult(case_id="c2")]
         # c2 could not be classified: it is in no subset, but still scored.
-        report = aggregate_report(ds, results, {"c1": {"ghost": False, "cross_file": True}})
+        report = aggregate_report(ds, results, {"c1": {"ghost": False, "cross_file": True}},
+                                  name="m")
         assert report.category_recall == {"ghost": {"n_cases": 0, "recall": 0.0},
                                           "cross_file": {"n_cases": 1, "recall": 1.0}}
         assert (report.n_cases, report.recall) == (2, 0.5)
@@ -275,9 +271,9 @@ class TestReport:
     def test_partial_results_score_missing_cases_as_misses(self):
         ds = self.make_dataset()
         flags = {"c1": {"ghost": True}, "c2": {"ghost": True}}
-        partial = aggregate_report(ds, [CaseResult(case_id="c1", predicted=["A"])], flags)
+        partial = aggregate_report(ds, [CaseResult(case_id="c1", predicted=["A"])], flags, "m")
         full = aggregate_report(ds, [CaseResult(case_id="c1", predicted=["A"]),
-                                     CaseResult(case_id="c2")], flags)
+                                     CaseResult(case_id="c2")], flags, "m")
         assert (partial.n_cases, partial.missing, partial.recall) == (2, 1, 0.5)
         assert (full.n_cases, full.missing, full.recall) == (2, 0, 0.5)
         assert partial.category_recall == full.category_recall
@@ -290,7 +286,7 @@ class TestReport:
             CaseResult(case_id="c1", predicted=["A"], cost={"turns": 4}),
             CaseResult(case_id="c2", predicted=["B"], cost={"turns": 6}),
         ]
-        report = aggregate_report(ds, results, {})
+        report = aggregate_report(ds, results, {}, name="m")
         assert report.cost_means["turns"] == 5.0
 
     def test_report_round_trip(self, tmp_path):
@@ -301,7 +297,8 @@ class TestReport:
             CaseResult(case_id="c2", predicted=["X"],
                        cost={"tokens": 30, "turns": 4, "seconds": 0.75}),
         ]
-        report = aggregate_report(ds, results, {"c1": {"ghost": True}, "c2": {"cross_file": True}})
+        report = aggregate_report(ds, results, {"c1": {"ghost": True}, "c2": {"cross_file": True}},
+                                  name="m")
         path = str(tmp_path / "report.json")
         ev.emit_report(report, path, str(tmp_path / "report.txt"))
         with open(path) as f:
@@ -312,9 +309,9 @@ class TestReport:
 
     def test_unknown_case_id_named_in_error(self):
         ds = self.make_dataset()
-        with pytest.raises(MissingGroundTruth, match="unknown case ids: c98, c99$"):
+        with pytest.raises(DatasetError, match="unknown case ids: c98, c99$"):
             aggregate_report(ds, [CaseResult(case_id="c99"), CaseResult(case_id="c1"),
-                                  CaseResult(case_id="c98")], {})
+                                  CaseResult(case_id="c98")], {}, name="m")
 
     def test_dollar_cost_only_with_prices(self):
         ds = self.make_dataset()
@@ -322,10 +319,10 @@ class TestReport:
             CaseResult(case_id="c1", predicted=["A"],
                        cost={"prompt_tokens": 1000, "completion_tokens": 500}),
         ]
-        no_price = aggregate_report(ds, results, {})
+        no_price = aggregate_report(ds, results, {}, name="m")
         assert "dollars" not in no_price.cost_means
         priced = aggregate_report(
-            ds, results, {},
+            ds, results, {}, name="m",
             price_table={"prompt_usd_per_1k": 0.25, "completion_usd_per_1k": 2.0},
         )
         assert priced.cost_means["dollars"] == pytest.approx(0.25 + 1.0)

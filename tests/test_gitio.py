@@ -44,7 +44,8 @@ def test_run_git_timeout(slow_repo, monkeypatch):
         pids.append(self.pid)
 
     monkeypatch.setattr(subprocess.Popen, "__init__", init)
-    repo = RepoHandle(slow_repo.path, default_timeout=0.001)
+    monkeypatch.setattr(gitio, "DEFAULT_TIMEOUT", 0.001)
+    repo = RepoHandle(slow_repo.path)
     with pytest.raises(GitTimeout, match="git log timed out after 0.001s"):
         gitio.run_git(repo, ["log", "-Sx", "--all"])
     # The killed git is reaped, not left a zombie.

@@ -216,6 +216,14 @@ class TestExec:
         assert not any(ln.startswith(("+", "-")) for ln in body.splitlines())
         assert any("a.c" in ln and "\t" in ln for ln in body.splitlines())
 
+    def test_show_context_lines_set_the_diff_context(self, toolbox_repo):
+        rb, shas = toolbox_repo
+        repo = RepoHandle(rb.path)
+        narrow = tools.exec_git_show(repo, ShowArgs(commit=shas[2], context_lines=0)).splitlines()
+        wide = tools.exec_git_show(repo, ShowArgs(commit=shas[2])).splitlines()
+        assert " int alpha(void) {" in wide and " int alpha(void) {" not in narrow
+        assert any(ln.startswith("@@ -2 +2 @@") for ln in narrow)
+
     def test_show_unknown_commit(self, toolbox_repo):
         rb, _ = toolbox_repo
         repo = RepoHandle(rb.path)

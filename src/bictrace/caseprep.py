@@ -64,7 +64,7 @@ class FixContext:
     fix_date: int
     message_redacted: str
     diff_text: str
-    changed_files: list[str]
+    changed_files: list[str]  # names as git's argv takes them: an invalid UTF-8 byte is a lone surrogate
     deleted_or_modified_lines: dict[str, list[tuple[int, str]]] = field(default_factory=dict)
 
 
@@ -137,7 +137,7 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
     out = gitio.run_git(repo, [
         "show", "--no-color", "--unified=3", "--format=%H%n%P%n%ct%n%B%x00",
         "--raw", "-z", "-p", "--diff-merges=first-parent", f"{fix}^{{commit}}", "--",
-    ])
+    ], names=True)
     if out.status is not gitio.GitStatus.OK:
         raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
     # The header, NUL, NUL; then, unless the diff is empty, a newline, the
@@ -147,6 +147,7 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
     if not parents:
         raise RootCommit(f"fix commit {fix_id} has no parent")
     raw, _, diff = body[2:].partition("\0\0")
+    diff = gitio.readable(diff)  # only the --raw names go back to git
 
     # An entry: metadata (status letter last), then its path, or old and new for a rename
     # or copy. A type change (file <-> symlink) prints two sections: deletion, creation.
@@ -162,7 +163,7 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
         fix_id=fix_id,
         fix_parent=parents.split()[0],
         fix_date=int(fix_date),
-        message_redacted=redact_leakage(strip_trailers(message)),
+        message_redacted=redact_leakage(strip_trailers(gitio.readable(message))),
         diff_text=diff,
         changed_files=changed_files,
         deleted_or_modified_lines=preimage_lines_from_diff(diff, section_names),
@@ -173,7 +174,7 @@ def render_fix_block(fc: FixContext) -> str:
     # The parent is referenced symbolically: printing its id would leak the
     # answer whenever the bug was introduced by the immediately preceding
     # commit. Blame and grep default to the parent revision server-side.
-    files = "\n".join(f"  - {p}" for p in fc.changed_files) or "  (none)"
+    files = "\n".join(f"  - {gitio.readable(p)}" for p in fc.changed_files) or "  (none)"
     return (
         f"Bug-fixing commit: {fc.fix_id}\n"
         f"Pre-fix state: {fc.fix_id}~1 (the default revision for git_blame and git_grep)\n"

@@ -92,8 +92,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[key] = value
     compression = CompressionConfig.from_dict(merged.pop("compression", {}))
-    known = {k: v for k, v in merged.items() if k in RunConfig.__dataclass_fields__}
-    cfg = RunConfig(compression=compression, **known)
+    merged.pop("price_table", None)  # evaluate's setting; it may share the file
+    unknown = sorted(set(merged) - set(RunConfig.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    cfg = RunConfig(compression=compression, **merged)
     if not cfg.run_id:
         cfg.run_id = time.strftime("run-%Y%m%d-%H%M%S")
     return cfg
@@ -245,14 +248,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
     def run_case(case: CaseSpec) -> CaseResult:
         return _investigate_one(case, config, backend_factory, paths)[1]
 
+    # Each case's line is written as it finishes, in dataset order, so a
+    # batch that dies keeps every case before it.
+    out = os.path.join(paths["base"], "results.jsonl")
+    ev.write_results(out, f"agent-{config.backend.split(':', 1)[0]}", [])
     results: list[CaseResult] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         for result in pool.map(lambda c: _case_result(c, args.repos_dir, run_case), cases):
+            ev.append_result(out, result)
             results.append(result)
             print(f"[{len(results)}/{len(cases)}] {result.case_id}: "
                   f"{'error: ' + result.error if result.error else ','.join(result.predicted) or 'no prediction'}")
-    out = os.path.join(paths["base"], "results.jsonl")
-    ev.write_results(out, f"agent-{config.backend.split(':', 1)[0]}", results)
     print(f"results: {out}")
     failures = sum(1 for r in results if r.error)
     if failures:

@@ -11,7 +11,6 @@ long lines.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -32,9 +31,6 @@ _CLAMP_NOTICE = "[output truncated at character limit; retry with narrower param
 
 # Worst-case bytes the pipeline may add beyond tau: newline + clamp notice.
 MAX_OBS_OVERHEAD = len(_CLAMP_NOTICE) + 1
-
-class MalformedPorcelain(Exception):
-    """Blame output that does not parse as git blame porcelain."""
 
 
 @dataclass
@@ -136,58 +132,6 @@ def format_show(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     return _cap_lines(head + lines[diff_start:], cfg.line_caps[ToolName.SHOW])
 
 
-_PORCELAIN_HEAD = r"([0-9a-f]{40}) \d+ (\d+)(?: \d+)?"
-# One record: its head line (commit, original and final line numbers, and
-# the group size on a group's first line), the header lines, then the
-# tab-prefixed content line. Lines end in "\n" only: content may hold tabs,
-# form feeds and carriage returns.
-_PORCELAIN_RECORD_RE = re.compile(
-    _PORCELAIN_HEAD + r"\n((?:[^\t\n][^\n]*\n|\n)*)\t([^\n]*)\n"
-)
-_PORCELAIN_HEAD_RE = re.compile(_PORCELAIN_HEAD)
-_COMMIT_KEYS = ("summary", "committer-time")
-
-
-def _blame_records(raw: str, limit: float) -> tuple[list[dict], int]:
-    """The first `limit` records of `git blame` porcelain, and the count of all.
-
-    Every record is checked, but only the first `limit` are built. A
-    commit's header fields (printed by `--porcelain` only on its first
-    record, which comes before any later one) are remembered per commit
-    and copied into each built record. Text after the last newline is not
-    a line and is ignored.
-    """
-    records: list[dict] = []
-    commit_info: dict[str, dict] = {}
-    match = _PORCELAIN_RECORD_RE.match
-    pos = total = 0
-    while m := match(raw, pos):
-        if total < limit:
-            commit, final_line, headers, content = m.groups()
-            info = commit_info.setdefault(commit, {})
-            for line in headers.split("\n")[:-1]:
-                key, _, value = line.partition(" ")
-                if key in _COMMIT_KEYS:
-                    info[key] = value
-            records.append(
-                {"commit": commit, "final_line": int(final_line), **info, "content": content}
-            )
-        total += 1
-        pos = m.end()
-    end = raw.find("\n", pos)
-    if end != -1:
-        head = raw[pos:end]
-        if not _PORCELAIN_HEAD_RE.fullmatch(head):
-            raise MalformedPorcelain(f"unexpected porcelain line: {head!r}")
-        raise MalformedPorcelain("porcelain record missing content line")
-    return records, total
-
-
-def parse_blame_porcelain(raw: str) -> list[dict]:
-    """Line records from `git blame --porcelain` or `--line-porcelain` output."""
-    return _blame_records(raw, math.inf)[0]
-
-
 def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     """`L{n}: {hash} | {code}` lines plus a commit legend.
 
@@ -197,7 +141,7 @@ def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     if not raw or raw.isspace():  # unlike raw.strip(), copies nothing
         return "", False
     cap = cfg.line_caps[ToolName.BLAME]
-    shown, total = _blame_records(raw, cap)
+    shown, total = tk.blame_records(raw, cap)
     body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
     truncated = total > cap
     if truncated:
@@ -371,24 +315,6 @@ _EXTRACTORS = {
 }
 
 
-def execute_raw(repo: RepoHandle, args: ToolArgs, fc: FixContext) -> str:
-    """One tool call's raw output.
-
-    History starts at the fix's parent, so the fix and every later commit
-    stay out of it; blame and grep default to the same revision.
-    """
-    tool = args.tool
-    if tool is ToolName.SHOW:
-        return tk.exec_git_show(repo, args)
-    if tool is ToolName.BLAME:
-        return tk.exec_git_blame(repo, args, fc.fix_parent)
-    if tool is ToolName.LOG_S:
-        return tk.exec_git_log_s(repo, args, fc.fix_parent)
-    if tool is ToolName.LOG_FUNC:
-        return tk.exec_git_log_func(repo, args, fc.fix_parent)
-    return tk.exec_git_grep(repo, args, fc.fix_parent)
-
-
 _GENERIC_NOTICE = "[output truncated; retry with narrower parameters to see more]"
 
 
@@ -430,14 +356,14 @@ def execute_compressed(
         text, truncated = cache[key]
         return Observation(text, truncated=truncated, cache_hit=True)
     try:
-        raw = execute_raw(repo, args, fc)
+        raw = tk.execute_raw(repo, args, fc.fix_parent)
     except GitTimeout:
         return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False)
     except ToolError as exc:
         return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False)
     try:
         formatted, truncated = _FORMATTERS[args.tool](raw, cfg)
-    except MalformedPorcelain as exc:
+    except tk.MalformedPorcelain as exc:
         # Cached like any output git produced: a repeat is a hit.
         text, truncated = f"Error (malformed_output): {exc}", False
     else:

@@ -95,8 +95,17 @@ class CaseResult:
 def write_results(path: str, method: str, results: list[CaseResult]):
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"schema": RESULTS_SCHEMA, "method": method}, sort_keys=True) + "\n")
-        for result in results:
-            f.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+        f.writelines(_result_line(result) for result in results)
+
+
+def append_result(path: str, result: CaseResult):
+    """Add one line to a results file that write_results began, and close the file again."""
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(_result_line(result))
+
+
+def _result_line(result: CaseResult) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True) + "\n"
 
 
 def read_results(path: str) -> tuple[str, list[CaseResult]]:

@@ -69,6 +69,8 @@ class GitStatus(Enum):
 
 @dataclass
 class GitOutcome:
+    """What one git process printed. From `_spawn`, stdout is still bytes."""
+
     status: GitStatus
     stdout: str
     stderr: str
@@ -110,10 +112,17 @@ def _pinned_env() -> dict:
     }
 
 
-def _decode(data: bytes) -> str:
-    # Invalid UTF-8 becomes U+FFFD. Only CRLF becomes LF: a lone CR is part
-    # of a line to git (file content, messages, names), so it stays.
-    return data.decode("utf-8", errors="replace").replace("\r\n", "\n")
+def _decode(data: bytes, errors: str = "replace") -> str:
+    # Invalid UTF-8 becomes U+FFFD, or under "surrogateescape" the lone
+    # surrogate that os.fsencode turns back into the same byte. Only CRLF
+    # becomes LF: a lone CR is part of a line to git (file content,
+    # messages, names), so it stays.
+    return data.decode("utf-8", errors).replace("\r\n", "\n")
+
+
+def readable(text: str) -> str:
+    """Text that run_git read with `names`, as it reads text by default (U+FFFD)."""
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
 
 
 def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
@@ -142,14 +151,19 @@ def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
                 proc.kill()
         returncode = proc.wait()
     if timed_out:
-        return GitOutcome(GitStatus.TIMED_OUT, "", "")
+        return GitOutcome(GitStatus.TIMED_OUT, b"", "")
     status = GitStatus.OK if returncode == 0 else GitStatus.NONZERO_EXIT
-    stdout, stderr = (_decode(b"".join(parts)) for parts in chunks.values())
-    return GitOutcome(status, stdout, stderr)
+    # run_git decodes stdout once, the way its caller asks.
+    return GitOutcome(status, b"".join(chunks[proc.stdout]), _decode(b"".join(chunks[proc.stderr])))
 
 
-def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
+def run_git(repo: RepoHandle, args: list[str], names: bool = False) -> GitOutcome:
     """Run an allow-listed git subcommand and capture its outcome.
+
+    Stdout is read as UTF-8, and an invalid byte becomes U+FFFD, so the text
+    is fit for the model and for JSON. With `names`, an invalid byte becomes
+    a lone surrogate instead, so a path name read from the output reaches
+    git's argv unchanged; `readable` turns such text into the default form.
 
     Raises NonAllowlistedCommand for anything outside the read-only set;
     that is a programming error, never surfaced to the agent. Raises
@@ -164,6 +178,7 @@ def run_git(repo: RepoHandle, args: list[str]) -> GitOutcome:
         raise GitTimeout(f"git {args[0]} timed out after {DEFAULT_TIMEOUT:g}s")
     if out.status is GitStatus.NONZERO_EXIT and out.stderr.startswith(_NO_REPO_ERRORS):
         raise RepoUnavailable(f"{repo.root_path} is not a git repository: {out.stderr.strip()}")
+    out.stdout = _decode(out.stdout, "surrogateescape" if names else "replace")
     return out
 
 

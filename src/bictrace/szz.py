@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caseprep import FixContext
-from .compress import parse_blame_porcelain
 from .gitio import RepoHandle
-from .tools import BlameArgs, ToolError, exec_git_blame
+from .tools import ToolError, blame_records, exec_git_blame
 
 
 # Past this many -L ranges a file is blamed whole, which gives the same
@@ -52,10 +51,10 @@ def blame_candidates(repo: RepoHandle, fc: FixContext) -> list[BlameCandidate]:
         if len(ranges) > MAX_BLAME_RANGES:
             ranges = []  # no -L: the whole file
         try:
-            raw = exec_git_blame(repo, BlameArgs(file_path=path), fc.fix_parent, ranges)
+            raw = exec_git_blame(repo, path, fc.fix_parent, ranges)
         except ToolError:
             continue
-        by_line = {rec["final_line"]: rec for rec in parse_blame_porcelain(raw)}
+        by_line = {rec["final_line"]: rec for rec in blame_records(raw)[0]}
         for line_no, _ in removed:
             rec = by_line.get(line_no)
             if rec:

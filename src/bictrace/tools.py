@@ -1,14 +1,19 @@
-"""The five repository-investigation tools and their calling schemas.
+"""The five repository-investigation tools, their calling schemas and git calls.
 
 Each tool wraps one read-only git operation with a small, scoped parameter
 set. A tool's argument class is its whole contract: its name, description,
 parameters (type, required flag, description) and constraints. The JSON
 function-calling schema of chat-completion endpoints and the validation
 of incoming arguments are both read from those classes.
+
+This module is the one place that knows each git call a tool or a blame
+baseline makes: its argv, the revision it reads, and the grammar of what
+git prints back (`blame_records` reads `--porcelain`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -247,6 +252,26 @@ def enforce_search_bound(args: ToolArgs, fix_date: int) -> ToolArgs:
     return args
 
 
+def execute_raw(repo: RepoHandle, args: ToolArgs, fix_parent: str) -> str:
+    """One tool call's raw output.
+
+    History starts at the fix's parent, so the fix and every later commit
+    stay out of it; blame and grep default to the same revision.
+    """
+    tool = args.tool
+    if tool is ToolName.SHOW:
+        return exec_git_show(repo, args)
+    if tool is ToolName.BLAME:
+        bounded = args.line_start is not None or args.line_end is not None
+        ranges = [(args.line_start or 1, args.line_end)] if bounded else []
+        return exec_git_blame(repo, args.file_path, args.commit or fix_parent, ranges)
+    if tool is ToolName.LOG_S:
+        return exec_git_log_s(repo, args, fix_parent)
+    if tool is ToolName.LOG_FUNC:
+        return exec_git_log_func(repo, args, fix_parent)
+    return exec_git_grep(repo, args, fix_parent)
+
+
 def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:
     if out.status is GitStatus.NONZERO_EXIT:
         err = out.stderr.strip()
@@ -272,27 +297,69 @@ def exec_git_show(repo: RepoHandle, args: ShowArgs) -> str:
 
 
 def exec_git_blame(
-    repo: RepoHandle,
-    args: BlameArgs,
-    default_commit: str,
-    ranges: list[tuple[int, int | None]] | None = None,
+    repo: RepoHandle, path: str, rev: str, ranges: list[tuple[int, int | None]]
 ) -> str:
-    """Porcelain blame of args.file_path, limited to inclusive line ranges.
+    """Porcelain blame of `path` at `rev`, limited to inclusive line ranges.
 
-    `ranges` defaults to the tool's own line_start/line_end (none: the
-    whole file); an end of None runs to the end of the file.
+    An empty `ranges` blames the whole file; an end of None runs to the
+    end of the file.
     """
-    rev = args.commit or default_commit
-    if ranges is None:
-        bounded = args.line_start is not None or args.line_end is not None
-        ranges = [(args.line_start or 1, args.line_end)] if bounded else []
     cmd = ["blame", "--porcelain"]
     for start, end in ranges:
         cmd += ["-L", f"{start},{'' if end is None else end}"]
-    cmd += [rev, "--", args.file_path]
-    return _raise_for(
-        gitio.run_git(repo, cmd), "file_not_found", f"git_blame {args.file_path}@{rev}"
-    )
+    cmd += [rev, "--", path]
+    return _raise_for(gitio.run_git(repo, cmd), "file_not_found", f"git_blame {path}@{rev}")
+
+
+class MalformedPorcelain(Exception):
+    """Blame output that does not parse as git blame porcelain."""
+
+
+_PORCELAIN_HEAD = r"([0-9a-f]{40}) \d+ (\d+)(?: \d+)?"
+# One record: its head line (commit, original and final line numbers, and
+# the group size on a group's first line), the header lines, then the
+# tab-prefixed content line. Lines end in "\n" only: content may hold tabs,
+# form feeds and carriage returns.
+_PORCELAIN_RECORD_RE = re.compile(
+    _PORCELAIN_HEAD + r"\n((?:[^\t\n][^\n]*\n|\n)*)\t([^\n]*)\n"
+)
+_PORCELAIN_HEAD_RE = re.compile(_PORCELAIN_HEAD)
+_COMMIT_KEYS = ("summary", "committer-time")
+
+
+def blame_records(raw: str, limit: float = math.inf) -> tuple[list[dict], int]:
+    """The first `limit` records of `git blame` porcelain, and the count of all.
+
+    Every record is checked, but only the first `limit` are built. A
+    commit's header fields (printed by `--porcelain` only on its first
+    record, which comes before any later one) are remembered per commit
+    and copied into each built record. Text after the last newline is not
+    a line and is ignored. Raises MalformedPorcelain for anything else.
+    """
+    records: list[dict] = []
+    commit_info: dict[str, dict] = {}
+    match = _PORCELAIN_RECORD_RE.match
+    pos = total = 0
+    while m := match(raw, pos):
+        if total < limit:
+            commit, final_line, headers, content = m.groups()
+            info = commit_info.setdefault(commit, {})
+            for line in headers.split("\n")[:-1]:
+                key, _, value = line.partition(" ")
+                if key in _COMMIT_KEYS:
+                    info[key] = value
+            records.append(
+                {"commit": commit, "final_line": int(final_line), **info, "content": content}
+            )
+        total += 1
+        pos = m.end()
+    end = raw.find("\n", pos)
+    if end != -1:
+        head = raw[pos:end]
+        if not _PORCELAIN_HEAD_RE.fullmatch(head):
+            raise MalformedPorcelain(f"unexpected porcelain line: {head!r}")
+        raise MalformedPorcelain("porcelain record missing content line")
+    return records, total
 
 
 def _date_flags(args: LogSArgs | LogFuncArgs) -> list[str]:
@@ -342,3 +409,4 @@ def exec_git_grep(repo: RepoHandle, args: GrepArgs, default_commit: str) -> str:
     if out.status is GitStatus.NONZERO_EXIT and not out.stderr.strip():
         return ""
     return _raise_for(out, "commit_not_found", f"git_grep {args.search_string!r}@{rev}")
+

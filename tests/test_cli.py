@@ -11,7 +11,7 @@ import pytest
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
-from bictrace import evaluate, gitio
+from bictrace import cli, evaluate, gitio
 from bictrace.agent import TRANSCRIPT_SCHEMA, BackendUnavailable
 from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
@@ -345,6 +345,42 @@ class TestBatchCmd:
         assert [r.case_id for r in results] == ["x:remote", "x:local"]
         assert "--repos-dir" in results[0].error
         assert results[1].error is None and results[1].predicted == [shas[1]]
+
+    def test_interrupted_batch_keeps_the_finished_cases(self, linear_repo, tmp_path,
+                                                        monkeypatch, capsys):
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {shas[1]}"}])
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
+            for i in range(3)
+        ])
+        run = cli.run_investigation
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_investigation", interrupted)
+        runs = tmp_path / "runs"
+        with pytest.raises(KeyboardInterrupt):
+            main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                  "--run-dir", str(runs), "--run-id", "b"])
+        method, results = read_results(str(runs / "b" / "results.jsonl"))
+        assert method == "agent-scripted"
+        assert [(r.case_id, r.predicted) for r in results] == [("x:0", [shas[1]])]
+        # A finished batch writes the same bytes as a file written at the end.
+        monkeypatch.setattr(cli, "run_investigation", run)
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "full"]) == 0
+        out = runs / "full" / "results.jsonl"
+        _, results = read_results(str(out))
+        rewritten = tmp_path / "rewritten.jsonl"
+        evaluate.write_results(str(rewritten), "agent-scripted", results)
+        assert out.read_bytes() == rewritten.read_bytes()
+        capsys.readouterr()
 
     def test_classification_timeout_costs_the_run_nothing(self, linear_repo, tmp_path,
                                                            time_out_git, capsys):
@@ -1129,10 +1165,10 @@ class TestToolCmd:
         assert outputs[0].startswith("Error (")
 
     def test_raw_mode_reports_malformed_porcelain(self, linear_repo, capsys, monkeypatch):
-        from bictrace import compress
+        from bictrace import tools
 
         rb, shas = linear_repo
-        monkeypatch.setattr(compress, "execute_raw", lambda *a: "not porcelain\n")
+        monkeypatch.setattr(tools, "execute_raw", lambda *a: "not porcelain\n")
         code = main(["tool", "git_blame", "--repo", rb.path, "--fix", shas[2],
                      "--args", json.dumps({"file_path": "a.c"}), "--raw"])
         assert code == 0
@@ -1173,14 +1209,19 @@ class TestConfigPrecedence:
         with pytest.raises(ValueError):
             build_run_config(self._namespace(config=str(cfg_file)))
 
-    def test_unknown_file_keys_are_ignored(self, tmp_path):
-        from bictrace.cli import RunConfig, build_run_config
-
+    def test_unknown_file_keys_are_errors(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"forced_answer": False, "max_turns": 9}))
-        cfg = build_run_config(self._namespace(config=str(cfg_file)))
-        assert cfg.max_turns == 9
-        assert "forced_answer" not in RunConfig.__dataclass_fields__
+        # A misspelt key, and one that an older version read.
+        for data, named in (({"max_turn": 2}, "max_turn"),
+                            ({"forced_answer": False, "max_turns": 9}, "forced_answer")):
+            cfg_file.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match=rf"^unknown config key\(s\): {named}$"):
+                build_run_config(self._namespace(config=str(cfg_file)))
+        assert main(["batch", "--dataset", "unread.jsonl", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): forced_answer\n"
+        # evaluate's price_table may share the file.
+        cfg_file.write_text(json.dumps({"max_turns": 9, "price_table": {"prompt_usd_per_1k": 1}}))
+        assert build_run_config(self._namespace(config=str(cfg_file))).max_turns == 9
 
     def test_compression_overrides_from_file(self, tmp_path):
         from bictrace.cli import build_run_config

@@ -210,13 +210,13 @@ class TestFormatBlame:
         rng = random.Random(13)
         sha = random_hash(rng)
         raw = make_short_porcelain([(sha, i, f"l{i}") for i in range(1, 301)])
-        with pytest.raises(compress.MalformedPorcelain):
+        with pytest.raises(tools.MalformedPorcelain):
             format_blame(raw + "not a porcelain header\n\tcontent\n", CompressionConfig())
-        with pytest.raises(compress.MalformedPorcelain, match="missing content line"):
+        with pytest.raises(tools.MalformedPorcelain, match="missing content line"):
             format_blame(raw + f"{sha} 301 301\n", CompressionConfig())
 
     def test_malformed_porcelain(self):
-        with pytest.raises(compress.MalformedPorcelain):
+        with pytest.raises(tools.MalformedPorcelain):
             format_blame("this is not porcelain\n", CompressionConfig())
 
 
@@ -231,7 +231,7 @@ def reference_parse(raw):
     for head in lines:
         m = _REF_HEAD_RE.match(head)
         if not m:
-            raise compress.MalformedPorcelain(f"unexpected porcelain line: {head!r}")
+            raise tools.MalformedPorcelain(f"unexpected porcelain line: {head!r}")
         commit = m.group(1)
         info = commit_info.setdefault(commit, {})
         for line in lines:
@@ -241,7 +241,7 @@ def reference_parse(raw):
             if key in ("summary", "committer-time"):
                 info[key] = value
         else:
-            raise compress.MalformedPorcelain("porcelain record missing content line")
+            raise tools.MalformedPorcelain("porcelain record missing content line")
         records.append(
             {"commit": commit, "final_line": int(m.group(3)), **info, "content": line[1:]}
         )
@@ -316,7 +316,7 @@ def random_porcelain(rng, n_records, line_porcelain):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except compress.MalformedPorcelain as exc:
+    except tools.MalformedPorcelain as exc:
         return ("MalformedPorcelain", str(exc))
 
 
@@ -327,7 +327,7 @@ class TestFormatBlameMatchesFullParse:
         cfg = CompressionConfig.from_dict({"line_caps": {"git_blame": cap}})
         expected = outcome(reference_format_blame, raw, cfg)
         assert outcome(format_blame, raw, cfg) == expected
-        assert outcome(compress.parse_blame_porcelain, raw) == outcome(reference_parse, raw)
+        assert outcome(lambda r: tools.blame_records(r)[0], raw) == outcome(reference_parse, raw)
         return expected
 
     def test_valid_porcelain(self):
@@ -573,7 +573,7 @@ class TestExecuteCompressed:
         repo, shas, _ = pipeline_repo
         runs = []
         monkeypatch.setattr(
-            compress, "execute_raw", lambda *a: runs.append(a) or "not porcelain\n"
+            tools, "execute_raw", lambda *a: runs.append(a) or "not porcelain\n"
         )
         cache, args = {}, BlameArgs(file_path="f.c")
         first = execute_compressed(repo, args, parent_context(shas[1]), cache, CompressionConfig())

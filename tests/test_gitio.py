@@ -9,7 +9,6 @@ import pytest
 from repo_helpers import BASE_EPOCH, RepoBuilder, committer_time, object_set_digest
 
 from bictrace import gitio
-from bictrace.compress import parse_blame_porcelain
 from bictrace.gitio import (
     GitStatus,
     GitTimeout,
@@ -17,6 +16,7 @@ from bictrace.gitio import (
     RepoHandle,
     RepoUnavailable,
 )
+from bictrace.tools import blame_records
 
 
 def test_run_git_identity_probe(linear_handle):
@@ -151,7 +151,7 @@ def test_output_decoded_as_utf8(tmp_path):
     rb.commit({"u.txt": f"{line}\n"}, "añadir ü")
     repo = RepoHandle(rb.path)
     out = gitio.run_git(repo, ["blame", "--porcelain", "HEAD", "--", "u.txt"])
-    [record] = parse_blame_porcelain(out.stdout)
+    [record], _ = blame_records(out.stdout)
     assert record["content"] == line
     assert record["summary"] == "añadir ü"
     # An invalid byte becomes U+FFFD; CRLF reads as LF and a lone CR stays.

@@ -1,12 +1,16 @@
 """Blame baselines against hand fixtures and the brute-force oracle."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, committer_time, generate_random_repo
 
 from bictrace import gitio, szz
-from bictrace.caseprep import CaseSpec, load_fix_context
+from bictrace.caseprep import CaseSpec, load_fix_context, render_fix_block
 from bictrace.evaluate import classify_cross_file, classify_ghost
 from bictrace.gitio import RepoHandle
 from bictrace.szz import b_szz, blame_candidates, l_szz, line_ranges, r_szz
@@ -264,9 +268,35 @@ class TestUnusualDiffs:
         assert fc.deleted_or_modified_lines == {"f.c": [(2, "\x0c"), (3, "b\x0cc")]}
         assert b_szz(repo, fc) == {seed}
 
+    def test_non_utf8_path_is_traced(self, tmp_path):
+        # The fix read's -z name reaches blame and the classification's argv unchanged.
+        rb = RepoBuilder(tmp_path / "latin1")
+        name = os.fsdecode(b"caf\xe9.c")
+        rb.commit({name: "keep\nkeep\n"}, "seed")
+        bic = rb.commit({name: "keep\nbug\nkeep\n"}, "introduce")
+        fix = rb.commit({name: "keep\nkeep\n"}, "fix")
+        repo, fc = loaded(rb.path, fix)
+        assert b_szz(repo, fc) == {bic}
+        assert not classify_cross_file(repo, CaseSpec(rb.path, fix, ground_truth={bic}), fc)
+        assert fc.changed_files == [name]
+        # Text for the model reads the invalid byte as U+FFFD, as before.
+        assert "  - caf\ufffd.c\n" in render_fix_block(fc)
+        assert "\udce9" not in render_fix_block(fc)
+
     def test_removed_line_with_a_lone_carriage_return(self, tmp_path):
         rb = RepoBuilder(tmp_path / "carriage")
         seed = rb.commit({"f.c": "a\nb\rx\nc\n"}, "seed")
         fix = rb.commit({"f.c": "a\nc\n"}, "fix")
         repo, fc = loaded(rb.path, fix)
         assert b_szz(repo, fc) == {seed}
+
+
+def test_baselines_do_not_load_the_observation_pipeline():
+    # A fresh interpreter: this process has imported every module already.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bictrace.szz; print(sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "'bictrace.tools'" in done.stdout and "'bictrace.compress'" not in done.stdout

@@ -7,7 +7,6 @@ import pytest
 from repo_helpers import BASE_EPOCH, RepoBuilder
 
 from bictrace import tools
-from bictrace.compress import parse_blame_porcelain
 from bictrace.gitio import GitStatus, RepoHandle, run_git
 from bictrace.tools import (
     BlameArgs,
@@ -18,6 +17,7 @@ from bictrace.tools import (
     ShowArgs,
     ToolError,
     ToolName,
+    blame_records,
     enforce_search_bound,
     parse_args,
     parse_date,
@@ -234,25 +234,31 @@ class TestExec:
     def test_blame_line_range_attribution(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        text = tools.exec_git_blame(
-            repo, BlameArgs(file_path="a.c", commit=shas[2], line_start=2, line_end=2), shas[2]
-        )
+        text = tools.exec_git_blame(repo, "a.c", shas[2], [(2, 2)])
         assert text.splitlines()[0].startswith(shas[2])
 
     def test_blame_defaults_to_given_commit(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        explicit = tools.exec_git_blame(
-            repo, BlameArgs(file_path="a.c", commit=shas[1]), shas[0]
-        )
-        defaulted = tools.exec_git_blame(repo, BlameArgs(file_path="a.c"), shas[1])
-        assert explicit == defaulted
+        explicit = tools.execute_raw(repo, BlameArgs(file_path="a.c", commit=shas[1]), shas[0])
+        defaulted = tools.execute_raw(repo, BlameArgs(file_path="a.c"), shas[1])
+        assert explicit == defaulted == tools.exec_git_blame(repo, "a.c", shas[1], [])
+
+    def test_blame_of_two_ranges_and_of_the_whole_file(self, toolbox_repo):
+        rb, shas = toolbox_repo
+        repo = RepoHandle(rb.path)
+        whole, total = blame_records(tools.exec_git_blame(repo, "b.c", shas[1], []))
+        assert total == 3
+        assert [rec["commit"] for rec in whole] == [shas[0], shas[1], shas[0]]
+        # An end of None runs to the end of the file.
+        two, _ = blame_records(tools.exec_git_blame(repo, "b.c", shas[1], [(1, 1), (3, None)]))
+        assert two == [whole[0], whole[2]]
 
     def test_blame_missing_file(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
         with pytest.raises(ToolError) as err:
-            tools.exec_git_blame(repo, BlameArgs(file_path="nope.c"), shas[2])
+            tools.exec_git_blame(repo, "nope.c", shas[2], [])
         assert err.value.kind in ("file_not_found", "commit_not_found")
 
     def test_log_s_finds_planting_commit(self, toolbox_repo):
@@ -343,14 +349,8 @@ class TestBlameSubsetProperty:
     def test_range_blame_is_subset_of_full_blame(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        full = parse_blame_porcelain(
-            tools.exec_git_blame(repo, BlameArgs(file_path="a.c"), shas[2])
-        )
-        ranged = parse_blame_porcelain(
-            tools.exec_git_blame(
-                repo, BlameArgs(file_path="a.c", line_start=1, line_end=2), shas[2]
-            )
-        )
+        full, _ = blame_records(tools.exec_git_blame(repo, "a.c", shas[2], []))
+        ranged, _ = blame_records(tools.exec_git_blame(repo, "a.c", shas[2], [(1, 2)]))
         full_map = {rec["final_line"]: rec["commit"] for rec in full}
         for rec in ranged:
             assert full_map[rec["final_line"]] == rec["commit"]
@@ -394,8 +394,8 @@ class TestPorcelainEquivalence:
         repo, shas = renamed_repo
         short = self.blame(repo, "--porcelain", shas[rev], path, line_range)
         long = self.blame(repo, "--line-porcelain", shas[rev], path, line_range)
-        records = parse_blame_porcelain(long)
-        assert parse_blame_porcelain(short) == records
+        records, _ = blame_records(long)
+        assert blame_records(short)[0] == records
         assert all("summary" in rec and "committer-time" in rec for rec in records)
         # Each commit's header appears once, however many lines it owns.
         summaries = [ln for ln in short.splitlines() if ln.startswith("summary ")]
@@ -404,5 +404,5 @@ class TestPorcelainEquivalence:
 
     def test_tool_reads_porcelain(self, renamed_repo):
         repo, shas = renamed_repo
-        raw = tools.exec_git_blame(repo, BlameArgs(file_path="src/b.c"), shas["tip"])
+        raw = tools.exec_git_blame(repo, "src/b.c", shas["tip"], [])
         assert raw == self.blame(repo, "--porcelain", shas["tip"], "src/b.c")

@@ -144,6 +144,10 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
     # NUL-terminated fields of each --raw entry, one more NUL and the patch.
     header, _, body = out.stdout.partition("\0")
     fix_id, parents, fix_date, message = header.split("\n", 3)
+    # Blame porcelain, the answer probe and dataset bics all read 40-hex ids.
+    if not gitio.COMMIT_ID_RE.match(fix_id):
+        raise gitio.RepoUnavailable(f"{repo.root_path}: fix commit id {fix_id} has {len(fix_id)} hex "
+                                    "digits; bictrace reads only the sha1 object format (40)")
     if not parents:
         raise RootCommit(f"fix commit {fix_id} has no parent")
     raw, _, diff = body[2:].partition("\0\0")

@@ -58,6 +58,7 @@ class RunConfig:
     parallelism: int = 1
     run_dir: str = "runs"
     run_id: str = ""
+    price_table: dict | None = None  # evaluate's US dollars per 1000 tokens; read_config checks it
 
     def __post_init__(self):
         for f in fields(self):
@@ -73,6 +74,13 @@ def read_config(path: str) -> dict:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    price = data.get("price_table")
+    if price is not None:
+        if not (isinstance(price, dict) and all(type(v) in (int, float) for v in price.values())):
+            raise ValueError(f"{path}: price_table must map price names to numbers")
+        unknown = sorted(set(price) - set(ev.PRICED_TOKENS))
+        if unknown:
+            raise ValueError(f"{path}: unknown price_table key(s): {', '.join(unknown)}")
     return data
 
 
@@ -92,7 +100,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[key] = value
     compression = CompressionConfig.from_dict(merged.pop("compression", {}))
-    merged.pop("price_table", None)  # evaluate's setting; it may share the file
     unknown = sorted(set(merged) - set(RunConfig.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -128,6 +135,14 @@ def make_backend(config: RunConfig):
 
 def _safe_name(case_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", case_id)
+
+
+def _refuse_shared_file_names(kind: str, names: list[str]):
+    """Two different names that _safe_name maps to one file would overwrite each other's files."""
+    stems: dict[str, str] = {}
+    for name in names:
+        if stems.setdefault(_safe_name(name), name) != name:
+            raise ValueError(f"{kind} {stems[_safe_name(name)]} and {name} would share a file name")
 
 
 def _write_json(path: str, data: dict):
@@ -231,39 +246,43 @@ def cmd_investigate(args: argparse.Namespace) -> int:
     return _investigate_and_print(case, config, make_backend(config))
 
 
-def _case_result(case: CaseSpec, repos_dir: str | None, run_case) -> CaseResult:
-    """Run one dataset case on its local clone; any failure becomes the case's error."""
-    try:
-        return run_case(replace(case, repo_path=_materialize_repo(case.repo_path, repos_dir)))
-    except Exception as exc:  # noqa: BLE001 - a dataset run must survive any case
-        return CaseResult(case_id=case.case_id, error=str(exc))
+def _run_dataset(cases: list[CaseSpec], repos_dir: str | None, out: str, method: str,
+                 run_case, workers: int = 1) -> int:
+    """Run each case on its clone; append its line to `out` once it and every case before it finished.
+
+    A case's failure becomes its error. A run that dies keeps every case before the first unfinished one.
+    """
+    def run_on_clone(case: CaseSpec) -> CaseResult:
+        try:
+            return run_case(replace(case, repo_path=_materialize_repo(case.repo_path, repos_dir)))
+        except Exception as exc:  # noqa: BLE001 - a dataset run must survive any case
+            return CaseResult(case_id=case.case_id, error=str(exc))
+
+    ev.write_results(out, method)
+    failures = 0
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        for i, result in enumerate(pool.map(run_on_clone, cases), start=1):
+            ev.append_result(out, result)
+            failures += bool(result.error)
+            print(f"[{i}/{len(cases)}] {result.case_id}: "
+                  f"{'error: ' + result.error if result.error else ','.join(result.predicted) or 'no prediction'}")
+    print(f"results: {out}")
+    if failures:
+        print(f"{failures} case(s) failed infrastructure-wise", file=sys.stderr)
+    return 0
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     cases = load_dataset(args.dataset)
+    # Each case writes cases/<name>.json and transcripts/<name>.jsonl.
+    _refuse_shared_file_names("cases", [case.case_id for case in cases])
     backend_factory = make_backend(config)
     paths = _run_paths(config)
-
-    def run_case(case: CaseSpec) -> CaseResult:
-        return _investigate_one(case, config, backend_factory, paths)[1]
-
-    # Each case's line is written as it finishes, in dataset order, so a
-    # batch that dies keeps every case before it.
-    out = os.path.join(paths["base"], "results.jsonl")
-    ev.write_results(out, f"agent-{config.backend.split(':', 1)[0]}", [])
-    results: list[CaseResult] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        for result in pool.map(lambda c: _case_result(c, args.repos_dir, run_case), cases):
-            ev.append_result(out, result)
-            results.append(result)
-            print(f"[{len(results)}/{len(cases)}] {result.case_id}: "
-                  f"{'error: ' + result.error if result.error else ','.join(result.predicted) or 'no prediction'}")
-    print(f"results: {out}")
-    failures = sum(1 for r in results if r.error)
-    if failures:
-        print(f"{failures} case(s) failed infrastructure-wise", file=sys.stderr)
-    return 0
+    return _run_dataset(cases, args.repos_dir, os.path.join(paths["base"], "results.jsonl"),
+                        f"agent-{config.backend.split(':', 1)[0]}",
+                        lambda case: _investigate_one(case, config, backend_factory, paths)[1],
+                        config.parallelism)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
@@ -278,10 +297,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             cost={"seconds": seconds},
         )
 
-    results = [_case_result(case, args.repos_dir, run_case) for case in cases]
-    ev.write_results(args.out, f"{args.algorithm}-szz", results)
-    print(f"wrote {len(results)} case results to {args.out}")
-    return 0
+    return _run_dataset(cases, args.repos_dir, args.out, f"{args.algorithm}-szz", run_case)
 
 
 def _hard_case_flags(cases: list[CaseSpec], repos_dir: str | None) -> dict[str, dict]:
@@ -300,22 +316,13 @@ def _report_names(runs: list[tuple[str, str, list]]) -> list[str]:
     """Each results file's report name: its method, with its path where methods repeat."""
     methods = [method for _, method, _ in runs]
     names = [method if methods.count(method) == 1 else f"{method}:{path}" for path, method, _ in runs]
-    stems: dict[str, str] = {}
-    for name in names:
-        if stems.setdefault(_safe_name(name), name) != name:
-            raise ValueError(f"reports {stems[_safe_name(name)]} and {name} would share a file name")
+    _refuse_shared_file_names("reports", names)
     return names
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cases = load_dataset(args.dataset)
-    price = read_config(args.config).get("price_table") if args.config else None
-    if price is not None:
-        if not (isinstance(price, dict) and all(type(v) in (int, float) for v in price.values())):
-            raise ValueError(f"{args.config}: price_table must map price names to numbers")
-        unknown = sorted(set(price) - set(ev.PRICED_TOKENS))
-        if unknown:
-            raise ValueError(f"{args.config}: unknown price_table key(s): {', '.join(unknown)}")
+    price = build_run_config(args).price_table
     runs = [(path, *ev.read_results(path)) for path in args.results]
     names = _report_names(runs)
     flags = _hard_case_flags(cases, args.repos_dir)
@@ -333,7 +340,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             stem = os.path.join(args.out, _safe_name(report.name))
-            ev.emit_report(report, f"{stem}.report.json", f"{stem}.report.txt")
+            _write_json(f"{stem}.report.json", report.to_dict())
+            with open(f"{stem}.report.txt", "w", encoding="utf-8") as f:
+                f.write(report.render_table() + "\n")
     if len(reports) == 1:
         print(reports[0].render_table())
     else:

@@ -92,20 +92,16 @@ class CaseResult:
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
-def write_results(path: str, method: str, results: list[CaseResult]):
+def write_results(path: str, method: str):
+    """Begin a results file with its header line, replacing any earlier file at `path`."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"schema": RESULTS_SCHEMA, "method": method}, sort_keys=True) + "\n")
-        f.writelines(_result_line(result) for result in results)
 
 
 def append_result(path: str, result: CaseResult):
-    """Add one line to a results file that write_results began, and close the file again."""
+    """Add one case's line to a results file that write_results began, and close the file again."""
     with open(path, "a", encoding="utf-8") as f:
-        f.write(_result_line(result))
-
-
-def _result_line(result: CaseResult) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True) + "\n"
+        f.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
 
 
 def read_results(path: str) -> tuple[str, list[CaseResult]]:
@@ -251,11 +247,3 @@ def aggregate_report(
         category_recall=category_recall,
         cost_means=cost_means,
     )
-
-
-def emit_report(report: EvalReport, path_json: str, path_text: str):
-    with open(path_json, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(path_text, "w", encoding="utf-8") as f:
-        f.write(report.render_table() + "\n")

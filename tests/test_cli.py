@@ -11,7 +11,7 @@ import pytest
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
-from bictrace import cli, evaluate, gitio
+from bictrace import cli, evaluate, gitio, szz
 from bictrace.agent import TRANSCRIPT_SCHEMA, BackendUnavailable
 from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
@@ -88,6 +88,16 @@ class TestInvestigate:
         assert code == 0
         strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("transcript:")]
         assert strip(first) == strip(second)
+
+    def test_run_that_ends_in_an_error_exits_1(self, linear_repo, tmp_path, capsys, time_out_git):
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {shas[1]}"}])
+        time_out_git(lambda args: args[:2] == ["show", "-s"])  # the answer probe, not the fix read
+        assert main(["investigate", "--repo", rb.path, "--fix", shas[2], "--backend",
+                     f"scripted:{script}", "--run-dir", str(tmp_path / "runs")]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:3] == ["status: no_prediction", "bic: (none)"]
+        assert err == "error: git show timed out after 30s\n"
 
     def test_missing_live_config_is_infra_error(self, cross_file_repo, tmp_path, capsys):
         rb, info = cross_file_repo
@@ -338,13 +348,18 @@ class TestBatchCmd:
                  "dataset_tag": "x", "case_id": "x:local"},
             ],
         )
-        runs = tmp_path / "runs"
+        runs, repos = tmp_path / "runs", tmp_path / "repos"
+        repos.mkdir()
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(runs), "--run-id", "b"]) == 0
-        _, results = read_results(str(runs / "b" / "results.jsonl"))
-        assert [r.case_id for r in results] == ["x:remote", "x:local"]
-        assert "--repos-dir" in results[0].error
-        assert results[1].error is None and results[1].predicted == [shas[1]]
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "c", "--repos-dir", str(repos)]) == 0
+        for run, error in (("b", "--repos-dir"),
+                           ("c", f"clone for https://host/org/absent.git not found at {repos / 'absent'}")):
+            _, results = read_results(str(runs / run / "results.jsonl"))
+            assert [r.case_id for r in results] == ["x:remote", "x:local"]
+            assert error in results[0].error
+            assert results[1].error is None and results[1].predicted == [shas[1]]
 
     def test_interrupted_batch_keeps_the_finished_cases(self, linear_repo, tmp_path,
                                                         monkeypatch, capsys):
@@ -377,10 +392,36 @@ class TestBatchCmd:
                      "--run-dir", str(runs), "--run-id", "full"]) == 0
         out = runs / "full" / "results.jsonl"
         _, results = read_results(str(out))
-        rewritten = tmp_path / "rewritten.jsonl"
-        evaluate.write_results(str(rewritten), "agent-scripted", results)
-        assert out.read_bytes() == rewritten.read_bytes()
+        rewritten = str(tmp_path / "rewritten.jsonl")
+        evaluate.write_results(rewritten, "agent-scripted")
+        for result in results:
+            evaluate.append_result(rewritten, result)
+        assert out.read_bytes() == Path(rewritten).read_bytes()
         capsys.readouterr()
+
+    def test_case_ids_that_share_a_file_name_are_refused(self, linear_repo, tmp_path, capsys,
+                                                         monkeypatch):
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {shas[1]}"}])
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]], "case_id": case_id}
+            for case_id in ("x:1", "x_1")
+        ])
+        spawned = []
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}", "--parallelism",
+                     "2", "--run-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == "error: cases x:1 and x_1 would share a file name\n"
+        assert spawned == [] and not (tmp_path / "runs").exists()
+
+    def test_malformed_price_table_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"price_table": True}))
+        assert main(["batch", "--dataset", write_dataset(tmp_path / "ds.jsonl", []),
+                     "--config", str(config), "--run-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: price_table must map price names to numbers\n")
+        assert not (tmp_path / "runs").exists()
 
     def test_classification_timeout_costs_the_run_nothing(self, linear_repo, tmp_path,
                                                            time_out_git, capsys):
@@ -517,6 +558,41 @@ class TestNotARepository:
             _, results = read_results(str(path))
             assert f"{plain} is not a git repository" in results[0].error
             assert results[1].error is None and results[1].predicted == [shas[1]]
+
+
+class TestSha256Repository:
+    """Blame porcelain, the answer probe and dataset bics read 40-hex ids: the fix read refuses others."""
+
+    @pytest.fixture
+    def sha256_repo(self, tmp_path):
+        path = tmp_path / "sha256"
+        subprocess.run(["git", "init", "-q", "--object-format=sha256", str(path)],
+                       check=True, capture_output=True)
+        rb = RepoBuilder(path)  # re-initialising keeps the object format
+        rb.commit({"f.c": "keep\nold\n"}, "seed")
+        bic = rb.commit({"f.c": "keep\nbug\n"}, "bic")
+        fix = rb.commit({"f.c": "keep\nfixed\n"}, "fix")
+        assert len(fix) == 64
+        return rb.path, bic, fix
+
+    def test_every_command_refuses_it(self, sha256_repo, tmp_path, capsys):
+        path, bic, fix = sha256_repo
+        refusal = (f"{path}: fix commit id {fix} has 64 hex digits; "
+                   "bictrace reads only the sha1 object format (40)")
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {bic}"}])
+        assert main(["investigate", "--repo", path, "--fix", "HEAD", "--backend",
+                     f"scripted:{script}", "--run-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert main(["tool", "git_blame", "--repo", path, "--args", '{"file_path": "f.c"}']) == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": path, "fix_commit": fix, "bics": ["0" * 40], "case_id": "x:1"}])
+        out = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out]) == 0
+        assert read_results(out)[1][0].error == refusal
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", ds, "--results", out]) == 3
+        assert f"x:1: not classified, so in no hard-case subset: {refusal}\n" in capsys.readouterr().err
 
 
 class TestSpawnBudget:
@@ -658,6 +734,8 @@ class TestBaselineCmd:
         _, results = read_results(out_path)
         oracle = AttributionOracle(rb.path)
         assert set(results[0].predicted) == oracle.last_writer_b_szz(info["fix"])
+        assert capsys.readouterr().out == (
+            f"[1/1] x:1: {','.join(results[0].predicted)}\nresults: {out_path}\n")
         reports = str(tmp_path / "reports")
         assert main(["evaluate", "--dataset", ds, "--results", out_path, "--out", reports]) == 0
         report = json.loads(Path(os.path.join(reports, "b-szz.report.json")).read_text())
@@ -724,7 +802,7 @@ class TestBaselineCmd:
         _, results = read_results(out_path)
         assert results == []
 
-    def test_bad_case_recorded_run_continues(self, linear_repo, tmp_path):
+    def test_bad_case_recorded_run_continues(self, linear_repo, tmp_path, capsys):
         rb, shas = linear_repo
         ds = write_dataset(
             tmp_path / "ds.jsonl",
@@ -740,6 +818,40 @@ class TestBaselineCmd:
         _, results = read_results(out_path)
         assert results[0].error and not results[1].error
         assert results[1].predicted == [shas[1]]
+        assert capsys.readouterr().err == "1 case(s) failed infrastructure-wise\n"
+
+    def test_interrupted_baseline_keeps_the_finished_cases(self, linear_repo, tmp_path,
+                                                           monkeypatch, capsys):
+        rb, shas = linear_repo
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
+            for i in range(3)
+        ])
+        out = tmp_path / "b.jsonl"
+        earlier = "".join(json.dumps(r) + "\n" for r in [
+            {"schema": "bictrace-results/v1", "method": "b-szz"},
+            *({"case_id": f"x:{i}", "predicted": [shas[1]]} for i in range(3))])
+        out.write_text(earlier)
+        b_szz, calls = szz.b_szz, []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return b_szz(*args)
+
+        monkeypatch.setattr(szz, "b_szz", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", str(out)])
+        method, results = read_results(str(out))
+        assert method == "b-szz"
+        assert [(r.case_id, r.predicted) for r in results] == [("x:0", [shas[1]])]
+        capsys.readouterr()
+        # The cases the run never finished score as misses, not as the earlier run's hits.
+        assert main(["evaluate", "--dataset", ds, "--results", str(out)]) == 3
+        out_text, err = capsys.readouterr()
+        assert "recall:    0.3333" in out_text
+        assert err == f"{out}: 0 case(s) carry infrastructure errors, 2 dataset case(s) missing\n"
 
 
 class TestGroundTruthIds:
@@ -840,12 +952,15 @@ class TestEvaluateCmd:
         assert main(["evaluate", "--dataset", ds, "--results", results]) == 1
         assert "x:unknown" in capsys.readouterr().err
 
-    def test_report_files_emitted(self, linear_repo, tmp_path):
+    def test_report_files_emitted(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)
-        out_dir = str(tmp_path / "reports")
-        assert main(["evaluate", "--dataset", ds, "--results", results, "--out", out_dir]) == 0
-        report = json.loads(Path(os.path.join(out_dir, "hand.report.json")).read_text())
+        out_dir = tmp_path / "reports"
+        assert main(["evaluate", "--dataset", ds, "--results", results, "--out", str(out_dir)]) == 0
+        text = (out_dir / "hand.report.json").read_text()
+        report = json.loads(text)
         assert report["precision"] == 0.5
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (out_dir / "hand.report.txt").read_text() == capsys.readouterr().out
 
     def test_infra_failed_case_gives_nonzero_exit(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)
@@ -927,13 +1042,33 @@ class TestEvaluateCmd:
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "cost": {"seconds": "5"}}'], 2),
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "cost": {"turns": true}}'], 2),
         (['{"schema": "bictrace-results/v1"}', '{"case_id": "x:1", "error": 5}'], 2),
+        (['{"case_id": "x:1"}'], None),  # no results header
     ])
     def test_malformed_results_file_is_an_error(self, linear_repo, tmp_path, capsys, lines, bad):
         ds, _ = self.make_inputs(tmp_path, linear_repo)
         results = tmp_path / "bad.jsonl"
         results.write_text("\n".join(lines) + "\n")
         assert main(["evaluate", "--dataset", ds, "--results", str(results)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {results}:{bad}: ")
+        where = f"{results}:{bad}: " if bad else f"{results} is not a bictrace-results/v1 file\n"
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
+    @pytest.mark.parametrize("settings, err", [
+        ({"max_turn": 2}, "error: unknown config key(s): max_turn\n"),
+        ({"max_turns": 2, "compression": {"tau": "x"}},
+         "error: compression tau must be an integer >= 1, not 'x'\n"),
+    ])
+    def test_config_is_read_as_every_command_reads_it(self, linear_repo, tmp_path, capsys,
+                                                      settings, err):
+        ds, results = self.make_inputs(tmp_path, linear_repo)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        assert main(["evaluate", "--dataset", ds, "--results", results,
+                     "--config", str(config)]) == 1
+        assert capsys.readouterr().err == err
+        rb, shas = linear_repo
+        assert main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                     "--config", str(config), "--run-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == err
 
     def test_non_numeric_price_is_an_error(self, linear_repo, tmp_path, capsys):
         ds, results = self.make_inputs(tmp_path, linear_repo)
@@ -1261,6 +1396,22 @@ class TestFetchDatasets:
                      "--repos-dir", str(dest)]) == 0
         _, (result,) = read_results(out_path)
         assert (result.error, result.predicted) == (None, [shas[1]])
+
+    def test_repeated_url_is_cloned_once_and_a_failed_clone_exits_1(self, linear_repo, tmp_path,
+                                                                    capfd):
+        rb, shas = linear_repo
+        url, absent = Path(rb.path).as_uri(), (tmp_path / "absent").as_uri()
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": repo, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
+            for i, repo in enumerate([url, url, absent])
+        ])
+        dest = tmp_path / "repos"
+        assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 1
+        out, err = capfd.readouterr()
+        clone = dest / Path(rb.path).name
+        assert out == f"cloning {url} -> {clone}\ncloning {absent} -> {dest / 'absent'}\n"
+        assert err.startswith("fatal: ")
+        assert (clone / ".git").is_dir() and not (dest / "absent").exists()
 
     def test_missing_local_path_fails(self, tmp_path, capsys):
         ds = write_dataset(

@@ -14,8 +14,8 @@ import re
 from dataclasses import asdict, dataclass, field, replace
 
 from . import resolve
-from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context
-from .compress import CompressionConfig, Observation, execute_compressed
+from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context, read_json_lines
+from .compress import TAU, Observation, execute_compressed
 from .gitio import GitTimeout, RepoHandle
 from .resolve import ResolutionTrace
 from .tools import SchemaError, ToolName, enforce_search_bound, parse_args
@@ -230,13 +230,8 @@ class ReplayBackend:
         self.steps: list[ModelStep] = []
         self.observations: dict[int, str] = {}
         self.index = 0
-        try:
-            with open(path, encoding="utf-8") as f:
-                lines = [json.loads(ln) for ln in f if ln.strip()]
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaMismatch(f"unreadable transcript {path}: {exc}") from exc
-        if not (lines and all(isinstance(r, dict) for r in lines)
-                and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
+        lines = [record for _, record in read_json_lines(path, SchemaMismatch)]
+        if not (lines and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
             raise SchemaMismatch(f"{path} is not a {TRANSCRIPT_SCHEMA} file")
         header = self.header = lines[0]
         if not (all(isinstance(header.get(k), str) for k in ("repo", "fix", "case_id"))
@@ -316,7 +311,7 @@ def run_investigation(
     fc: FixContext,
     backend,
     max_turns: int = DEFAULT_MAX_TURNS,
-    cfg: CompressionConfig | None = None,
+    tau: int = TAU,
 ) -> tuple[Prediction, Transcript]:
     """Run the full loop for one case and return its prediction + transcript.
 
@@ -329,7 +324,6 @@ def run_investigation(
     A backend failure, or a timeout while resolving the answer, ends the
     case with `transcript.error` set.
     """
-    cfg = cfg or CompressionConfig()
     ctx = assemble_initial_context(fc)
     cache: dict[str, tuple[str, bool]] = {}
     transcript = Transcript(case_id=case.case_id, repo_path=case.repo_path, fix_commit=fc.fix_id)
@@ -357,7 +351,7 @@ def run_investigation(
                     step = replace(
                         step, args={k: v for k, v in asdict(args).items() if v is not None}
                     )
-                    observation = execute_compressed(repo, args, fc, cache, cfg)
+                    observation = execute_compressed(repo, args, fc, cache, tau)
                 call_id = f"call_{transcript.total_turns + 1}"
                 conversation.append(
                     {

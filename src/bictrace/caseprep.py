@@ -2,11 +2,14 @@
 
 Pulls the bug-fixing commit's message and diff, scrubs anything that could
 reveal the answer (Fixes trailers, hash-like tokens), extracts the temporal
-bound, and renders the system prompt from the shipped template.
+bound, and renders the system prompt from the shipped template. Also holds
+the JSON readers that every input file (dataset, results, config, script,
+transcript) goes through.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,6 +45,42 @@ _TRAILER_RE = re.compile(
 
 class RootCommit(Exception):
     """The fix commit has no parent, so there is no pre-fix state to blame."""
+
+
+def _parse_json(path: str, line: int, data: bytes, error: type[Exception]):
+    """`data`, read from `path` from line `line` on, as JSON; `error` names where it is not."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line += data.count(b"\n", 0, exc.start)
+        raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{line + exc.lineno - 1}: not JSON: {exc.msg} at column {exc.colno}") from None
+
+
+def read_json(path: str):
+    """The JSON value a whole UTF-8 file holds; a ValueError names `path:line` where it is not one."""
+    with open(path, "rb") as f:
+        return _parse_json(path, 1, f.read(), ValueError)
+
+
+def read_json_lines(path: str, error: type[Exception], comments: bool = False) -> list[tuple[int, dict]]:
+    """Each nonblank line of a line-delimited JSON file, and its number; each holds one object.
+
+    With `comments`, a line that starts with "#" is skipped too. A line that is
+    not UTF-8, not JSON or not an object raises `error` naming `path:line`.
+    """
+    records = []
+    with open(path, "rb") as f:
+        for i, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or (comments and line.startswith(b"#")):
+                continue
+            record = _parse_json(path, i, line, error)
+            if not isinstance(record, dict):
+                raise error(f"{path}:{i}: record is not a JSON object")
+            records.append((i, record))
+    return records
 
 
 @dataclass

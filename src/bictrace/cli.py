@@ -32,8 +32,8 @@ from .agent import (
     record_transcript,
     run_investigation,
 )
-from .caseprep import CaseSpec, RootCommit, load_fix_context
-from .compress import CompressionConfig, execute_compressed
+from .caseprep import CaseSpec, RootCommit, load_fix_context, read_json
+from .compress import TAU, execute_compressed
 from .evaluate import CaseResult, load_dataset
 from .gitio import RepoHandle
 from .tools import SchemaError, ToolName, enforce_search_bound
@@ -54,7 +54,7 @@ class RunConfig:
     endpoint_url: str = ""
     api_key: str = ""
     max_turns: int = DEFAULT_MAX_TURNS
-    compression: CompressionConfig = field(default_factory=CompressionConfig)
+    tau: int = field(default=TAU, metadata={"key": "compression.tau"})  # as the file nests it
     parallelism: int = 1
     run_dir: str = "runs"
     run_id: str = ""
@@ -64,14 +64,13 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (type(value) is not int or value < 1):
-                raise ValueError(f"{f.name} must be >= 1, not {value!r}")
+                raise ValueError(f"{f.metadata.get('key', f.name)} must be >= 1, not {value!r}")
             if f.type == "str" and type(value) is not str:
                 raise ValueError(f"{f.name} must be a {f.type}, not {value!r}")
 
 
 def read_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     price = data.get("price_table")
@@ -99,19 +98,23 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    compression = CompressionConfig.from_dict(merged.pop("compression", {}))
-    unknown = sorted(set(merged) - set(RunConfig.__dataclass_fields__))
+    compression = merged.pop("compression", {})
+    if not isinstance(compression, dict):
+        raise ValueError("compression must be a JSON object")
+    unknown = sorted(set(compression) - {"tau"})
+    if unknown:
+        raise ValueError(f"unknown compression key(s): {', '.join(unknown)}")
+    unknown = sorted(set(merged) - (set(RunConfig.__dataclass_fields__) - {"tau"}))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    cfg = RunConfig(compression=compression, **merged)
+    cfg = RunConfig(**merged, **compression)
     if not cfg.run_id:
         cfg.run_id = time.strftime("run-%Y%m%d-%H%M%S")
     return cfg
 
 
 def load_script(path: str) -> list[ModelStep]:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     steps = data.get("steps") if isinstance(data, dict) else data
     try:
         if not isinstance(steps, list):
@@ -162,7 +165,7 @@ def _run_paths(config: RunConfig) -> dict:
         os.makedirs(p, exist_ok=True)
     _write_json(os.path.join(base, "config.json"), {
         "backend": config.backend, "model": config.model, "max_turns": config.max_turns,
-        "parallelism": config.parallelism, "compression": config.compression.to_dict(),
+        "parallelism": config.parallelism, "compression": {"tau": config.tau},
     })
     return paths
 
@@ -202,7 +205,7 @@ def _investigate_one(
     case: CaseSpec, config: RunConfig, backend_factory, paths: dict
 ) -> tuple[Prediction, CaseResult]:
     (prediction, transcript), seconds = _open_case(case, lambda repo, fc: run_investigation(
-        case, repo, fc, backend_factory(), max_turns=config.max_turns, cfg=config.compression,
+        case, repo, fc, backend_factory(), max_turns=config.max_turns, tau=config.tau,
     ))
 
     transcript_path = os.path.join(paths["transcripts"], _safe_name(case.case_id) + ".jsonl")
@@ -376,13 +379,12 @@ def cmd_tool(args: argparse.Namespace) -> int:
         # Mirror exactly what the agent would observe.
         print(f"Error (schema): {exc}")
         return 2
-    cfg = build_run_config(args).compression
+    tau = build_run_config(args).tau
     repo = RepoHandle(args.repo)
     fc = load_fix_context(repo, args.fix)
     tool_args = enforce_search_bound(tool_args, fc.fix_date)
-    if args.raw:  # no output exceeds this tau, so neither extraction nor the clamp runs
-        cfg = replace(cfg, tau=sys.maxsize)
-    obs = execute_compressed(repo, tool_args, fc, {}, cfg)
+    # With --raw no output exceeds tau, so neither extraction nor the clamp runs.
+    obs = execute_compressed(repo, tool_args, fc, {}, sys.maxsize if args.raw else tau)
     print(obs.text)
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from . import tools as tk
@@ -29,43 +29,10 @@ TIMEOUT_HINT = (
 _NOTICE_PREFIX = "[output truncated"
 _CLAMP_NOTICE = "[output truncated at character limit; retry with narrower parameters]"
 
+TAU = 3000  # default `compression.tau`: characters above which layer 3 runs; the clamp's bound
+
 # Worst-case bytes the pipeline may add beyond tau: newline + clamp notice.
 MAX_OBS_OVERHEAD = len(_CLAMP_NOTICE) + 1
-
-
-@dataclass
-class CompressionConfig:
-    tau: int = 3000
-    line_caps: dict = field(
-        default_factory=lambda: {
-            ToolName.SHOW: 200,
-            ToolName.BLAME: 200,
-            ToolName.LOG_S: 150,
-            ToolName.LOG_FUNC: 300,
-            ToolName.GREP: 100,
-        }
-    )
-
-    def __post_init__(self):
-        caps = {f"line_caps.{t.value}": cap for t, cap in self.line_caps.items()}
-        for name, value in {"tau": self.tau, **caps}.items():
-            if type(value) is not int or value < 1:
-                raise ValueError(f"compression {name} must be an integer >= 1, not {value!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompressionConfig":
-        caps = data.get("line_caps", {}) if isinstance(data, dict) else None
-        if not isinstance(caps, dict):
-            raise ValueError("compression and its line_caps must be JSON objects")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown compression key(s): {', '.join(unknown)}")
-        line_caps = {**cls().line_caps, **{ToolName(name): cap for name, cap in caps.items()}}
-        return cls(**{**data, "line_caps": line_caps})
-
-    def to_dict(self) -> dict:
-        caps = {name.value: cap for name, cap in self.line_caps.items()}
-        return {**asdict(self), "line_caps": caps}
 
 
 @dataclass
@@ -123,16 +90,25 @@ def _head_tail(lines: list[str], keep: int) -> tuple[list[str], bool]:
 
 # -- Layer 2: per-tool formatting -------------------------------------------
 
-def format_show(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
+LINE_CAPS = {  # lines each tool's formatted output keeps
+    ToolName.SHOW: 200,
+    ToolName.BLAME: 200,
+    ToolName.LOG_S: 150,
+    ToolName.LOG_FUNC: 300,
+    ToolName.GREP: 100,
+}
+
+
+def format_show(raw: str) -> tuple[str, bool]:
     lines = split_lines(raw)
     diff_start = next(
         (i for i, ln in enumerate(lines) if ln.startswith("diff --git")), len(lines)
     )
     head = split_lines(strip_trailers("\n".join(lines[:diff_start])))
-    return _cap_lines(head + lines[diff_start:], cfg.line_caps[ToolName.SHOW])
+    return _cap_lines(head + lines[diff_start:], LINE_CAPS[ToolName.SHOW])
 
 
-def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
+def format_blame(raw: str) -> tuple[str, bool]:
     """`L{n}: {hash} | {code}` lines plus a commit legend.
 
     Every record is checked, but only those within the line cap are built
@@ -140,7 +116,7 @@ def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     """
     if not raw or raw.isspace():  # unlike raw.strip(), copies nothing
         return "", False
-    cap = cfg.line_caps[ToolName.BLAME]
+    cap = LINE_CAPS[ToolName.BLAME]
     shown, total = tk.blame_records(raw, cap)
     body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
     truncated = total > cap
@@ -161,16 +137,16 @@ def format_blame(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
     return text, truncated
 
 
-def format_log_s(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    return _cap_lines(split_lines(raw), cfg.line_caps[ToolName.LOG_S])
+def format_log_s(raw: str) -> tuple[str, bool]:
+    return _cap_lines(split_lines(raw), LINE_CAPS[ToolName.LOG_S])
 
 
-def format_log_func(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    return _cap_lines(split_lines(strip_trailers(raw)), cfg.line_caps[ToolName.LOG_FUNC])
+def format_log_func(raw: str) -> tuple[str, bool]:
+    return _cap_lines(split_lines(strip_trailers(raw)), LINE_CAPS[ToolName.LOG_FUNC])
 
 
-def format_grep(raw: str, cfg: CompressionConfig) -> tuple[str, bool]:
-    return _cap_lines(split_lines(raw), cfg.line_caps[ToolName.GREP])
+def format_grep(raw: str) -> tuple[str, bool]:
+    return _cap_lines(split_lines(raw), LINE_CAPS[ToolName.GREP])
 
 
 # -- Layer 3: structured extraction ------------------------------------------
@@ -318,14 +294,14 @@ _EXTRACTORS = {
 _GENERIC_NOTICE = "[output truncated; retry with narrower parameters to see more]"
 
 
-def compress_formatted(tool: ToolName, formatted: str, truncated: bool, cfg: CompressionConfig) -> tuple[str, bool]:
+def compress_formatted(tool: ToolName, formatted: str, truncated: bool, tau: int) -> tuple[str, bool]:
     """Layer 3 plus the final size clamp, applied to layer-2 output."""
     text = formatted
-    if len(text) > cfg.tau:
+    if len(text) > tau:
         text, elided = _EXTRACTORS[tool](text)
         truncated = truncated or elided
-    if len(text) > cfg.tau:
-        text = text[: cfg.tau] + "\n" + _CLAMP_NOTICE
+    if len(text) > tau:
+        text = text[:tau] + "\n" + _CLAMP_NOTICE
         truncated = True
     lines = split_lines(text)
     if truncated and (not lines or not lines[-1].startswith(_NOTICE_PREFIX)):
@@ -338,7 +314,7 @@ def execute_compressed(
     args: ToolArgs,
     fc: FixContext,
     cache: dict[str, tuple[str, bool]],
-    cfg: CompressionConfig,
+    tau: int = TAU,
 ) -> Observation:
     """Run one tool call through cache, format and extract.
 
@@ -362,12 +338,12 @@ def execute_compressed(
     except ToolError as exc:
         return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False)
     try:
-        formatted, truncated = _FORMATTERS[args.tool](raw, cfg)
+        formatted, truncated = _FORMATTERS[args.tool](raw)
     except tk.MalformedPorcelain as exc:
         # Cached like any output git produced: a repeat is a hit.
         text, truncated = f"Error (malformed_output): {exc}", False
     else:
-        text, truncated = compress_formatted(args.tool, formatted, truncated, cfg)
+        text, truncated = compress_formatted(args.tool, formatted, truncated, tau)
         if not text.strip():
             text = "(no output)"
     cache[key] = (text, truncated)

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from . import gitio
-from .caseprep import CaseSpec, FixContext
+from .caseprep import CaseSpec, FixContext, read_json_lines
 from .gitio import GitStatus, RepoHandle
 
 DATASET_SCHEMA = "bictrace-dataset/v1"
@@ -27,52 +27,43 @@ class DatasetError(Exception):
     """An input that does not fit the dataset: a bad dataset or results file, or an unknown case."""
 
 
-def _json_object(path: str, i: int, line: str) -> dict:
-    """Line `i` of a line-delimited JSON file, which must hold one object."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}:{i}: not JSON: {exc.msg} at column {exc.colno}") from None
-    if not isinstance(record, dict):
-        raise DatasetError(f"{path}:{i}: record is not a JSON object")
-    return record
+def _full_ids(path: str, i: int, name: str, ids: list) -> list[str]:
+    """`ids`, lower-cased, from line `i` of `path`; each must be a full commit id.
+
+    Git names commits by full lower-case ids; an abbreviation would need a
+    spawn to resolve, so it is rejected instead.
+    """
+    for commit in ids:
+        if not (isinstance(commit, str) and gitio.COMMIT_ID_RE.fullmatch(commit.lower())):
+            raise DatasetError(f"{path}:{i}: {name} {commit!r} is not a 40-hex-digit commit id")
+    return [commit.lower() for commit in ids]
 
 
 def load_dataset(path: str) -> list[CaseSpec]:
     """Read a line-delimited dataset file of fix commits and their BICs."""
     cases = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            record = _json_object(path, i, line)
-            if record.get("schema") == DATASET_SCHEMA:
-                continue
-            if not (all(isinstance(record.get(k), str) for k in ("repo", "fix_commit"))
-                    and all(isinstance(record.get(k, ""), str) for k in ("dataset_tag", "case_id"))):
-                raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields, "
-                                   "and string 'dataset_tag' and 'case_id' if given")
-            bics = record.get("bics") or []
-            if not bics:
-                raise DatasetError(f"{path}:{i}: case without ground-truth bics")
-            # Git names commits by full lower-case ids; an abbreviation would
-            # need a spawn to resolve, so it is rejected instead.
-            for bic in bics:
-                if not (isinstance(bic, str) and gitio.COMMIT_ID_RE.fullmatch(bic.lower())):
-                    raise DatasetError(f"{path}:{i}: bic {bic!r} is not a 40-hex-digit commit id")
-            case = CaseSpec(
-                repo_path=record["repo"],
-                fix_commit=record["fix_commit"],
-                ground_truth={bic.lower() for bic in bics},
-                dataset_tag=record.get("dataset_tag", ""),
-                case_id=record.get("case_id", ""),
-            )
-            if case.case_id in seen:
-                raise DatasetError(f"{path}:{i}: duplicate case id {case.case_id}")
-            seen.add(case.case_id)
-            cases.append(case)
+    for i, record in read_json_lines(path, DatasetError, comments=True):
+        if record.get("schema") == DATASET_SCHEMA:
+            continue
+        if not (all(isinstance(record.get(k), str) for k in ("repo", "fix_commit"))
+                and all(isinstance(record.get(k, ""), str) for k in ("dataset_tag", "case_id"))):
+            raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields, "
+                               "and string 'dataset_tag' and 'case_id' if given")
+        bics = record.get("bics") or []
+        if not bics:
+            raise DatasetError(f"{path}:{i}: case without ground-truth bics")
+        case = CaseSpec(
+            repo_path=record["repo"],
+            fix_commit=record["fix_commit"],
+            ground_truth=set(_full_ids(path, i, "bic", bics)),
+            dataset_tag=record.get("dataset_tag", ""),
+            case_id=record.get("case_id", ""),
+        )
+        if case.case_id in seen:
+            raise DatasetError(f"{path}:{i}: duplicate case id {case.case_id}")
+        seen.add(case.case_id)
+        cases.append(case)
     return cases
 
 
@@ -105,8 +96,7 @@ def append_result(path: str, result: CaseResult):
 
 
 def read_results(path: str) -> tuple[str, list[CaseResult]]:
-    with open(path, encoding="utf-8") as f:
-        lines = [(i, _json_object(path, i, ln)) for i, ln in enumerate(f, start=1) if ln.strip()]
+    lines = read_json_lines(path, DatasetError)
     if not lines or lines[0][1].get("schema") != RESULTS_SCHEMA:
         raise DatasetError(f"{path} is not a {RESULTS_SCHEMA} file")
     method = lines[0][1].get("method", "")
@@ -115,9 +105,9 @@ def read_results(path: str) -> tuple[str, list[CaseResult]]:
     seen = set()
     for i, record in lines[1:]:
         predicted = record.get("predicted", [])
-        if not (isinstance(record.get("case_id"), str) and isinstance(predicted, list)
-                and all(isinstance(p, str) for p in predicted)):
-            raise DatasetError(f"{path}:{i}: result needs a string 'case_id' and string 'predicted' ids")
+        if not (isinstance(record.get("case_id"), str) and isinstance(predicted, list)):
+            raise DatasetError(f"{path}:{i}: result needs a string 'case_id' and a 'predicted' list")
+        record["predicted"] = _full_ids(path, i, "predicted id", predicted)
         cost = record.get("cost", {})
         if not (isinstance(cost, dict) and all(type(v) in (int, float) for v in cost.values())
                 and type(record.get("error")) in (str, type(None))):

@@ -37,8 +37,9 @@ from bictrace.caseprep import (
     render_fix_block,
 )
 from bictrace.compress import (
+    LINE_CAPS,
     MAX_OBS_OVERHEAD,
-    CompressionConfig,
+    TAU,
     compress_formatted,
     _FORMATTERS,
     execute_compressed,
@@ -100,18 +101,17 @@ def test_c02_compression_constants_and_bounds():
     """Defaults pin the published constants; bounds hold on random output."""
     from test_compress import synth_raw
 
-    cfg = CompressionConfig()
-    assert cfg.tau == 3000
-    assert cfg.line_caps[ToolName.GREP] == 100
-    assert cfg.line_caps[ToolName.LOG_FUNC] == 300
+    assert TAU == 3000
+    assert LINE_CAPS[ToolName.GREP] == 100
+    assert LINE_CAPS[ToolName.LOG_FUNC] == 300
 
     for tool in ToolName:
         rng = random.Random(0xACC0 + hash(tool.value) % 1000)
         for trial in range(200):
             raw = synth_raw(tool, rng)
-            formatted, truncated = _FORMATTERS[tool](raw, cfg)
-            text, truncated = compress_formatted(tool, formatted, truncated, cfg)
-            assert len(text) <= cfg.tau + MAX_OBS_OVERHEAD, (tool.value, trial)
+            formatted, truncated = _FORMATTERS[tool](raw)
+            text, truncated = compress_formatted(tool, formatted, truncated, TAU)
+            assert len(text) <= TAU + MAX_OBS_OVERHEAD, (tool.value, trial)
             raw_tokens = set(HEX_TOKEN_RE.findall(raw))
             for token in HEX_TOKEN_RE.findall(text):
                 assert any(rt.startswith(token) for rt in raw_tokens), (tool.value, trial)
@@ -126,7 +126,6 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo, monkeypatch):
     head = rb.commit({"f.c": "int f(void) {\n  return 2;\n}\n"}, "update")
     repo = RepoHandle(rb.path)
     cache = {}
-    cfg = CompressionConfig()
     fc = parent_context(head)
 
     calls = [
@@ -141,9 +140,9 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo, monkeypatch):
     for tool, payload in calls:
         args = parse_args(tool, payload)
         before = repo.process_count
-        first = execute_compressed(repo, args, fc, cache, cfg)
-        second = execute_compressed(repo, args, fc, cache, cfg)
-        third = execute_compressed(repo, args, fc, cache, cfg)
+        first = execute_compressed(repo, args, fc, cache)
+        second = execute_compressed(repo, args, fc, cache)
+        third = execute_compressed(repo, args, fc, cache)
         assert repo.process_count - before == 1, tool.value
         assert first.text == second.text == third.text
         assert second.cache_hit and third.cache_hit and not first.cache_hit
@@ -153,7 +152,7 @@ def test_c03_cache_and_timeout_behavior(tmp_path, slow_repo, monkeypatch):
     timeout_cache = {}
     obs = execute_compressed(
         slow, LogSArgs(search_string="return"), parent_context(slow_repo.head()),
-        timeout_cache, cfg,
+        timeout_cache,
     )
     assert "Retry with narrower parameters" in obs.text
     assert len(timeout_cache) == 0

@@ -452,7 +452,7 @@ class TestRecordReplay:
         self._run_and_record(cross_file_repo, path)
         lines = Path(path).read_text().splitlines()
         Path(path).write_text("\n".join([lines[0], "{oops", *lines[1:]]) + "\n")
-        with pytest.raises(SchemaMismatch, match=f"^unreadable transcript {re.escape(path)}: "):
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(path)}:2: not JSON: "):
             ReplayBackend(path)
 
     def test_wrong_schema(self, tmp_path):

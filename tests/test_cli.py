@@ -11,7 +11,7 @@ import pytest
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
-from bictrace import cli, evaluate, gitio, szz
+from bictrace import cli, compress, evaluate, gitio, szz
 from bictrace.agent import TRANSCRIPT_SCHEMA, BackendUnavailable
 from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
@@ -882,6 +882,59 @@ class TestGroundTruthIds:
         assert capsys.readouterr().err.startswith(f"error: {ds}:2: ")
         assert spawned == []
 
+    def test_predicted_ids_read_as_bics_are(self, linear_repo, tmp_path, capsys):
+        rb, shas = linear_repo
+        ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": rb.path, "fix_commit": shas[2],
+                                                    "bics": [shas[1]], "case_id": "x:1"}])
+        results = tmp_path / "res.jsonl"
+        for predicted, code, err in (
+            (shas[1].upper(), 0, ""),
+            (shas[1][:12], 1, f"error: {results}:2: predicted id {shas[1][:12]!r} "
+                              "is not a 40-hex-digit commit id\n"),
+        ):
+            results.write_text(json.dumps({"schema": "bictrace-results/v1"}) + "\n"
+                               + json.dumps({"case_id": "x:1", "predicted": [predicted]}) + "\n")
+            assert main(["evaluate", "--dataset", ds, "--results", str(results)]) == code
+            captured = capsys.readouterr()
+            assert captured.err == err
+            assert ("  f1:        1.0000" in captured.out.splitlines()) == (code == 0)
+
+
+class TestUnreadableInput:
+    """A file that fails to parse is named by its path and the line it fails on."""
+
+    @pytest.mark.parametrize("kind, content, where", [
+        ("config", b'{"max_turns": ', "1: not JSON: Expecting value at column 15"),
+        ("config", b'{\n  "model": "caf\xe9"\n}\n',
+         "2: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+        ("script", b'[{"kind": ', "1: not JSON: Expecting value at column 11"),
+        ("transcript", b'{"schema": "bictrace-transcript/v2"}\n{"event": "model_step"}\n{oops\n',
+         "3: not JSON: Expecting property name enclosed in double quotes at column 2"),
+        ("transcript", b"[1]\n", "1: record is not a JSON object"),
+        ("dataset", b'{"schema": "bictrace-dataset/v1"}\n{"repo": "caf\xe9"}\n',
+         "2: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+        ("results", b'{"schema": "bictrace-results/v1", "method": "caf\xe9"}\n',
+         "1: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+    ], ids=["config-cut", "config-latin1", "script-cut", "transcript-line3", "transcript-array",
+            "dataset-latin1", "results-latin1"])
+    def test_names_path_and_line(self, linear_repo, tmp_path, capsys, kind, content, where):
+        rb, shas = linear_repo
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(content)
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+        investigate = ["investigate", "--repo", rb.path, "--fix", shas[2],
+                       "--run-dir", str(tmp_path / "runs")]
+        command = {
+            "config": [*investigate, "--config", str(path)],
+            "script": [*investigate, "--backend", f"scripted:{path}"],
+            "transcript": ["replay", "--transcript", str(path), "--run-dir", str(tmp_path / "runs")],
+            "dataset": ["evaluate", "--dataset", str(path), "--results", str(path)],
+            "results": ["evaluate", "--dataset", ds, "--results", str(path)],
+        }[kind]
+        assert main(command) == 1
+        assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
 
 class TestFailedCaseFlags:
     def test_desynced_case_counts_in_every_category(self, cross_file_repo, tmp_path, capsys):
@@ -1055,7 +1108,9 @@ class TestEvaluateCmd:
     @pytest.mark.parametrize("settings, err", [
         ({"max_turn": 2}, "error: unknown config key(s): max_turn\n"),
         ({"max_turns": 2, "compression": {"tau": "x"}},
-         "error: compression tau must be an integer >= 1, not 'x'\n"),
+         "error: compression.tau must be >= 1, not 'x'\n"),
+        ({"compression": {"line_caps": {"git_grep": 5}}},
+         "error: unknown compression key(s): line_caps\n"),
     ])
     def test_config_is_read_as_every_command_reads_it(self, linear_repo, tmp_path, capsys,
                                                       settings, err):
@@ -1245,7 +1300,7 @@ class TestToolCmd:
         rb.commit({"f.txt": "".join(f"needle {i}\n" for i in range(30))}, "seed")
         rb.commit({"g.txt": "fix\n"}, "fix")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"compression": {"line_caps": {"git_grep": 5}}}))
+        config.write_text(json.dumps({"compression": {"tau": 200}}))
         args = {"search_string": "needle"}
         script = write_script(tmp_path / "s.json", [
             {"kind": "tool_call", "tool": "git_grep", "args": args},
@@ -1261,7 +1316,7 @@ class TestToolCmd:
                      "--config", str(config)])
         assert code == 0
         assert capsys.readouterr().out == seen + "\n"
-        assert seen.count("needle") == 5
+        assert seen.endswith(compress._CLAMP_NOTICE) and len(seen) <= 200 + compress.MAX_OBS_OVERHEAD
 
     def test_invalid_config_is_an_error(self, linear_repo, tmp_path, capsys):
         rb, shas = linear_repo
@@ -1346,8 +1401,8 @@ class TestConfigPrecedence:
 
     def test_unknown_file_keys_are_errors(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        # A misspelt key, and one that an older version read.
-        for data, named in (({"max_turn": 2}, "max_turn"),
+        # A misspelt key, one that is read only inside "compression", and one an older version read.
+        for data, named in (({"max_turn": 2}, "max_turn"), ({"tau": 5}, "tau"),
                             ({"forced_answer": False, "max_turns": 9}, "forced_answer")):
             cfg_file.write_text(json.dumps(data))
             with pytest.raises(ValueError, match=rf"^unknown config key\(s\): {named}$"):
@@ -1362,12 +1417,20 @@ class TestConfigPrecedence:
         from bictrace.cli import build_run_config
 
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"compression": {"tau": 1234, "line_caps": {"git_grep": 7}}}))
-        cfg = build_run_config(self._namespace(config=str(cfg_file)))
-        from bictrace.tools import ToolName
+        cfg_file.write_text(json.dumps({"compression": {"tau": 1234}}))
+        assert build_run_config(self._namespace(config=str(cfg_file))).tau == 1234
 
-        assert cfg.compression.tau == 1234
-        assert cfg.compression.line_caps[ToolName.GREP] == 7
+    @pytest.mark.parametrize("settings, tau", [({}, 3000), ({"compression": {"tau": 1234}}, 1234)])
+    def test_run_records_the_tau_it_used(self, linear_repo, tmp_path, settings, tau):
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": "no answer"}])
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(settings))
+        assert main(["investigate", "--repo", rb.path, "--fix", shas[2], "--backend",
+                     f"scripted:{script}", "--config", str(cfg_file),
+                     "--run-dir", str(tmp_path / "runs"), "--run-id", "r"]) == 0
+        config = json.loads((tmp_path / "runs" / "r" / "config.json").read_text())
+        assert config["compression"] == {"tau": tau}
 
 
 class TestFetchDatasets:

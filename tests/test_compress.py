@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,6 @@ from repo_helpers import RepoBuilder, parent_context
 from bictrace import agent, caseprep, cli, compress, gitio, tools
 from bictrace.caseprep import CaseSpec, load_fix_context, strip_trailers
 from bictrace.compress import (
-    CompressionConfig,
     MAX_OBS_OVERHEAD,
     TIMEOUT_HINT,
     canonicalize_args,
@@ -46,20 +46,9 @@ def random_hash(rng, length=40):
 
 class TestConfig:
     def test_paper_constants_by_default(self):
-        cfg = CompressionConfig()
-        assert cfg.tau == 3000
-        assert cfg.line_caps[ToolName.GREP] == 100
-        assert cfg.line_caps[ToolName.LOG_FUNC] == 300
-
-    def test_overrides(self):
-        cfg = CompressionConfig.from_dict({"tau": 500, "line_caps": {"git_grep": 10}})
-        assert cfg.tau == 500
-        assert cfg.line_caps[ToolName.GREP] == 10
-        assert cfg.line_caps[ToolName.SHOW] == 200
-
-    def test_round_trip(self):
-        cfg = CompressionConfig()
-        assert CompressionConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        assert compress.TAU == 3000
+        assert compress.LINE_CAPS[ToolName.GREP] == 100
+        assert compress.LINE_CAPS[ToolName.LOG_FUNC] == 300
 
 
 class TestCanonicalize:
@@ -162,7 +151,7 @@ class TestFormatBlame:
         rng = random.Random(7)
         sha_a, sha_b = random_hash(rng), random_hash(rng)
         raw = make_porcelain([(sha_a, 1, "one"), (sha_b, 2, "two"), (sha_a, 3, "three")])
-        text, truncated = format_blame(raw, CompressionConfig())
+        text, truncated = format_blame(raw)
         lines = text.splitlines()
         assert lines[0] == f"L1: {sha_a[:12]} | one"
         assert lines[1] == f"L2: {sha_b[:12]} | two"
@@ -175,18 +164,17 @@ class TestFormatBlame:
         assert not truncated
 
     def test_empty_input(self):
-        text, truncated = format_blame("", CompressionConfig())
+        text, truncated = format_blame("")
         assert text == "" and not truncated
 
     def test_cap_and_notice(self):
         rng = random.Random(8)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"line {i}") for i in range(1, 501)])
-        cfg = CompressionConfig()
-        text, truncated = format_blame(raw, cfg)
+        text, truncated = format_blame(raw)
         l_lines = [ln for ln in text.splitlines() if ln.startswith("L")]
         assert truncated
-        assert len(l_lines) == cfg.line_caps[ToolName.BLAME]
+        assert len(l_lines) == compress.LINE_CAPS[ToolName.BLAME]
         assert any(ln.startswith("[output truncated") for ln in text.splitlines())
 
     def test_short_porcelain_header_once(self):
@@ -195,7 +183,7 @@ class TestFormatBlame:
         records = [(sha_a, 1, "first")] + [(sha_b, i, f"line {i}") for i in range(2, 251)]
         raw = make_short_porcelain(records)
         assert raw.count(f"summary subject for {sha_b[:8]}") == 1
-        text, truncated = format_blame(raw, CompressionConfig())
+        text, truncated = format_blame(raw)
         lines = text.splitlines()
         legend = lines[lines.index("Commits:") + 1 :]
         assert legend == [
@@ -204,20 +192,20 @@ class TestFormatBlame:
         ]
         assert truncated
         assert "showing 200 of 250 lines" in text
-        assert (text, truncated) == format_blame(make_porcelain(records), CompressionConfig())
+        assert (text, truncated) == format_blame(make_porcelain(records))
 
     def test_malformed_record_past_cap_rejected(self):
         rng = random.Random(13)
         sha = random_hash(rng)
         raw = make_short_porcelain([(sha, i, f"l{i}") for i in range(1, 301)])
         with pytest.raises(tools.MalformedPorcelain):
-            format_blame(raw + "not a porcelain header\n\tcontent\n", CompressionConfig())
+            format_blame(raw + "not a porcelain header\n\tcontent\n")
         with pytest.raises(tools.MalformedPorcelain, match="missing content line"):
-            format_blame(raw + f"{sha} 301 301\n", CompressionConfig())
+            format_blame(raw + f"{sha} 301 301\n")
 
     def test_malformed_porcelain(self):
         with pytest.raises(tools.MalformedPorcelain):
-            format_blame("this is not porcelain\n", CompressionConfig())
+            format_blame("this is not porcelain\n")
 
 
 # The formatter before it stopped building records past the cap: parse every
@@ -248,11 +236,10 @@ def reference_parse(raw):
     return records
 
 
-def reference_format_blame(raw, cfg):
+def reference_format_blame(raw, cap):
     if not raw.strip():
         return "", False
     records = reference_parse(raw)
-    cap = cfg.line_caps[ToolName.BLAME]
     shown = records[:cap]
     body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
     truncated = len(records) > cap
@@ -324,9 +311,9 @@ class TestFormatBlameMatchesFullParse:
     """The formatter builds only the records it shows, with the old output."""
 
     def check(self, raw, cap):
-        cfg = CompressionConfig.from_dict({"line_caps": {"git_blame": cap}})
-        expected = outcome(reference_format_blame, raw, cfg)
-        assert outcome(format_blame, raw, cfg) == expected
+        expected = outcome(reference_format_blame, raw, cap)
+        with mock.patch.dict(compress.LINE_CAPS, {ToolName.BLAME: cap}):
+            assert outcome(format_blame, raw) == expected
         assert outcome(lambda r: tools.blame_records(r)[0], raw) == outcome(reference_parse, raw)
         return expected
 
@@ -377,7 +364,7 @@ class TestFormatBlameMatchesFullParse:
         raw = make_short_porcelain(records)
         tracemalloc.start()
         try:
-            format_blame(raw, CompressionConfig())
+            format_blame(raw)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,9 +394,8 @@ class TestExtractShow:
             "diff --git a/f.c b/f.c\n@@ -1,42 +1,40 @@\n-b\x0cc\n-e\rf\n"
             + "".join(f" context line {i}\n" for i in range(40))
         )
-        cfg = CompressionConfig(tau=200)
-        assert len(formatted) > cfg.tau
-        text, _ = compress_formatted(ToolName.SHOW, formatted, False, cfg)
+        assert len(formatted) > 200
+        text, _ = compress_formatted(ToolName.SHOW, formatted, False, 200)
         assert text.split("\n")[-2:] == ["-b\x0cc", "-e\rf"]
 
     def test_context_stripped_changes_kept(self):
@@ -450,8 +436,8 @@ class TestExtractBlame:
         rng = random.Random(9)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"l{i}") for i in range(1, 401)])
-        cfg = CompressionConfig.from_dict({"line_caps": {"git_blame": 500}})
-        formatted, _ = format_blame(raw, cfg)
+        with mock.patch.dict(compress.LINE_CAPS, {ToolName.BLAME: 500}):
+            formatted, _ = format_blame(raw)
         text, _ = extract_blame(formatted)
         head = text.splitlines()[0]
         assert "1 distinct" in head
@@ -461,7 +447,7 @@ class TestExtractBlame:
         rng = random.Random(9)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"l{i}") for i in range(1, 401)])
-        formatted, _ = format_blame(raw, CompressionConfig())
+        formatted, _ = format_blame(raw)
         text, _ = extract_blame(formatted)
         assert f"{sha[:12]} (200 lines)" in text  # layer-2 cap kept 200
 
@@ -471,7 +457,7 @@ class TestExtractBlame:
         # 60 lines are kept at each end; shas[2:] blame only elided lines.
         owners = [0] * 60 + [2 + i % 6 for i in range(80)] + [1] * 60
         records = [(shas[k], i + 1, f"line {i}") for i, k in enumerate(owners)]
-        formatted, _ = format_blame(make_porcelain(records), CompressionConfig())
+        formatted, _ = format_blame(make_porcelain(records))
         text, elided = extract_blame(formatted)
         assert elided
         for sha in shas:
@@ -481,7 +467,7 @@ class TestExtractBlame:
         rng = random.Random(11)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, "x" * 30) for i in range(1, 301)])
-        formatted, _ = format_blame(raw, CompressionConfig())
+        formatted, _ = format_blame(raw)
         text, _ = extract_blame(formatted)
         assert len(text) < len(formatted)
 
@@ -537,12 +523,11 @@ class TestExecuteCompressed:
     def test_cache_hit_spawns_no_process(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         cache = {}
-        cfg = CompressionConfig()
         args = BlameArgs(file_path="f.c")
         fc = parent_context(shas[1])
-        first = execute_compressed(repo, args, fc, cache, cfg)
+        first = execute_compressed(repo, args, fc, cache)
         count_after_first = repo.process_count
-        second = execute_compressed(repo, args, fc, cache, cfg)
+        second = execute_compressed(repo, args, fc, cache)
         assert repo.process_count == count_after_first
         assert not first.cache_hit and second.cache_hit
         assert first.text == second.text
@@ -551,19 +536,19 @@ class TestExecuteCompressed:
         repo, shas, _ = pipeline_repo
         calls = []
         for tool, formatter in list(compress._FORMATTERS.items()):
-            def counting(raw, cfg, tool=tool, formatter=formatter):
+            def counting(raw, tool=tool, formatter=formatter):
                 calls.append(tool)
-                return formatter(raw, cfg)
+                return formatter(raw)
             monkeypatch.setitem(compress._FORMATTERS, tool, counting)
-        cache, cfg = {}, CompressionConfig()
+        cache = {}
         for tool, args in (
             (ToolName.BLAME, BlameArgs(file_path="f.c")),
             (ToolName.SHOW, ShowArgs(commit=shas[0])),
             (ToolName.GREP, GrepArgs(search_string="return")),
         ):
-            first = execute_compressed(repo, args, parent_context(shas[1]), cache, cfg)
+            first = execute_compressed(repo, args, parent_context(shas[1]), cache)
             assert calls == [tool]
-            second = execute_compressed(repo, args, parent_context(shas[1]), cache, cfg)
+            second = execute_compressed(repo, args, parent_context(shas[1]), cache)
             assert calls == [tool]
             assert second.cache_hit and not first.cache_hit
             assert (second.text, second.truncated) == (first.text, first.truncated)
@@ -576,8 +561,8 @@ class TestExecuteCompressed:
             tools, "execute_raw", lambda *a: runs.append(a) or "not porcelain\n"
         )
         cache, args = {}, BlameArgs(file_path="f.c")
-        first = execute_compressed(repo, args, parent_context(shas[1]), cache, CompressionConfig())
-        second = execute_compressed(repo, args, parent_context(shas[1]), cache, CompressionConfig())
+        first = execute_compressed(repo, args, parent_context(shas[1]), cache)
+        second = execute_compressed(repo, args, parent_context(shas[1]), cache)
         assert first.text.startswith("Error (malformed_output)")
         assert second.text == first.text
         assert not first.cache_hit and second.cache_hit
@@ -588,7 +573,6 @@ class TestExecuteCompressed:
         sha = rb.commit({"f.c": "a\nb\rx\nc\n"}, "seed")
         obs = execute_compressed(
             RepoHandle(rb.path), BlameArgs(file_path="f.c"), parent_context(sha), {},
-            CompressionConfig(),
         )
         assert "malformed_output" not in obs.text
         assert obs.text.split("\n")[:3] == [
@@ -603,14 +587,12 @@ class TestExecuteCompressed:
             m.setattr(gitio, "DEFAULT_TIMEOUT", 0.001)
             obs = execute_compressed(
                 repo, LogSArgs(search_string="f"), parent_context(head), cache,
-                CompressionConfig(),
             )
         assert "Retry with narrower parameters" in obs.text
         assert len(cache) == 0
         # A later call with a sane timeout executes fresh and caches.
         obs2 = execute_compressed(
             repo, LogSArgs(search_string="f"), parent_context(head), cache,
-            CompressionConfig(),
         )
         assert not obs2.cache_hit and len(cache) == 1
 
@@ -622,20 +604,19 @@ class TestExecuteCompressed:
         sha = rb.commit({"f.c": "seed\n" + "".join(f"line number {i:03d}\n" for i in range(300))},
                         "add")
         obs = execute_compressed(RepoHandle(rb.path), ShowArgs(commit=sha), parent_context(sha),
-                                 {}, CompressionConfig())
-        assert obs.truncated and len(obs.text) <= CompressionConfig().tau
+                                 {})
+        assert obs.truncated and len(obs.text) <= compress.TAU
         assert obs.text.endswith("\n" + compress._GENERIC_NOTICE)
 
     def test_small_output_unchanged_by_layer3(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         obs = execute_compressed(
             repo, ShowArgs(commit=shas[0]), parent_context(shas[1]), {},
-            CompressionConfig(),
         )
         from bictrace.tools import exec_git_show
         from bictrace.compress import format_show
 
-        formatted, _ = format_show(exec_git_show(repo, ShowArgs(commit=shas[0])), CompressionConfig())
+        formatted, _ = format_show(exec_git_show(repo, ShowArgs(commit=shas[0])))
         assert len(formatted) <= 3000
         assert obs.text == formatted
         assert not obs.truncated
@@ -646,7 +627,7 @@ class TestExecuteCompressed:
         for _ in range(2):
             obs = execute_compressed(
                 repo, ShowArgs(commit="deadbeef" * 5), parent_context(shas[1]),
-                cache, CompressionConfig(),
+                cache,
             )
             assert obs.text.startswith("Error (commit_not_found)")
             assert not obs.cache_hit
@@ -664,7 +645,7 @@ class TestExecuteCompressed:
         repo = RepoHandle(rb.path)
         fc = load_fix_context(repo, fix)
         # The pipeline runs the arguments it is given ...
-        unbounded = execute_compressed(repo, LogSArgs(search_string="LATER"), fc, {}, CompressionConfig())
+        unbounded = execute_compressed(repo, LogSArgs(search_string="LATER"), fc, {})
         assert "after the fix" in unbounded.text
 
         bounds = []
@@ -728,13 +709,12 @@ HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 class TestSizeBoundProperty:
     @pytest.mark.parametrize("tool", list(ToolName))
     def test_randomized_outputs_bounded_and_faithful(self, tool):
-        cfg = CompressionConfig()
         rng = random.Random(hash(tool.value) & 0xFFFF)
         for trial in range(200):
             raw = synth_raw(tool, rng)
-            formatted, truncated = compress._FORMATTERS[tool](raw, cfg)
-            text, truncated = compress.compress_formatted(tool, formatted, truncated, cfg)
-            assert len(text) <= cfg.tau + MAX_OBS_OVERHEAD, (tool, trial)
+            formatted, truncated = compress._FORMATTERS[tool](raw)
+            text, truncated = compress.compress_formatted(tool, formatted, truncated, compress.TAU)
+            assert len(text) <= compress.TAU + MAX_OBS_OVERHEAD, (tool, trial)
             raw_tokens = set(HEX_TOKEN_RE.findall(raw))
             for token in HEX_TOKEN_RE.findall(text):
                 assert any(rt.startswith(token) for rt in raw_tokens), (tool, trial, token)

@@ -2,9 +2,11 @@
 
 One case runs as a strictly sequential observe-reason-act loop: the model
 either calls a tool (executed through the compression pipeline) or gives a
-final structured answer. Backends share one contract, so the same loop
-runs live against a chat-completions endpoint, deterministically from a
-scripted step list, or from a recorded transcript.
+final structured answer. Two backends share one contract, so the same
+loop runs live against a chat-completions endpoint or deterministically
+from a scripted step list. A replay is a scripted run of a recorded
+transcript's steps, and it reproduces the recording when every line of its
+own transcript after the header is the recording's line.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context, read_json_lines
@@ -49,7 +52,7 @@ class SchemaMismatch(Exception):
 
 
 class DesyncError(Exception):
-    """Replay diverged from the recorded run (repository state changed?)."""
+    """A replay's transcript differs from its recording (repository state changed?)."""
 
 
 @dataclass
@@ -223,52 +226,6 @@ class LiveBackend:
             raise BackendUnavailable(f"malformed endpoint response: {exc!r}") from exc
 
 
-class ReplayBackend:
-    """Plays back a recorded transcript, verifying observations en route."""
-
-    def __init__(self, path: str):
-        self.steps: list[ModelStep] = []
-        self.observations: dict[int, str] = {}
-        self.index = 0
-        lines = [record for _, record in read_json_lines(path, SchemaMismatch)]
-        if not (lines and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
-            raise SchemaMismatch(f"{path} is not a {TRANSCRIPT_SCHEMA} file")
-        header = self.header = lines[0]
-        if not (all(isinstance(header.get(k), str) for k in ("repo", "fix", "case_id"))
-                and header["case_id"]):
-            raise SchemaMismatch(
-                f"{path}: the header needs string 'repo' and 'fix' and a nonempty 'case_id'")
-        if lines[-1].get("event") != "result":
-            raise SchemaMismatch(f"{path} is truncated (no result record)")
-        for record in lines[1:-1]:
-            if record.get("event") == "model_step":
-                try:
-                    self.steps.append(ModelStep.from_dict(record.get("step")))
-                except ValueError as exc:
-                    raise SchemaMismatch(f"{path}: bad model_step record: {exc}") from None
-            elif record.get("event") == "observation":
-                if not isinstance(record.get("text"), str):
-                    raise SchemaMismatch(f"{path}: an observation record needs a string 'text'")
-                self.observations[len(self.steps) - 1] = record["text"]
-
-    def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
-        previous = self.index - 1
-        if previous >= 0 and previous in self.observations:
-            live = next(
-                (m["content"] for m in reversed(conversation) if m.get("role") == "tool"),
-                None,
-            )
-            if live != self.observations[previous]:
-                raise DesyncError(
-                    f"observation for step {previous} differs from the recorded run"
-                )
-        if self.index >= len(self.steps):
-            raise DesyncError("replay exhausted: live loop requested more steps than recorded")
-        step = self.steps[self.index]
-        self.index += 1
-        return step
-
-
 _BIC_FIELD_RE = re.compile(r"^[\s>*`#]*BIC\b[\s*`]*[:=][\s*`]*(.+)$", re.IGNORECASE | re.MULTILINE)
 _CONFIDENCE_RE = re.compile(r"\bconfidence\b[\s*`]*[:=][\s*`]*([A-Za-z]+)", re.IGNORECASE)
 _REASONING_RE = re.compile(r"\breasoning\b[\s*`]*[:=][\s*`]*(.*)", re.IGNORECASE | re.DOTALL)
@@ -440,3 +397,39 @@ def record_transcript(transcript: Transcript, prediction: Prediction, path: str)
     with open(path, "w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def read_transcript(path: str) -> tuple[dict, list[ModelStep]]:
+    """A recorded transcript's header and model steps; SchemaMismatch names what does not fit."""
+    lines = [record for _, record in read_json_lines(path, SchemaMismatch)]
+    if not (lines and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
+        raise SchemaMismatch(f"{path} is not a {TRANSCRIPT_SCHEMA} file")
+    header = lines[0]
+    if not (all(isinstance(header.get(k), str) for k in ("repo", "fix", "case_id"))
+            and header["case_id"]):
+        raise SchemaMismatch(
+            f"{path}: the header needs string 'repo' and 'fix' and a nonempty 'case_id'")
+    if lines[-1].get("event") != "result":
+        raise SchemaMismatch(f"{path} is truncated (no result record)")
+    steps = []
+    for record in lines[1:-1]:
+        if record.get("event") == "model_step":
+            try:
+                steps.append(ModelStep.from_dict(record.get("step")))
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path}: bad model_step record: {exc}") from None
+        elif record.get("event") == "observation" and not isinstance(record.get("text"), str):
+            raise SchemaMismatch(f"{path}: an observation record needs a string 'text'")
+    return header, steps
+
+
+def require_recording(recording: bytes, recording_path: str, replay_path: str):
+    """DesyncError at the first line after the header where the replay's transcript differs.
+
+    The header names the repository path, which a replay may move to a copy.
+    """
+    with open(replay_path, "rb") as f:
+        replayed = f.read().split(b"\n")[1:]
+    for n, (old, new) in enumerate(zip_longest(recording.split(b"\n")[1:], replayed), start=2):
+        if old != new:
+            raise DesyncError(f"{replay_path}:{n} differs from the recorded run {recording_path}:{n}")

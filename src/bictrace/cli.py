@@ -26,10 +26,11 @@ from .agent import (
     LiveBackend,
     ModelStep,
     Prediction,
-    ReplayBackend,
     SchemaMismatch,
     ScriptedBackend,
+    read_transcript,
     record_transcript,
+    require_recording,
     run_investigation,
 )
 from .caseprep import CaseSpec, RootCommit, load_fix_context, read_json
@@ -140,12 +141,13 @@ def _safe_name(case_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", case_id)
 
 
-def _refuse_shared_file_names(kind: str, names: list[str]):
-    """Two different names that _safe_name maps to one file would overwrite each other's files."""
-    stems: dict[str, str] = {}
+def _refuse_shared_file_names(kind: str, names: list[str], file_name=_safe_name):
+    """Two different names that `file_name` maps to one file would overwrite each other's files."""
+    owners: dict[str, str] = {}
     for name in names:
-        if stems.setdefault(_safe_name(name), name) != name:
-            raise ValueError(f"{kind} {stems[_safe_name(name)]} and {name} would share a file name")
+        stem = file_name(name)
+        if owners.setdefault(stem, name) != name:
+            raise ValueError(f"{kind} {owners[stem]} and {name} would share the file name {stem}")
 
 
 def _write_json(path: str, data: dict):
@@ -176,6 +178,15 @@ def _clone_name(url: str) -> str | None:
         return None
     name = url.rstrip("/").rsplit("/", 1)[-1]
     return name[:-4] if name.endswith(".git") else name
+
+
+def _load_dataset(path: str, repos_dir: str | None) -> list[CaseSpec]:
+    """The dataset's cases; remote repos whose clones would share a directory are refused."""
+    cases = load_dataset(path)
+    _refuse_shared_file_names(
+        "repos", [case.repo_path for case in cases if _clone_name(case.repo_path) is not None],
+        lambda url: os.path.join(repos_dir or "", _clone_name(url)))
+    return cases
 
 
 def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
@@ -230,8 +241,7 @@ def _investigate_one(
     return prediction, result
 
 
-def _investigate_and_print(case: CaseSpec, config: RunConfig, backend_factory) -> int:
-    prediction, result = _investigate_one(case, config, backend_factory, _run_paths(config))
+def _print_outcome(case: CaseSpec, prediction: Prediction, result: CaseResult) -> int:
     print(f"case: {case.case_id}")
     print(f"status: {prediction.status}")
     print(f"bic: {prediction.resolved_id or '(none)'}")
@@ -246,7 +256,7 @@ def _investigate_and_print(case: CaseSpec, config: RunConfig, backend_factory) -
 def cmd_investigate(args: argparse.Namespace) -> int:
     case = CaseSpec(repo_path=args.repo, fix_commit=args.fix, dataset_tag=args.tag or "adhoc")
     config = build_run_config(args)
-    return _investigate_and_print(case, config, make_backend(config))
+    return _print_outcome(case, *_investigate_one(case, config, make_backend(config), _run_paths(config)))
 
 
 def _run_dataset(cases: list[CaseSpec], repos_dir: str | None, out: str, method: str,
@@ -277,7 +287,7 @@ def _run_dataset(cases: list[CaseSpec], repos_dir: str | None, out: str, method:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    cases = load_dataset(args.dataset)
+    cases = _load_dataset(args.dataset, args.repos_dir)
     # Each case writes cases/<name>.json and transcripts/<name>.jsonl.
     _refuse_shared_file_names("cases", [case.case_id for case in cases])
     backend_factory = make_backend(config)
@@ -289,7 +299,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    cases = load_dataset(args.dataset)
+    cases = _load_dataset(args.dataset, args.repos_dir)
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
     def run_case(case: CaseSpec) -> CaseResult:
@@ -324,7 +334,7 @@ def _report_names(runs: list[tuple[str, str, list]]) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cases = load_dataset(args.dataset)
+    cases = _load_dataset(args.dataset, args.repos_dir)
     price = build_run_config(args).price_table
     runs = [(path, *ev.read_results(path)) for path in args.results]
     names = _report_names(runs)
@@ -357,13 +367,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    backend = ReplayBackend(args.transcript)
-    header = backend.header
+    header, steps = read_transcript(args.transcript)
+    with open(args.transcript, "rb") as f:
+        recording = f.read()  # read before the replay, which may write to the same path
     case = CaseSpec(repo_path=args.repo or header["repo"], fix_commit=header["fix"],
                     case_id=header["case_id"])
     # No model runs in a replay, so none is recorded.
     config = replace(build_run_config(args), backend=f"replay:{args.transcript}", model="")
-    return _investigate_and_print(case, config, lambda: backend)
+    prediction, result = _investigate_one(case, config, lambda: ScriptedBackend(steps),
+                                          _run_paths(config))
+    require_recording(recording, args.transcript, result.transcript_ref)
+    return _print_outcome(case, prediction, result)
 
 
 def cmd_tool(args: argparse.Namespace) -> int:
@@ -390,7 +404,7 @@ def cmd_tool(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch_datasets(args: argparse.Namespace) -> int:
-    cases = load_dataset(args.dataset)
+    cases = _load_dataset(args.dataset, args.dest)
     os.makedirs(args.dest, exist_ok=True)
     failures = 0
     seen = set()

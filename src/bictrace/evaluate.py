@@ -50,9 +50,9 @@ def load_dataset(path: str) -> list[CaseSpec]:
                 and all(isinstance(record.get(k, ""), str) for k in ("dataset_tag", "case_id"))):
             raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields, "
                                "and string 'dataset_tag' and 'case_id' if given")
-        bics = record.get("bics") or []
-        if not bics:
-            raise DatasetError(f"{path}:{i}: case without ground-truth bics")
+        bics = record.get("bics")
+        if not (isinstance(bics, list) and bics):
+            raise DatasetError(f"{path}:{i}: 'bics' must be a nonempty list of commit ids")
         case = CaseSpec(
             repo_path=record["repo"],
             fix_commit=record["fix_commit"],

@@ -39,6 +39,10 @@ _READ_SIZE = 65536
 
 # How git's stderr starts when the handle's path is no repository at all.
 _NO_REPO_ERRORS = ("fatal: not a git repository", "fatal: cannot change to")
+# How it starts when another user owns the repository. Git refuses such a
+# repository because its config could name a command for git to run (a diff
+# textconv filter, say); bictrace keeps that guard.
+_NOT_OWNER_ERROR = "fatal: detected dubious ownership"
 
 
 class GitGatewayError(Exception):
@@ -167,8 +171,9 @@ def run_git(repo: RepoHandle, args: list[str], names: bool = False) -> GitOutcom
 
     Raises NonAllowlistedCommand for anything outside the read-only set;
     that is a programming error, never surfaced to the agent. Raises
-    RepoUnavailable when the path is not a repository (or not a directory),
-    and GitTimeout when git outlives DEFAULT_TIMEOUT, read at call time.
+    RepoUnavailable when the path is not a repository (or not a directory,
+    or another user's), and GitTimeout when git outlives DEFAULT_TIMEOUT,
+    read at call time.
     """
     if not args or args[0] not in ALLOWED_SUBCOMMANDS:
         raise NonAllowlistedCommand(f"refusing git subcommand: {args[:1] or '(empty)'}")
@@ -176,8 +181,12 @@ def run_git(repo: RepoHandle, args: list[str], names: bool = False) -> GitOutcom
     out = _spawn(repo.root_path, args, DEFAULT_TIMEOUT)
     if out.status is GitStatus.TIMED_OUT:
         raise GitTimeout(f"git {args[0]} timed out after {DEFAULT_TIMEOUT:g}s")
-    if out.status is GitStatus.NONZERO_EXIT and out.stderr.startswith(_NO_REPO_ERRORS):
-        raise RepoUnavailable(f"{repo.root_path} is not a git repository: {out.stderr.strip()}")
+    if out.status is GitStatus.NONZERO_EXIT:
+        if out.stderr.startswith(_NO_REPO_ERRORS):
+            raise RepoUnavailable(f"{repo.root_path} is not a git repository: {out.stderr.strip()}")
+        if out.stderr.startswith(_NOT_OWNER_ERROR):
+            raise RepoUnavailable(f"{repo.root_path} is owned by another user, so git refuses to "
+                                  "read it (dubious ownership); run bictrace as the clone's owner")
     out.stdout = _decode(out.stdout, "surrogateescape" if names else "replace")
     return out
 

@@ -8,18 +8,20 @@ import pytest
 import requests
 
 from bictrace.agent import (
+    TRANSCRIPT_SCHEMA,
     BackendUnavailable,
     DesyncError,
     LiveBackend,
     ModelStep,
     Prediction,
-    ReplayBackend,
     SchemaMismatch,
     ScriptedBackend,
     Transcript,
     final_step,
     parse_final_output,
+    read_transcript,
     record_transcript,
+    require_recording,
     run_investigation,
     tool_step,
 )
@@ -395,15 +397,21 @@ class TestRecordReplay:
         record_transcript(transcript, prediction, path)
         return case, repo, fc, prediction, transcript
 
+    def _replay(self, case, repo, fc, path, replay_path):
+        """A replay as `bictrace replay` runs one: the recorded steps, scripted."""
+        recording = Path(path).read_bytes()
+        prediction, transcript = run_investigation(
+            case, repo, fc, ScriptedBackend(read_transcript(path)[1])
+        )
+        record_transcript(transcript, prediction, replay_path)
+        require_recording(recording, path, replay_path)
+        return prediction
+
     def test_record_then_replay_identical(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "run.jsonl")
         case, repo, fc, prediction, _ = self._run_and_record(cross_file_repo, path)
-        replay_prediction, replay_transcript = run_investigation(
-            case, repo, fc, ReplayBackend(path)
-        )
-        assert replay_prediction == prediction
         replay_path = str(tmp_path / "replay.jsonl")
-        record_transcript(replay_transcript, replay_prediction, replay_path)
+        assert self._replay(case, repo, fc, path, replay_path) == prediction
         assert Path(path).read_text() == Path(replay_path).read_text()
 
     def test_scripted_runs_byte_identical(self, cross_file_repo, tmp_path):
@@ -425,8 +433,11 @@ class TestRecordReplay:
         path = str(tmp_path / "drift.jsonl")
         record_transcript(transcript, prediction, path)
         rb.commit({"driver/hotplug.c": "void driver_phy_hotplug(int phy) {}\n"}, "drift")
-        with pytest.raises(DesyncError):
-            run_investigation(case, repo, fc, ReplayBackend(path))
+        replay_path = str(tmp_path / "replay.jsonl")
+        # Line 3 is the blame's observation.
+        with pytest.raises(DesyncError, match=re.escape(
+                f"{replay_path}:3 differs from the recorded run {path}:3")):
+            self._replay(case, repo, fc, path, replay_path)
 
     def test_truncated_file_schema_mismatch(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "trunc.jsonl")
@@ -434,18 +445,20 @@ class TestRecordReplay:
         lines = Path(path).read_text().splitlines()
         with open(path, "w") as f:
             f.write("\n".join(lines[:-1]))
-        with pytest.raises(SchemaMismatch):
-            ReplayBackend(path)
+        with pytest.raises(SchemaMismatch, match=re.escape(f"{path} is truncated (no result record)")):
+            read_transcript(path)
 
-    def test_replay_past_the_recording_is_exhausted(self, cross_file_repo, tmp_path):
+    def test_replay_past_the_recording_desyncs(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "run.jsonl")
         case, repo, fc, _, _ = self._run_and_record(cross_file_repo, path)
-        # Without its final answer the recording runs out while the loop still asks.
+        # Without its final answer the recording runs out while the loop still asks; the
+        # scripted backend answers with an empty final step, which the recording lacks.
         lines = Path(path).read_text().splitlines()
         kept = [ln for ln in lines if json.loads(ln).get("step", {}).get("kind") != "final"]
         Path(path).write_text("\n".join(kept) + "\n")
-        with pytest.raises(DesyncError, match="^replay exhausted"):
-            run_investigation(case, repo, fc, ReplayBackend(path))
+        replay_path = str(tmp_path / "replay.jsonl")
+        with pytest.raises(DesyncError, match=f"^{re.escape(replay_path)}:6 differs "):
+            self._replay(case, repo, fc, path, replay_path)
 
     def test_line_that_is_not_json_schema_mismatch(self, cross_file_repo, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -453,14 +466,14 @@ class TestRecordReplay:
         lines = Path(path).read_text().splitlines()
         Path(path).write_text("\n".join([lines[0], "{oops", *lines[1:]]) + "\n")
         with pytest.raises(SchemaMismatch, match=f"^{re.escape(path)}:2: not JSON: "):
-            ReplayBackend(path)
+            read_transcript(path)
 
     def test_wrong_schema(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as f:
             f.write(json.dumps({"schema": "something-else/v9"}) + "\n")
-        with pytest.raises(SchemaMismatch):
-            ReplayBackend(path)
+        with pytest.raises(SchemaMismatch, match=re.escape(f"{path} is not a {TRANSCRIPT_SCHEMA} file")):
+            read_transcript(path)
 
     @pytest.mark.parametrize("record", [
         {"event": "model_step"},
@@ -474,7 +487,7 @@ class TestRecordReplay:
         with open(path, "w") as f:
             f.write("\n".join([lines[0], json.dumps(record), *lines[1:]]) + "\n")
         with pytest.raises(SchemaMismatch, match=re.escape(path)):
-            ReplayBackend(path)
+            read_transcript(path)
 
 
 class TestModelStep:

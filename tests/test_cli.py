@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,59 @@ class TestReplayCmd:
         assert "case: t:HEAD" in capsys.readouterr().out
         assert (runs / "rep" / "transcripts" / "t_HEAD.jsonl").read_bytes() == recorded.read_bytes()
 
+    @pytest.fixture
+    def two_calls(self, linear_repo, tmp_path, capsys):
+        """A recording with two tool calls, as runs/rec/transcripts/t_HEAD.jsonl."""
+        rb, shas = linear_repo
+        script = write_script(tmp_path / "two.json", [
+            {"kind": "tool_call", "tool": "git_show", "args": {"commit": shas[1]}},
+            {"kind": "tool_call", "tool": "git_grep", "args": {"search_string": "return"}},
+            {"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"},
+        ])
+        assert main(["investigate", "--repo", rb.path, "--fix", "HEAD", "--tag", "t",
+                     "--backend", f"scripted:{script}", "--run-dir", str(tmp_path / "runs"),
+                     "--run-id", "rec"]) == 0
+        capsys.readouterr()
+        return rb, tmp_path / "runs" / "rec" / "transcripts" / "t_HEAD.jsonl"
+
+    def assert_desync(self, capsys, recorded, run_id, line):
+        """One error line naming the first differing line; no status block; the files stay."""
+        replayed = recorded.parents[2] / run_id / "transcripts" / "t_HEAD.jsonl"
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {replayed}:{line} differs from the recorded run "
+                                  f"{recorded}:{line}\n")
+        assert (replayed.parent.parent / "cases" / "t_HEAD.json").is_file()
+
+    @pytest.mark.parametrize("run_id", ["rep", "rec"])
+    def test_smaller_turn_budget_is_a_desync(self, two_calls, tmp_path, capsys, run_id):
+        # Line 5 is the second call's observation; with one tool turn that call lands on the
+        # forced-answer turn and runs no tool. A replay into the recording's own run directory
+        # is held to the recording as it was before the replay overwrote it.
+        rb, recorded = two_calls
+        assert main(["replay", "--transcript", str(recorded), "--run-dir", str(tmp_path / "runs"),
+                     "--run-id", run_id, "--max-turns", "1"]) == 1
+        self.assert_desync(capsys, recorded, run_id, 5)
+
+    def test_edited_result_record_is_a_desync(self, two_calls, tmp_path, capsys):
+        rb, recorded = two_calls
+        *lines, result = recorded.read_text().splitlines()
+        edited = json.loads(result)
+        edited["prediction"]["confidence"] = "low"
+        recorded.write_text("\n".join([*lines, json.dumps(edited, sort_keys=True)]) + "\n")
+        assert self.replay(str(recorded), tmp_path) == 1
+        self.assert_desync(capsys, recorded, "rep", 7)
+
+    def test_replay_against_a_copy_of_the_repo(self, two_calls, tmp_path, capsys):
+        rb, recorded = two_calls
+        copy = tmp_path / "copy"
+        shutil.copytree(rb.path, copy)
+        assert self.replay(str(recorded), tmp_path, "--repo", str(copy)) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["case: t:HEAD", "status: resolved"]
+        replayed = tmp_path / "runs" / "rep" / "transcripts" / "t_HEAD.jsonl"
+        # Only the header differs: it names the repository the replay read.
+        assert json.loads(replayed.read_text().splitlines()[0])["repo"] == str(copy)
+        assert replayed.read_bytes().split(b"\n")[1:] == recorded.read_bytes().split(b"\n")[1:]
+
     @pytest.mark.parametrize("header", [[1], {"schema": TRANSCRIPT_SCHEMA, "repo": "r"},
                                         {"schema": TRANSCRIPT_SCHEMA, "repo": "r", "fix": "HEAD"}])
     def test_bad_header_is_one_error_line(self, recorded, tmp_path, capsys, header):
@@ -411,7 +465,7 @@ class TestBatchCmd:
         monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}", "--parallelism",
                      "2", "--run-dir", str(tmp_path / "runs")]) == 1
-        assert capsys.readouterr().err == "error: cases x:1 and x_1 would share a file name\n"
+        assert capsys.readouterr().err == "error: cases x:1 and x_1 would share the file name x_1\n"
         assert spawned == [] and not (tmp_path / "runs").exists()
 
     def test_malformed_price_table_is_an_error(self, tmp_path, capsys):
@@ -558,6 +612,49 @@ class TestNotARepository:
             _, results = read_results(str(path))
             assert f"{plain} is not a git repository" in results[0].error
             assert results[1].error is None and results[1].predicted == [shas[1]]
+
+
+class TestAnotherUsersRepository:
+    """Git refuses a repository another user owns; that is RepoUnavailable, never a missing fix."""
+
+    @pytest.fixture
+    def foreign(self, linear_repo, monkeypatch):
+        # Git's own test switch makes every repository read as another user's.
+        pinned = gitio._pinned_env
+        monkeypatch.setattr(gitio, "_pinned_env",
+                            lambda: {**pinned(), "GIT_TEST_ASSUME_DIFFERENT_OWNER": "1"})
+        return linear_repo
+
+    def refused(self, path):
+        return (f"{path} is owned by another user, so git refuses to read it (dubious "
+                "ownership); run bictrace as the clone's owner")
+
+    @pytest.mark.parametrize("command", ["tool", "investigate"])
+    def test_tool_and_investigate_exit_1(self, foreign, tmp_path, capsys, command):
+        rb, shas = foreign
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": "no answer"}])
+        assert main({
+            "tool": ["tool", "git_show", "--repo", rb.path, "--args", '{"commit": "HEAD"}'],
+            "investigate": ["investigate", "--repo", rb.path, "--fix", "HEAD", "--backend",
+                            f"scripted:{script}", "--run-dir", str(tmp_path / "runs")],
+        }[command]) == 1
+        assert capsys.readouterr().err == f"error: {self.refused(rb.path)}\n"
+
+    def test_dataset_commands_name_the_cause(self, foreign, tmp_path, capsys):
+        rb, shas = foreign
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": "no answer"}])
+        ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": rb.path, "fix_commit": shas[2],
+                                                    "bics": [shas[1]], "case_id": "x:1"}])
+        runs, out = tmp_path / "runs", str(tmp_path / "b.jsonl")
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out]) == 0
+        for path in (str(runs / "b" / "results.jsonl"), out):
+            assert [r.error for r in read_results(path)[1]] == [self.refused(rb.path)]
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", ds, "--results", out]) == 3
+        assert (f"x:1: not classified, so in no hard-case subset: {self.refused(rb.path)}\n"
+                in capsys.readouterr().err)
 
 
 class TestSha256Repository:
@@ -762,17 +859,15 @@ class TestBaselineCmd:
         rb.commit({"m.c": "keep\nold line\n"}, "seed")
         bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
         fix = rb.commit({"m.c": "keep\nfixed line\n"}, "fix")
-        urls = ["https://host/org/name.git", "git@host:org/name.git"]
-        ds = write_dataset(
-            tmp_path / "ds.jsonl",
-            [{"repo": url, "fix_commit": fix, "bics": [bic], "dataset_tag": "x",
-              "case_id": f"x:{i}"} for i, url in enumerate(urls)],
-        )
-        out_path = str(tmp_path / "b.jsonl")
-        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path,
-                     "--repos-dir", str(tmp_path / "clones")]) == 0
-        _, results = read_results(out_path)
-        assert [(r.error, r.predicted) for r in results] == [(None, [bic])] * len(urls)
+        # One dataset each: two URLs that map to one clone directory are refused together.
+        for url in ("https://host/org/name.git", "git@host:org/name.git"):
+            ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": url, "fix_commit": fix,
+                                                        "bics": [bic], "case_id": "x:1"}])
+            out_path = str(tmp_path / "b.jsonl")
+            assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path,
+                         "--repos-dir", str(tmp_path / "clones")]) == 0
+            _, results = read_results(out_path)
+            assert [(r.error, r.predicted) for r in results] == [(None, [bic])]
 
     @pytest.mark.parametrize("record", [
         {"fix_commit": "a" * 40, "bics": ["b" * 40]}, [1],
@@ -881,6 +976,20 @@ class TestGroundTruthIds:
                      "--out", str(tmp_path / "b.jsonl")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {ds}:2: ")
         assert spawned == []
+
+    @pytest.mark.parametrize("bics", [5, "a" * 40, [], None, {"b": 1}])
+    @pytest.mark.parametrize("command", ["evaluate", "baseline"])
+    def test_bics_must_be_a_nonempty_list(self, tmp_path, capsys, bics, command):
+        record = {"repo": "/r", "fix_commit": "a" * 40, "bics": bics}
+        if bics is None:
+            del record["bics"]
+        ds = write_dataset(tmp_path / "ds.jsonl", [record])
+        out = str(tmp_path / "b.jsonl")
+        assert main({"evaluate": ["evaluate", "--dataset", ds, "--results", out],
+                     "baseline": ["baseline", "--algorithm", "b", "--dataset", ds, "--out", out],
+                     }[command]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ds}:2: 'bics' must be a nonempty list of commit ids\n")
 
     def test_predicted_ids_read_as_bics_are(self, linear_repo, tmp_path, capsys):
         rb, shas = linear_repo
@@ -1170,7 +1279,8 @@ class TestEvaluateCmd:
         assert main(["evaluate", "--dataset", ds, "--results", str(nested), str(flat),
                      "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err == (
-            f"error: reports hand:{nested} and hand:{flat} would share a file name\n")
+            f"error: reports hand:{nested} and hand:{flat} would share the file name "
+            f"{cli._safe_name(f'hand:{flat}')}\n")
         assert not out_dir.exists()
 
     def test_empty_method_names_a_report_by_its_path(self, linear_repo, tmp_path, capsys):
@@ -1483,6 +1593,34 @@ class TestFetchDatasets:
               "dataset_tag": "x", "case_id": "x:1"}],
         )
         assert main(["fetch-datasets", "--dataset", ds, "--dest", str(tmp_path / "repos")]) == 1
+
+
+class TestSharedCloneDirectory:
+    @pytest.mark.parametrize("command", ["fetch-datasets", "batch", "baseline", "evaluate"])
+    def test_repos_that_map_to_one_clone_are_refused(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # Forks share a name: torvalds/linux and a stable tree named linux both clone to linux.
+        first, second = ((tmp_path / fork / "repo").as_uri() for fork in ("a", "b"))
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": url, "fix_commit": "c" * 40, "bics": ["d" * 40], "case_id": f"x:{i}"}
+            for i, url in enumerate([first, first, second])
+        ])
+        repos, runs = tmp_path / "repos", tmp_path / "runs"
+        spawned = []
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: spawned.append(a))
+        assert main({
+            "fetch-datasets": ["fetch-datasets", "--dataset", ds, "--dest", str(repos)],
+            "batch": ["batch", "--dataset", ds, "--repos-dir", str(repos), "--run-dir", str(runs)],
+            "baseline": ["baseline", "--algorithm", "b", "--dataset", ds, "--repos-dir", str(repos),
+                         "--out", str(tmp_path / "b.jsonl")],
+            "evaluate": ["evaluate", "--dataset", ds, "--repos-dir", str(repos),
+                         "--results", str(tmp_path / "b.jsonl")],
+        }[command]) == 1
+        assert capsys.readouterr().err == (
+            f"error: repos {first} and {second} would share the file name {repos / 'repo'}\n")
+        assert spawned == [] and not repos.exists() and not runs.exists()
+        assert not (tmp_path / "b.jsonl").exists()
 
 
 class TestReadOnly:

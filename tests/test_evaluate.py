@@ -189,7 +189,7 @@ class TestDatasetIO:
     def test_empty_ground_truth_rejected(self, tmp_path):
         path = tmp_path / "nogt.jsonl"
         path.write_text(json.dumps({"repo": "/r", "fix_commit": "a" * 40, "bics": []}) + "\n")
-        with pytest.raises(ev.DatasetError, match="ground-truth"):
+        with pytest.raises(ev.DatasetError, match="'bics' must be a nonempty list of commit ids"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize("record", [

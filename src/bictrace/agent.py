@@ -399,9 +399,11 @@ def record_transcript(transcript: Transcript, prediction: Prediction, path: str)
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_transcript(path: str) -> tuple[dict, list[ModelStep]]:
-    """A recorded transcript's header and model steps; SchemaMismatch names what does not fit."""
-    lines = [record for _, record in read_json_lines(path, SchemaMismatch)]
+def read_transcript(path: str) -> tuple[dict, list[ModelStep], bytes]:
+    """A recorded transcript's header, model steps and bytes; SchemaMismatch names what does not fit."""
+    with open(path, "rb") as f:
+        recording = f.read()
+    lines = [record for _, record in read_json_lines(path, SchemaMismatch, data=recording)]
     if not (lines and lines[0].get("schema") == TRANSCRIPT_SCHEMA):
         raise SchemaMismatch(f"{path} is not a {TRANSCRIPT_SCHEMA} file")
     header = lines[0]
@@ -420,7 +422,7 @@ def read_transcript(path: str) -> tuple[dict, list[ModelStep]]:
                 raise SchemaMismatch(f"{path}: bad model_step record: {exc}") from None
         elif record.get("event") == "observation" and not isinstance(record.get("text"), str):
             raise SchemaMismatch(f"{path}: an observation record needs a string 'text'")
-    return header, steps
+    return header, steps, recording
 
 
 def require_recording(recording: bytes, recording_path: str, replay_path: str):

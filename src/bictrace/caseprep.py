@@ -64,22 +64,26 @@ def read_json(path: str):
         return _parse_json(path, 1, f.read(), ValueError)
 
 
-def read_json_lines(path: str, error: type[Exception], comments: bool = False) -> list[tuple[int, dict]]:
+def read_json_lines(path: str, error: type[Exception], comments: bool = False,
+                    data: bytes | None = None) -> list[tuple[int, dict]]:
     """Each nonblank line of a line-delimited JSON file, and its number; each holds one object.
 
-    With `comments`, a line that starts with "#" is skipped too. A line that is
+    `data` is the file's bytes when the caller has read them already. With
+    `comments`, a line that starts with "#" is skipped too. A line that is
     not UTF-8, not JSON or not an object raises `error` naming `path:line`.
     """
+    if data is None:
+        with open(path, "rb") as f:
+            data = f.read()
     records = []
-    with open(path, "rb") as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or (comments and line.startswith(b"#")):
-                continue
-            record = _parse_json(path, i, line, error)
-            if not isinstance(record, dict):
-                raise error(f"{path}:{i}: record is not a JSON object")
-            records.append((i, record))
+    for i, line in enumerate(data.split(b"\n"), start=1):
+        line = line.strip()
+        if not line or (comments and line.startswith(b"#")):
+            continue
+        record = _parse_json(path, i, line, error)
+        if not isinstance(record, dict):
+            raise error(f"{path}:{i}: record is not a JSON object")
+        records.append((i, record))
     return records
 
 

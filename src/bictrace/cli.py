@@ -180,12 +180,27 @@ def _clone_name(url: str) -> str | None:
     return name[:-4] if name.endswith(".git") else name
 
 
+def _repo_key(url: str) -> str:
+    """host/path of a remote repository: its https, ssh:// and scp (`git@host:path`) URLs agree,
+    with or without `.git` or a trailing '/'."""
+    scheme = re.match(r"^[a-z+]+://", url)
+    if scheme:
+        host, _, path = url[scheme.end():].partition("/")
+        host = re.sub(r":\d*$", "", host.rpartition("@")[2])
+    else:
+        host, _, path = url.partition("@")[2].partition(":")
+    return f"{host.lower()}/{path.rstrip('/').removesuffix('.git').strip('/')}"
+
+
 def _load_dataset(path: str, repos_dir: str | None) -> list[CaseSpec]:
-    """The dataset's cases; remote repos whose clones would share a directory are refused."""
+    """The dataset's cases; different remote repos whose clones would share a directory are refused."""
     cases = load_dataset(path)
-    _refuse_shared_file_names(
-        "repos", [case.repo_path for case in cases if _clone_name(case.repo_path) is not None],
-        lambda url: os.path.join(repos_dir or "", _clone_name(url)))
+    remotes: dict[str, str] = {}
+    for case in cases:
+        if _clone_name(case.repo_path) is not None:
+            remotes.setdefault(_repo_key(case.repo_path), case.repo_path)
+    _refuse_shared_file_names("repos", list(remotes.values()),
+                              lambda url: os.path.join(repos_dir or "", _clone_name(url)))
     return cases
 
 
@@ -367,13 +382,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    header, steps = read_transcript(args.transcript)
-    with open(args.transcript, "rb") as f:
-        recording = f.read()  # read before the replay, which may write to the same path
+    header, steps, recording = read_transcript(args.transcript)
     case = CaseSpec(repo_path=args.repo or header["repo"], fix_commit=header["fix"],
                     case_id=header["case_id"])
     # No model runs in a replay, so none is recorded.
     config = replace(build_run_config(args), backend=f"replay:{args.transcript}", model="")
+    target = os.path.join(config.run_dir, config.run_id, "transcripts",
+                          _safe_name(case.case_id) + ".jsonl")
+    if os.path.exists(target) and os.path.samefile(target, args.transcript):
+        raise ValueError(f"replay would overwrite its recording {args.transcript}; "
+                         "pass another --run-id or --run-dir")
     prediction, result = _investigate_one(case, config, lambda: ScriptedBackend(steps),
                                           _run_paths(config))
     require_recording(recording, args.transcript, result.transcript_ref)

@@ -288,15 +288,29 @@ class TestReplayCmd:
                                   f"{recorded}:{line}\n")
         assert (replayed.parent.parent / "cases" / "t_HEAD.json").is_file()
 
-    @pytest.mark.parametrize("run_id", ["rep", "rec"])
-    def test_smaller_turn_budget_is_a_desync(self, two_calls, tmp_path, capsys, run_id):
+    def test_smaller_turn_budget_is_a_desync(self, two_calls, tmp_path, capsys):
         # Line 5 is the second call's observation; with one tool turn that call lands on the
-        # forced-answer turn and runs no tool. A replay into the recording's own run directory
-        # is held to the recording as it was before the replay overwrote it.
+        # forced-answer turn and runs no tool.
         rb, recorded = two_calls
-        assert main(["replay", "--transcript", str(recorded), "--run-dir", str(tmp_path / "runs"),
-                     "--run-id", run_id, "--max-turns", "1"]) == 1
-        self.assert_desync(capsys, recorded, run_id, 5)
+        assert self.replay(str(recorded), tmp_path, "--max-turns", "1") == 1
+        self.assert_desync(capsys, recorded, "rep", 5)
+
+    @pytest.mark.parametrize("extra", [[], ["--max-turns", "1"]])
+    def test_replay_into_the_recordings_run_is_refused(self, two_calls, tmp_path, capsys, extra):
+        rb, recorded = two_calls
+        runs = tmp_path / "runs"
+
+        def snapshot():
+            return {p: p.is_file() and p.read_bytes() for p in runs.rglob("*")}
+
+        before = snapshot()
+        # The run directory spelled another way still names the recording.
+        assert main(["replay", "--transcript", str(recorded),
+                     "--run-dir", str(runs / "rec" / ".."),
+                     "--run-id", "rec", *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: replay would overwrite its recording "
+                                           f"{recorded}; pass another --run-id or --run-dir\n")
+        assert snapshot() == before
 
     def test_edited_result_record_is_a_desync(self, two_calls, tmp_path, capsys):
         rb, recorded = two_calls
@@ -859,15 +873,18 @@ class TestBaselineCmd:
         rb.commit({"m.c": "keep\nold line\n"}, "seed")
         bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
         fix = rb.commit({"m.c": "keep\nfixed line\n"}, "fix")
-        # One dataset each: two URLs that map to one clone directory are refused together.
-        for url in ("https://host/org/name.git", "git@host:org/name.git"):
-            ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": url, "fix_commit": fix,
-                                                        "bics": [bic], "case_id": "x:1"}])
-            out_path = str(tmp_path / "b.jsonl")
-            assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path,
-                         "--repos-dir", str(tmp_path / "clones")]) == 0
-            _, results = read_results(out_path)
-            assert [(r.error, r.predicted) for r in results] == [(None, [bic])]
+        # Spellings of one repository share its clone.
+        urls = ["https://host/org/name.git", "git@host:org/name.git", "https://host/org/name/"]
+        ds = write_dataset(
+            tmp_path / "ds.jsonl",
+            [{"repo": url, "fix_commit": fix, "bics": [bic], "dataset_tag": "x",
+              "case_id": f"x:{i}"} for i, url in enumerate(urls)],
+        )
+        out_path = str(tmp_path / "b.jsonl")
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--out", out_path,
+                     "--repos-dir", str(tmp_path / "clones")]) == 0
+        _, results = read_results(out_path)
+        assert [(r.error, r.predicted) for r in results] == [(None, [bic])] * len(urls)
 
     @pytest.mark.parametrize("record", [
         {"fix_commit": "a" * 40, "bics": ["b" * 40]}, [1],

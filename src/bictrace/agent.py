@@ -1,10 +1,14 @@
 """The investigation loop and its model backends.
 
-One case runs as a strictly sequential observe-reason-act loop: the model
-either calls a tool (executed through the compression pipeline) or gives a
-final structured answer. Two backends share one contract, so the same
-loop runs live against a chat-completions endpoint or deterministically
-from a scripted step list. A replay is a scripted run of a recorded
+One case runs as an observe-reason-act loop that takes its observations
+strictly in order: the model either calls a tool (executed through the
+compression pipeline) or gives a final structured answer. Two backends
+share one contract, so the same loop runs live against a chat-completions
+endpoint or deterministically from a scripted step list. A scripted
+step list never depends on what it observes, so a scripted run starts
+its tool calls' git work at the outset, up to the CPU count at once; its
+transcript, cache hits and git process count stay those of the
+sequential loop. A replay is a scripted run of a recorded
 transcript's steps, and it reproduces the recording when every line of its
 own transcript after the header is the recording's line.
 """
@@ -12,16 +16,19 @@ own transcript after the header is the recording's line.
 from __future__ import annotations
 
 import json
+import os
 import re
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context, read_json_lines
-from .compress import TAU, Observation, execute_compressed
+from .compress import TAU, Observation, canonicalize_args, execute_compressed, fresh_observation
 from .gitio import GitTimeout, RepoHandle
 from .resolve import ResolutionTrace
-from .tools import SchemaError, ToolName, enforce_search_bound, parse_args
+from .tools import SchemaError, ToolArgs, ToolName, enforce_search_bound, parse_args
 
 TRANSCRIPT_SCHEMA = "bictrace-transcript/v2"
 
@@ -262,6 +269,55 @@ def _finalize(repo: RepoHandle, fix_date: int, final_text: str) -> Prediction:
     return Prediction(raw_hash_text, confidence, reasoning, status, full_id, trace)
 
 
+def _bind(step: ModelStep, fix_date: int) -> tuple[ModelStep, ToolArgs | SchemaError]:
+    """A tool-call step with its arguments parsed and bound, or the schema error they raise.
+
+    The step comes back with the bound-enforced arguments, which the
+    transcript records: nothing later than the fix date ever reaches git or disk.
+    """
+    try:
+        args = enforce_search_bound(parse_args(step.tool, step.args), fix_date)
+    except SchemaError as exc:
+        return step, exc
+    return replace(step, args={k: v for k, v in asdict(args).items() if v is not None}), args
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixContext,
+                 max_turns: int, tau: int) -> deque:
+    """The (step, args, started) tool calls a scripted run makes, in order, their git work begun.
+
+    The remaining steps are read by the loop's stopping rules. `started` is
+    the future of the call's `fresh_observation` at the first occurrence of
+    its canonical arguments, else None: a repeat is a cache hit, or runs
+    fresh in the loop, as the sequential loop runs it. Any other backend
+    makes no calls known in advance.
+    """
+    calls, seen, malformed = deque(), set(), 0
+    for step in backend.steps[backend.index:] if isinstance(backend, ScriptedBackend) else ():
+        if len(calls) >= max_turns or step.kind == "final":
+            break
+        if step.kind != "tool_call":
+            malformed += 1
+            if malformed > MALFORMED_RETRIES:
+                break
+            continue
+        malformed = 0
+        step, args = _bind(step, fc.fix_date)
+        started: Future | None = None
+        if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in seen:
+            seen.add(key)
+            started = pool.submit(fresh_observation, repo, args, fc, tau)
+        calls.append((step, args, started))
+    return calls
+
+
 def run_investigation(
     case: CaseSpec,
     repo: RepoHandle,
@@ -280,6 +336,13 @@ def run_investigation(
     the budget runs out, one last request without tools asks for the answer.
     A backend failure, or a timeout while resolving the answer, ends the
     case with `transcript.error` set.
+
+    With a ScriptedBackend, the git work of every tool call the loop will
+    run starts once the prompt is assembled, up to the CPU count at once.
+    The loop still takes each observation in turn, so the transcript,
+    cache hits and `repo.process_count` are those of a sequential run. A
+    case that ends by an exception stops `repo`: its running git processes
+    are killed.
     """
     ctx = assemble_initial_context(fc)
     cache: dict[str, tuple[str, bool]] = {}
@@ -291,24 +354,23 @@ def run_investigation(
     prediction: Prediction | None = None
     consecutive_malformed = 0
 
+    pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
+        calls = _start_calls(pool, backend, repo, fc, max_turns, tau)
         while transcript.tool_turns < max_turns:
             step = backend.send(conversation, ctx.tool_specs)
             if step.kind == "tool_call":
                 consecutive_malformed = 0
-                try:
-                    args = enforce_search_bound(parse_args(step.tool, step.args), fc.fix_date)
-                except SchemaError as exc:
+                # A scripted run's calls were bound, and their git work begun, before the loop.
+                step, args, started = calls.popleft() if calls else (*_bind(step, fc.fix_date), None)
+                if isinstance(args, SchemaError):
                     observation = Observation(
-                        f"Error (schema): {exc}", truncated=False, cache_hit=False
+                        f"Error (schema): {args}", truncated=False, cache_hit=False
                     )
                 else:
-                    # The transcript records the bound-enforced arguments:
-                    # nothing later than the fix date ever reaches git or disk.
-                    step = replace(
-                        step, args={k: v for k, v in asdict(args).items() if v is not None}
+                    observation = execute_compressed(
+                        repo, args, fc, cache, tau, started and started.result
                     )
-                    observation = execute_compressed(repo, args, fc, cache, tau)
                 call_id = f"call_{transcript.total_turns + 1}"
                 conversation.append(
                     {
@@ -351,6 +413,11 @@ def run_investigation(
                 prediction = _finalize(repo, fc.fix_date, step.text)
     except (BackendUnavailable, GitTimeout) as exc:
         transcript.error = str(exc)
+    except BaseException:
+        repo.stop()  # kills the git work started ahead of the loop
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     if prediction is None:
         prediction = Prediction("", "unstated", "", "no_prediction")

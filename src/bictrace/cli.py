@@ -192,15 +192,31 @@ def _repo_key(url: str) -> str:
     return f"{host.lower()}/{path.rstrip('/').removesuffix('.git').strip('/')}"
 
 
+def _clone_origin(path: str) -> str | None:
+    """The `origin` URL of the repository at `path`; None without one (or without a repository)."""
+    env = {**gitio._pinned_env(), "GIT_CEILING_DIRECTORIES": os.path.dirname(os.path.abspath(path))}
+    proc = subprocess.run(["git", "-C", path, "config", "--get", "remote.origin.url"],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.stdout.strip() or None
+
+
 def _load_dataset(path: str, repos_dir: str | None) -> list[CaseSpec]:
-    """The dataset's cases; different remote repos whose clones would share a directory are refused."""
+    """The dataset's cases. Refused: different remote repos whose clones would share a directory,
+    and an existing clone whose origin is another repository."""
     cases = load_dataset(path)
     remotes: dict[str, str] = {}
     for case in cases:
         if _clone_name(case.repo_path) is not None:
             remotes.setdefault(_repo_key(case.repo_path), case.repo_path)
-    _refuse_shared_file_names("repos", list(remotes.values()),
-                              lambda url: os.path.join(repos_dir or "", _clone_name(url)))
+
+    def clone(url: str) -> str:
+        return os.path.join(repos_dir or "", _clone_name(url))
+
+    _refuse_shared_file_names("repos", list(remotes.values()), clone)
+    for key, url in remotes.items():
+        origin = _clone_origin(clone(url)) if repos_dir and os.path.isdir(clone(url)) else None
+        if origin is not None and _repo_key(origin) != key:
+            raise ValueError(f"{clone(url)} is a clone of {origin}, not of {url}")
     return cases
 
 

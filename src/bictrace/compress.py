@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -309,34 +310,22 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, tau: int
     return text, truncated
 
 
-def execute_compressed(
-    repo: RepoHandle,
-    args: ToolArgs,
-    fc: FixContext,
-    cache: dict[str, tuple[str, bool]],
-    tau: int = TAU,
-) -> Observation:
-    """Run one tool call through cache, format and extract.
+def fresh_observation(
+    repo: RepoHandle, args: ToolArgs, fc: FixContext, tau: int = TAU
+) -> tuple[Observation, bool]:
+    """Run one tool call through git, format and extract, bypassing the cache.
 
-    The caller bounds `args` with `tools.enforce_search_bound` first.
-
-    `cache` is case-scoped: canonical arguments -> the finished observation's
-    (text, truncated), so a hit costs no git process, formatting or extraction.
-
-    Tool failures come back as readable observations, never exceptions:
-    the agent must be able to read the error and self-correct. Timed-out
-    calls and tool errors are not cached, so a retry executes fresh.
+    Returns the observation and whether the cache may keep it. Tool
+    failures come back as readable observations, never exceptions: the
+    agent must be able to read the error and self-correct. Timed-out calls
+    and tool errors may not be cached, so a retry executes fresh.
     """
-    key = canonicalize_args(args)
-    if key in cache:
-        text, truncated = cache[key]
-        return Observation(text, truncated=truncated, cache_hit=True)
     try:
         raw = tk.execute_raw(repo, args, fc.fix_parent)
     except GitTimeout:
-        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False)
+        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False), False
     except ToolError as exc:
-        return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False)
+        return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False), False
     try:
         formatted, truncated = _FORMATTERS[args.tool](raw)
     except tk.MalformedPorcelain as exc:
@@ -346,5 +335,31 @@ def execute_compressed(
         text, truncated = compress_formatted(args.tool, formatted, truncated, tau)
         if not text.strip():
             text = "(no output)"
-    cache[key] = (text, truncated)
-    return Observation(text, truncated=truncated, cache_hit=False)
+    return Observation(text, truncated=truncated, cache_hit=False), True
+
+
+def execute_compressed(
+    repo: RepoHandle,
+    args: ToolArgs,
+    fc: FixContext,
+    cache: dict[str, tuple[str, bool]],
+    tau: int = TAU,
+    fresh: Callable[[], tuple[Observation, bool]] | None = None,
+) -> Observation:
+    """Run one tool call through cache, format and extract.
+
+    The caller bounds `args` with `tools.enforce_search_bound` first.
+
+    `cache` is case-scoped: canonical arguments -> the finished observation's
+    (text, truncated), so a hit costs no git process, formatting or extraction.
+    On a miss the call's `fresh_observation` is computed here, or read from
+    `fresh` when the caller started it earlier.
+    """
+    key = canonicalize_args(args)
+    if key in cache:
+        text, truncated = cache[key]
+        return Observation(text, truncated=truncated, cache_hit=True)
+    observation, cacheable = fresh() if fresh else fresh_observation(repo, args, fc, tau)
+    if cacheable:
+        cache[key] = (observation.text, observation.truncated)
+    return observation

@@ -14,6 +14,9 @@ poll and sleep. Selecting on pipes needs a POSIX system.
 A killed git raises GitTimeout, never an outcome a caller could misread. A
 tool call turns it into an uncached retry hint; anywhere else it is the
 case's error.
+
+A RepoHandle knows its running git processes, so a case that ends early
+can kill the git work it started on other threads (`RepoHandle.stop`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import re
 import selectors
 import subprocess
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,6 +69,10 @@ class GitTimeout(GitGatewayError):
     """Git was killed at the gateway's deadline."""
 
 
+class GitStopped(GitGatewayError):
+    """The handle was stopped, so it starts no more git processes."""
+
+
 class GitStatus(Enum):
     OK = "ok"
     NONZERO_EXIT = "nonzero_exit"
@@ -85,16 +93,44 @@ class RepoHandle:
     """A local repository path.
 
     Construction starts no process: a path that is not a repository is
-    reported by the first git call (RepoUnavailable). Safe for concurrent
-    read-only use; the only mutable state is the spawn counter, which
-    exists for cost accounting and cache tests.
+    reported by the first git call (RepoUnavailable). Threads may run git
+    through one handle at once, as a scripted run's look-ahead does. Its
+    mutable state, guarded by one lock, is the spawn counter (for cost
+    accounting and cache tests) and the set of running git processes,
+    which `stop` kills.
     """
 
     root_path: str
     process_count: int = field(default=0, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, compare=False,
+                                  repr=False)
+    _running: set | None = field(default_factory=set, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.root_path = os.path.abspath(self.root_path)
+
+    def stop(self):
+        """Kill this handle's running git processes, and each later one as it starts (GitStopped).
+
+        For a case that ends early: the git work it started on other threads ends at once.
+        """
+        with self._lock:
+            for proc in self._running or ():
+                proc.kill()
+            self._running = None
+
+    def _track(self, proc: subprocess.Popen):
+        with self._lock:
+            if self._running is None:
+                proc.kill()
+                raise GitStopped(f"git work on {self.root_path} was stopped")
+            self._running.add(proc)
+
+    def _untrack(self, proc: subprocess.Popen):
+        # Before the reap, so `stop` never signals a reaped process's id.
+        with self._lock:
+            if self._running is not None:
+                self._running.discard(proc)
 
 
 def _pinned_env() -> dict:
@@ -129,12 +165,13 @@ def readable(text: str) -> str:
     return text.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
 
 
-def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
-    cmd = ["git", "-C", root, "--no-pager", *args]
+def _spawn(repo: RepoHandle, args: list[str], timeout: float) -> GitOutcome:
+    cmd = ["git", "-C", repo.root_path, "--no-pager", *args]
     deadline = time.monotonic() + timeout
     with subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_pinned_env()
     ) as proc, selectors.DefaultSelector() as sel:
+        repo._track(proc)
         chunks = {proc.stdout: [], proc.stderr: []}
         for pipe in chunks:
             sel.register(pipe, selectors.EVENT_READ)
@@ -153,6 +190,7 @@ def _spawn(root: str, args: list[str], timeout: float) -> GitOutcome:
             timed_out = bool(sel.get_map())
             if timed_out:
                 proc.kill()
+            repo._untrack(proc)
         returncode = proc.wait()
     if timed_out:
         return GitOutcome(GitStatus.TIMED_OUT, b"", "")
@@ -177,8 +215,9 @@ def run_git(repo: RepoHandle, args: list[str], names: bool = False) -> GitOutcom
     """
     if not args or args[0] not in ALLOWED_SUBCOMMANDS:
         raise NonAllowlistedCommand(f"refusing git subcommand: {args[:1] or '(empty)'}")
-    repo.process_count += 1
-    out = _spawn(repo.root_path, args, DEFAULT_TIMEOUT)
+    with repo._lock:
+        repo.process_count += 1
+    out = _spawn(repo, args, DEFAULT_TIMEOUT)
     if out.status is GitStatus.TIMED_OUT:
         raise GitTimeout(f"git {args[0]} timed out after {DEFAULT_TIMEOUT:g}s")
     if out.status is GitStatus.NONZERO_EXIT:

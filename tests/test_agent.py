@@ -2,6 +2,9 @@
 
 import json
 import re
+import subprocess
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -26,8 +29,9 @@ from bictrace.agent import (
     tool_step,
 )
 from bictrace.caseprep import CaseSpec, load_fix_context
+from bictrace.compress import execute_compressed
 from bictrace.gitio import RepoHandle
-from bictrace.tools import ToolName
+from bictrace.tools import SchemaError, ToolName, enforce_search_bound, parse_args
 
 
 def open_case(repo_path, fix):
@@ -215,6 +219,137 @@ class TestLoop:
         assert prediction.status == "resolved"
         assert transcript.tool_turns == 15
         assert transcript.total_turns == 16
+
+
+class NotScripted:
+    """The same steps from a backend the loop cannot read ahead: the sequential loop."""
+
+    def __init__(self, steps):
+        self.scripted = ScriptedBackend(steps)
+
+    def send(self, conversation, tool_specs):
+        return self.scripted.send(conversation, tool_specs)
+
+
+MALFORMED = ModelStep(kind="malformed", raw="???")
+
+# name -> (steps from the repo info, max_turns, tool turns the loop runs)
+LOOK_AHEAD_SCRIPTS = {
+    "repeated call": (lambda info: [
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 3),
+    "schema error": (lambda info: [
+        tool_step(ToolName.BLAME, commit="HEAD"),
+        tool_step(ToolName.BLAME, commit="HEAD"),
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 3),
+    "file_not_found, repeated": (lambda info: [
+        tool_step(ToolName.BLAME, file_path="no/such.c"),
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        tool_step(ToolName.BLAME, file_path="no/such.c"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 3),
+    "timed-out call, repeated": (lambda info: [
+        tool_step(ToolName.LOG_S, search_string="core_alloc_event"),
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        tool_step(ToolName.LOG_S, search_string="core_alloc_event"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 3),
+    "tool calls after a final": (lambda info: [
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        final_step(f"BIC: {info['bic']}"),
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
+    ], 15, 1),
+    "three malformed steps, then a tool call": (lambda info: [
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        MALFORMED, MALFORMED, MALFORMED,
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 1),
+    "more tool calls than max_turns": (lambda info: [
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        MALFORMED,
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
+        tool_step(ToolName.SHOW, commit=info["refactor"]),
+        final_step(f"BIC: {info['bic']}"),
+    ], 3, 3),
+}
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("name", list(LOOK_AHEAD_SCRIPTS))
+    def test_scripted_run_equals_the_sequential_loop(self, cross_file_repo, time_out_git,
+                                                     tmp_path, name):
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        script, max_turns, tool_turns = LOOK_AHEAD_SCRIPTS[name]
+        steps = script(info)
+        if name.startswith("timed-out"):
+            time_out_git(lambda args: args[0] == "log")
+        runs = []
+        for backend in (ScriptedBackend(steps), NotScripted(steps)):
+            repo, fc = open_case(rb.path, info["fix"])
+            before = repo.process_count
+            prediction, transcript = run_investigation(case, repo, fc, backend, max_turns=max_turns)
+            path = tmp_path / f"{len(runs)}.jsonl"
+            record_transcript(transcript, prediction, path)
+            runs.append((path.read_bytes(), transcript.tool_turns, repo.process_count - before))
+        assert runs[0] == runs[1]
+        assert transcript.tool_turns == tool_turns
+        # Each observation is the pipeline's, called per step with one fresh cache for the case.
+        repo, fc = open_case(rb.path, info["fix"])
+        cache, expected = {}, []
+        for step in [step for step in steps if step.kind == "tool_call"][:tool_turns]:
+            try:
+                args = enforce_search_bound(parse_args(step.tool, step.args), fc.fix_date)
+            except SchemaError as exc:
+                expected.append((f"Error (schema): {exc}", False, False))
+                continue
+            obs = execute_compressed(repo, args, fc, cache)
+            expected.append((obs.text, obs.truncated, obs.cache_hit))
+        observed = [(obs.text, obs.truncated, obs.cache_hit)
+                    for obs in (turn["observation"] for turn in transcript.turns) if obs]
+        assert observed == expected
+
+    def test_early_exit_neither_leaks_nor_waits(self, cross_file_repo, monkeypatch):
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc = open_case(rb.path, info["fix"])
+        slow_started, procs = threading.Event(), []
+        real_init = subprocess.Popen.__init__
+
+        def init(self, args, **kwargs):  # the grep for "slow" takes 3 s
+            slow = "slow" in args
+            real_init(self, ["sleep", "3"] if slow else args, **kwargs)
+            procs.append(self)
+            if slow:
+                slow_started.set()
+
+        class Interrupted(ScriptedBackend):
+            def send(self, conversation, tool_specs):
+                assert slow_started.wait(10)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", init)
+        steps = [
+            tool_step(ToolName.SHOW, commit=info["bic"]),
+            tool_step(ToolName.GREP, search_string="slow"),
+            final_step(f"BIC: {info['bic']}"),
+        ]
+        threads = threading.active_count()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_investigation(case, repo, fc, Interrupted(steps))
+        assert time.monotonic() - start < 1.5
+        assert threading.active_count() == threads
+        assert len(procs) == 2 and all(proc.returncode is not None for proc in procs)
 
 
 class TestSearchBoundInTranscript:

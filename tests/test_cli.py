@@ -1603,6 +1603,29 @@ class TestFetchDatasets:
         assert err.startswith("fatal: ")
         assert (clone / ".git").is_dir() and not (dest / "absent").exists()
 
+    @pytest.mark.parametrize("command", ["fetch-datasets", "baseline"])
+    def test_a_clone_of_another_repository_is_refused(self, tmp_path, capsys, command):
+        # Two forks named repo: the clone fetched for the first is not the second's.
+        datasets, urls = [], []
+        for fork in ("a", "b"):
+            rb = RepoBuilder(tmp_path / fork / "repo")
+            rb.commit({"m.c": f"{fork}\n"}, "seed")
+            fix = rb.commit({"m.c": f"{fork} fixed\n"}, "fix")
+            urls.append(Path(rb.path).as_uri())
+            datasets.append(write_dataset(tmp_path / f"{fork}.jsonl", [
+                {"repo": urls[-1], "fix_commit": fix, "bics": [fix], "case_id": "x:1"}]))
+        dest, out = tmp_path / "repos", tmp_path / "results.jsonl"
+        assert main(["fetch-datasets", "--dataset", datasets[0], "--dest", str(dest)]) == 0
+        capsys.readouterr()
+        assert main({
+            "fetch-datasets": ["fetch-datasets", "--dataset", datasets[1], "--dest", str(dest)],
+            "baseline": ["baseline", "--algorithm", "b", "--dataset", datasets[1],
+                         "--repos-dir", str(dest), "--out", str(out)],
+        }[command]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {dest / 'repo'} is a clone of {urls[0]}, not of {urls[1]}\n")
+        assert not out.exists()
+
     def test_missing_local_path_fails(self, tmp_path, capsys):
         ds = write_dataset(
             tmp_path / "ds.jsonl",

@@ -3,6 +3,8 @@
 import os
 import re
 import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from repo_helpers import BASE_EPOCH, RepoBuilder, committer_time, object_set_dig
 from bictrace import gitio
 from bictrace.gitio import (
     GitStatus,
+    GitStopped,
     GitTimeout,
     NonAllowlistedCommand,
     RepoHandle,
@@ -142,6 +145,52 @@ def test_process_count_instrumentation(linear_handle):
     gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
     gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
     assert repo.process_count == start + 2
+
+
+def test_process_count_is_exact_across_threads(linear_handle):
+    repo, _ = linear_handle
+    start = repo.process_count
+
+    def spawn_25():
+        for _ in range(25):
+            gitio.run_git(repo, ["show", "-s", "--format=%H", "HEAD"])
+
+    threads = [threading.Thread(target=spawn_25) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert repo.process_count == start + 200
+
+
+def test_stopped_handle_kills_running_and_later_git(linear_handle, monkeypatch):
+    repo, _ = linear_handle
+    started, procs = threading.Event(), []
+    real_init = subprocess.Popen.__init__
+
+    def init(self, args, **kwargs):  # every git runs as a process that outlives the test
+        real_init(self, ["sleep", "30"], **kwargs)
+        procs.append(self)
+        started.set()
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", init)
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(
+        gitio.run_git(repo, ["show", "-s", "HEAD"])))
+    worker.start()
+    assert started.wait(10)
+    repo.stop()
+    worker.join(10)
+    assert not worker.is_alive() and outcome[0].status is GitStatus.NONZERO_EXIT
+    with pytest.raises(GitStopped):
+        gitio.run_git(repo, ["show", "-s", "HEAD"])
+    assert [proc.returncode for proc in procs] == [-9, -9]
 
 
 def test_output_decoded_as_utf8(tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import os
 import re
@@ -108,10 +109,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(merged) - (set(RunConfig.__dataclass_fields__) - {"tau"}))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    cfg = RunConfig(**merged, **compression)
-    if not cfg.run_id:
-        cfg.run_id = time.strftime("run-%Y%m%d-%H%M%S")
-    return cfg
+    return RunConfig(**merged, **compression)
 
 
 def load_script(path: str) -> list[ModelStep]:
@@ -141,11 +139,11 @@ def _safe_name(case_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", case_id)
 
 
-def _refuse_shared_file_names(kind: str, names: list[str], file_name=_safe_name):
-    """Two different names that `file_name` maps to one file would overwrite each other's files."""
+def _refuse_shared_file_names(kind: str, names: list[str]):
+    """Two different names that _safe_name maps to one file would overwrite each other's files."""
     owners: dict[str, str] = {}
     for name in names:
-        stem = file_name(name)
+        stem = _safe_name(name)
         if owners.setdefault(stem, name) != name:
             raise ValueError(f"{kind} {owners[stem]} and {name} would share the file name {stem}")
 
@@ -156,8 +154,22 @@ def _write_json(path: str, data: dict):
         f.write("\n")
 
 
+def _new_run_dir(run_dir: str) -> str:
+    """Create a directory no other run has: run-<stamp>, or else the first free run-<stamp>-<n>."""
+    stamp = os.path.join(run_dir, time.strftime("run-%Y%m%d-%H%M%S"))
+    for base in itertools.chain([stamp], (f"{stamp}-{n}" for n in itertools.count(1))):
+        try:
+            os.makedirs(base)  # of two runs that try one name, exactly one creates it
+            return base
+        except FileExistsError:
+            continue
+
+
 def _run_paths(config: RunConfig) -> dict:
-    base = os.path.join(config.run_dir, config.run_id)
+    if config.run_id:
+        base = os.path.join(config.run_dir, config.run_id)
+    else:
+        base = _new_run_dir(config.run_dir)
     paths = {
         "base": base,
         "cases": os.path.join(base, "cases"),
@@ -172,63 +184,15 @@ def _run_paths(config: RunConfig) -> dict:
     return paths
 
 
-def _clone_name(url: str) -> str | None:
-    """Directory name of a remote repository's clone; None for a local path."""
-    if not (re.match(r"^[a-z+]+://", url) or url.startswith("git@")):
-        return None
-    name = url.rstrip("/").rsplit("/", 1)[-1]
-    return name[:-4] if name.endswith(".git") else name
-
-
-def _repo_key(url: str) -> str:
-    """host/path of a remote repository: its https, ssh:// and scp (`git@host:path`) URLs agree,
-    with or without `.git` or a trailing '/'."""
-    scheme = re.match(r"^[a-z+]+://", url)
-    if scheme:
-        host, _, path = url[scheme.end():].partition("/")
-        host = re.sub(r":\d*$", "", host.rpartition("@")[2])
-    else:
-        host, _, path = url.partition("@")[2].partition(":")
-    return f"{host.lower()}/{path.rstrip('/').removesuffix('.git').strip('/')}"
-
-
-def _clone_origin(path: str) -> str | None:
-    """The `origin` URL of the repository at `path`; None without one (or without a repository)."""
-    env = {**gitio._pinned_env(), "GIT_CEILING_DIRECTORIES": os.path.dirname(os.path.abspath(path))}
-    proc = subprocess.run(["git", "-C", path, "config", "--get", "remote.origin.url"],
-                          capture_output=True, text=True, env=env, check=False)
-    return proc.stdout.strip() or None
-
-
-def _load_dataset(path: str, repos_dir: str | None) -> list[CaseSpec]:
-    """The dataset's cases. Refused: different remote repos whose clones would share a directory,
-    and an existing clone whose origin is another repository."""
-    cases = load_dataset(path)
-    remotes: dict[str, str] = {}
-    for case in cases:
-        if _clone_name(case.repo_path) is not None:
-            remotes.setdefault(_repo_key(case.repo_path), case.repo_path)
-
-    def clone(url: str) -> str:
-        return os.path.join(repos_dir or "", _clone_name(url))
-
-    _refuse_shared_file_names("repos", list(remotes.values()), clone)
-    for key, url in remotes.items():
-        origin = _clone_origin(clone(url)) if repos_dir and os.path.isdir(clone(url)) else None
-        if origin is not None and _repo_key(origin) != key:
-            raise ValueError(f"{clone(url)} is a clone of {origin}, not of {url}")
-    return cases
-
-
 def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
-    name = _clone_name(repo_field)
-    if name is not None:
+    clone = ev.clone_dir(repo_field)
+    if clone is not None:
         if not repos_dir:
             raise ev.DatasetError(
                 f"dataset refers to remote repo {repo_field}; pass --repos-dir "
                 "with pre-fetched clones (see fetch-datasets)"
             )
-        local = os.path.join(repos_dir, name)
+        local = os.path.join(repos_dir, clone)
         if not os.path.isdir(local):
             raise ev.DatasetError(f"clone for {repo_field} not found at {local}")
         return local
@@ -318,7 +282,7 @@ def _run_dataset(cases: list[CaseSpec], repos_dir: str | None, out: str, method:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    cases = _load_dataset(args.dataset, args.repos_dir)
+    cases = load_dataset(args.dataset)
     # Each case writes cases/<name>.json and transcripts/<name>.jsonl.
     _refuse_shared_file_names("cases", [case.case_id for case in cases])
     backend_factory = make_backend(config)
@@ -330,7 +294,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    cases = _load_dataset(args.dataset, args.repos_dir)
+    cases = load_dataset(args.dataset)
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
     def run_case(case: CaseSpec) -> CaseResult:
@@ -365,7 +329,7 @@ def _report_names(runs: list[tuple[str, str, list]]) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cases = _load_dataset(args.dataset, args.repos_dir)
+    cases = load_dataset(args.dataset)
     price = build_run_config(args).price_table
     runs = [(path, *ev.read_results(path)) for path in args.results]
     names = _report_names(runs)
@@ -403,9 +367,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     case_id=header["case_id"])
     # No model runs in a replay, so none is recorded.
     config = replace(build_run_config(args), backend=f"replay:{args.transcript}", model="")
+    # Without a run id the replay gets a new directory, so only an explicit one can hold the recording.
     target = os.path.join(config.run_dir, config.run_id, "transcripts",
                           _safe_name(case.case_id) + ".jsonl")
-    if os.path.exists(target) and os.path.samefile(target, args.transcript):
+    if config.run_id and os.path.exists(target) and os.path.samefile(target, args.transcript):
         raise ValueError(f"replay would overwrite its recording {args.transcript}; "
                          "pass another --run-id or --run-dir")
     prediction, result = _investigate_one(case, config, lambda: ScriptedBackend(steps),
@@ -438,22 +403,22 @@ def cmd_tool(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch_datasets(args: argparse.Namespace) -> int:
-    cases = _load_dataset(args.dataset, args.dest)
+    cases = load_dataset(args.dataset)
     os.makedirs(args.dest, exist_ok=True)
     failures = 0
     seen = set()
     for case in cases:
         url = case.repo_path
-        if url in seen:
+        clone = ev.clone_dir(url)
+        if (clone or url) in seen:
             continue
-        seen.add(url)
-        name = _clone_name(url)
-        if name is None:
+        seen.add(clone or url)
+        if clone is None:
             if not os.path.isdir(url):
                 print(f"missing local repo: {url}", file=sys.stderr)
                 failures += 1
             continue
-        target = os.path.join(args.dest, name)
+        target = os.path.join(args.dest, clone)
         if os.path.isdir(target):
             print(f"exists: {target}")
             continue
@@ -484,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-turns", dest="max_turns", type=int,
                        help=f"tool-turn budget (default {DEFAULT_MAX_TURNS})")
         p.add_argument("--run-dir", dest="run_dir", help="output directory for runs")
-        p.add_argument("--run-id", dest="run_id", help="run identifier (default: timestamp)")
+        p.add_argument("--run-id", dest="run_id",
+                       help="run identifier (default: a new run-<timestamp>[-<n>])")
         p.add_argument("--config", help="JSON config file (flags and env override it)")
 
     p = sub.add_parser("investigate", help="run one investigation")

@@ -8,6 +8,8 @@ baselines and single-answer agents are measured on the same scale.
 from __future__ import annotations
 
 import json
+import os
+import re
 from dataclasses import asdict, dataclass, field, fields
 
 from . import gitio
@@ -39,8 +41,33 @@ def _full_ids(path: str, i: int, name: str, ids: list) -> list[str]:
     return [commit.lower() for commit in ids]
 
 
+def clone_dir(url: str) -> str | None:
+    """`<host>/<path>`, the directory of a remote repository's clone under the repos directory;
+    None for a local path.
+
+    The host is lower-cased without user or port (an empty one, as in file:///x, is left out) and
+    the path loses a trailing '/' and `.git`, so the https, ssh:// and scp (`git@host:path`) URLs
+    of one repository share a clone and two repositories never do.
+    """
+    scheme = re.match(r"^[a-z+]+://", url)
+    if scheme:
+        host, _, path = url[scheme.end():].partition("/")
+        host = re.sub(r":\d*$", "", host.rpartition("@")[2])
+    elif url.startswith("git@"):
+        host, _, path = url[4:].partition(":")
+    else:
+        return None
+    names = [name for name in path.rstrip("/").removesuffix(".git").split("/") if name]
+    if not names or {".", ".."} & {host, *names}:
+        raise ValueError(f"repo {url} names no clone directory")
+    return os.path.join(host.lower(), *names)
+
+
 def load_dataset(path: str) -> list[CaseSpec]:
-    """Read a line-delimited dataset file of fix commits and their BICs."""
+    """Read a line-delimited dataset file of fix commits and their BICs.
+
+    A remote `repo` must name a clone directory (see clone_dir).
+    """
     cases = []
     seen = set()
     for i, record in read_json_lines(path, DatasetError, comments=True):
@@ -50,6 +77,10 @@ def load_dataset(path: str) -> list[CaseSpec]:
                 and all(isinstance(record.get(k, ""), str) for k in ("dataset_tag", "case_id"))):
             raise DatasetError(f"{path}:{i}: case needs string 'repo' and 'fix_commit' fields, "
                                "and string 'dataset_tag' and 'case_id' if given")
+        try:
+            clone_dir(record["repo"])
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{i}: {exc}") from None
         bics = record.get("bics")
         if not (isinstance(bics, list) and bics):
             raise DatasetError(f"{path}:{i}: 'bics' must be a nonempty list of commit ids")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior over the fixture repositories."""
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -59,6 +60,25 @@ class TestInvestigate:
         assert code == 0
         assert info["bic"] in out
         assert "status: resolved" in out
+
+    def test_default_run_ids_never_share_a_directory(self, linear_repo, tmp_path, monkeypatch,
+                                                     capsys):
+        rb, shas = linear_repo
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt, *args: "run-20261020-020726")
+        runs, transcripts = tmp_path / "runs", []
+        for i, bic in enumerate(shas[:2]):
+            script = write_script(tmp_path / f"s{i}.json", [{"kind": "final", "text": f"BIC: {bic}"}])
+            assert main(["investigate", "--repo", rb.path, "--fix", shas[2],
+                         "--backend", f"scripted:{script}", "--run-dir", str(runs)]) == 0
+            path = capsys.readouterr().out.split("transcript: ")[1].strip()
+            transcripts.append((path, Path(path).read_bytes()))
+        assert sorted(os.listdir(runs)) == ["run-20261020-020726", "run-20261020-020726-1"]
+        assert [Path(path).read_bytes() for path, _ in transcripts] == [text for _, text in transcripts]
+        assert transcripts[0][1] != transcripts[1][1]
+        # Runs started at once each create a directory of their own.
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            made = list(pool.map(lambda _: cli._new_run_dir(str(runs)), range(16)))
+        assert len(set(made)) == 16 and len(os.listdir(runs)) == 18
 
     def test_replay_reproduces_stdout(self, cross_file_repo, tmp_path, capsys):
         rb, info = cross_file_repo
@@ -423,7 +443,8 @@ class TestBatchCmd:
         assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(runs), "--run-id", "c", "--repos-dir", str(repos)]) == 0
         for run, error in (("b", "--repos-dir"),
-                           ("c", f"clone for https://host/org/absent.git not found at {repos / 'absent'}")):
+                           ("c", "clone for https://host/org/absent.git not found at "
+                                 f"{repos / 'host' / 'org' / 'absent'}")):
             _, results = read_results(str(runs / run / "results.jsonl"))
             assert [r.case_id for r in results] == ["x:remote", "x:local"]
             assert error in results[0].error
@@ -869,12 +890,13 @@ class TestBaselineCmd:
         assert set(r_results[0].predicted) <= set(b_results[0].predicted)
 
     def test_remote_urls_map_to_clone_names(self, tmp_path):
-        rb = RepoBuilder(tmp_path / "clones" / "name")
+        rb = RepoBuilder(tmp_path / "clones" / "host" / "org" / "name")
         rb.commit({"m.c": "keep\nold line\n"}, "seed")
         bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
         fix = rb.commit({"m.c": "keep\nfixed line\n"}, "fix")
-        # Spellings of one repository share its clone.
-        urls = ["https://host/org/name.git", "git@host:org/name.git", "https://host/org/name/"]
+        # Spellings of one repository share its clone, <repos-dir>/<host>/<path>.
+        urls = ["https://host/org/name.git", "git@host:org/name.git", "https://host/org/name/",
+                "ssh://git@HOST:22/org/name.git"]
         ds = write_dataset(
             tmp_path / "ds.jsonl",
             [{"repo": url, "fix_commit": fix, "bics": [bic], "dataset_tag": "x",
@@ -1184,7 +1206,7 @@ class TestEvaluateCmd:
         assert "ghost: 0 cases" in out and "cross_file: 0 cases" in out
 
     def test_remote_repo_needs_repos_dir(self, tmp_path, capsys):
-        rb = RepoBuilder(tmp_path / "clones" / "name")
+        rb = RepoBuilder(tmp_path / "clones" / "host" / "org" / "name")
         rb.commit({"m.c": "keep\nold line\n"}, "seed")
         bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
         fix = rb.commit({"m.c": "keep\nfixed line\n"}, "fix")
@@ -1576,7 +1598,8 @@ class TestFetchDatasets:
         ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": url, "fix_commit": shas[2],
                                                     "bics": [shas[1]], "case_id": "x:1"}])
         dest = tmp_path / "repos"
-        target = dest / Path(rb.path).name
+        # A file URL has no host: its clone is <dest>/<path>.
+        target = dest / Path(rb.path).relative_to("/")
         assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 0
         assert capsys.readouterr().out == f"cloning {url} -> {target}\n"
         assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 0
@@ -1591,40 +1614,90 @@ class TestFetchDatasets:
                                                                     capfd):
         rb, shas = linear_repo
         url, absent = Path(rb.path).as_uri(), (tmp_path / "absent").as_uri()
+        # Another spelling of the same URL is the same repository.
         ds = write_dataset(tmp_path / "ds.jsonl", [
             {"repo": repo, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
-            for i, repo in enumerate([url, url, absent])
+            for i, repo in enumerate([url, url, url + ".git/", absent])
         ])
         dest = tmp_path / "repos"
         assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 1
         out, err = capfd.readouterr()
-        clone = dest / Path(rb.path).name
-        assert out == f"cloning {url} -> {clone}\ncloning {absent} -> {dest / 'absent'}\n"
+        clone, missing = (dest / Path(path).relative_to("/") for path in (rb.path, tmp_path / "absent"))
+        assert out == f"cloning {url} -> {clone}\ncloning {absent} -> {missing}\n"
         assert err.startswith("fatal: ")
-        assert (clone / ".git").is_dir() and not (dest / "absent").exists()
+        assert (clone / ".git").is_dir() and not missing.exists()
 
     @pytest.mark.parametrize("command", ["fetch-datasets", "baseline"])
     def test_a_clone_of_another_repository_is_refused(self, tmp_path, capsys, command):
-        # Two forks named repo: the clone fetched for the first is not the second's.
-        datasets, urls = [], []
+        # Two forks named repo: the one fetched second gets its own clone and its own BIC.
+        datasets, clones, bics = [], [], []
         for fork in ("a", "b"):
             rb = RepoBuilder(tmp_path / fork / "repo")
-            rb.commit({"m.c": f"{fork}\n"}, "seed")
-            fix = rb.commit({"m.c": f"{fork} fixed\n"}, "fix")
-            urls.append(Path(rb.path).as_uri())
+            bics.append(rb.commit({"m.c": f"{fork}\nbug\n"}, "seed"))
+            fix = rb.commit({"m.c": f"{fork}\n"}, "fix")
+            clones.append(tmp_path / "repos" / Path(rb.path).relative_to("/"))
             datasets.append(write_dataset(tmp_path / f"{fork}.jsonl", [
-                {"repo": urls[-1], "fix_commit": fix, "bics": [fix], "case_id": "x:1"}]))
+                {"repo": Path(rb.path).as_uri(), "fix_commit": fix, "bics": [bics[-1]],
+                 "case_id": "x:1"}]))
         dest, out = tmp_path / "repos", tmp_path / "results.jsonl"
         assert main(["fetch-datasets", "--dataset", datasets[0], "--dest", str(dest)]) == 0
-        capsys.readouterr()
-        assert main({
-            "fetch-datasets": ["fetch-datasets", "--dataset", datasets[1], "--dest", str(dest)],
-            "baseline": ["baseline", "--algorithm", "b", "--dataset", datasets[1],
-                         "--repos-dir", str(dest), "--out", str(out)],
-        }[command]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: {dest / 'repo'} is a clone of {urls[0]}, not of {urls[1]}\n")
-        assert not out.exists()
+        assert main(["fetch-datasets", "--dataset", datasets[1], "--dest", str(dest)]) == 0
+        if command == "fetch-datasets":
+            assert capsys.readouterr().out.splitlines()[-1].endswith(f" -> {clones[1]}")
+            assert [(clone / "m.c").read_text() for clone in clones] == ["a\n", "b\n"]
+        else:
+            assert main(["baseline", "--algorithm", "b", "--dataset", datasets[1],
+                         "--repos-dir", str(dest), "--out", str(out)]) == 0
+            _, (result,) = read_results(str(out))
+            assert (result.error, result.predicted) == (None, [bics[1]]) and bics[0] != bics[1]
+
+    @pytest.mark.parametrize("command", ["fetch-datasets", "batch", "baseline", "evaluate"])
+    def test_a_url_that_names_no_clone_directory_is_refused(self, linear_repo, tmp_path,
+                                                            capsys, monkeypatch, command):
+        rb, shas = linear_repo
+        spawned = []
+        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: spawned.append(a))
+        repos, runs, out = tmp_path / "repos", tmp_path / "runs", tmp_path / "b.jsonl"
+        for url in ["https://host/org/..", "https://host/", "git@host:org/./repo", "file:///"]:
+            ds = write_dataset(tmp_path / "ds.jsonl", [
+                {"repo": repo, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
+                for i, repo in enumerate([rb.path, url])])
+            assert main({
+                "fetch-datasets": ["fetch-datasets", "--dataset", ds, "--dest", str(repos)],
+                "batch": ["batch", "--dataset", ds, "--repos-dir", str(repos), "--run-dir", str(runs)],
+                "baseline": ["baseline", "--algorithm", "b", "--dataset", ds,
+                             "--repos-dir", str(repos), "--out", str(out)],
+                "evaluate": ["evaluate", "--dataset", ds, "--repos-dir", str(repos),
+                             "--results", str(out)],
+            }[command]) == 1
+            assert capsys.readouterr() == ("", f"error: {ds}:3: repo {url} names no clone directory\n")
+        assert spawned == [] and not repos.exists() and not runs.exists() and not out.exists()
+
+    def test_only_git_clone_runs_outside_the_gateway(self, linear_repo, tmp_path, monkeypatch,
+                                                     capsys):
+        rb, shas = linear_repo
+        ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": Path(rb.path).as_uri(),
+                                                    "fix_commit": shas[2], "bics": [shas[1]],
+                                                    "case_id": "x:1"}])
+        script = write_script(tmp_path / "s.json", [
+            {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "a.c"}},
+            {"kind": "final", "text": f"BIC: {shas[1]}"}])
+        repos, runs = str(tmp_path / "repos"), str(tmp_path / "runs")
+        assert main(["fetch-datasets", "--dataset", ds, "--dest", repos]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"subprocess.run{args}")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
+        assert main(["batch", "--dataset", ds, "--repos-dir", repos, "--run-dir", runs,
+                     "--run-id", "r", "--backend", f"scripted:{script}"]) == 0
+        assert main(["baseline", "--algorithm", "b", "--dataset", ds, "--repos-dir", repos,
+                     "--out", str(tmp_path / "b.jsonl")]) == 0
+        for results in (os.path.join(runs, "r", "results.jsonl"), str(tmp_path / "b.jsonl")):
+            assert main(["evaluate", "--dataset", ds, "--repos-dir", repos,
+                         "--results", results]) == 0
+            assert "recall:    1.0000" in capsys.readouterr().out
 
     def test_missing_local_path_fails(self, tmp_path, capsys):
         ds = write_dataset(
@@ -1637,30 +1710,47 @@ class TestFetchDatasets:
 
 class TestSharedCloneDirectory:
     @pytest.mark.parametrize("command", ["fetch-datasets", "batch", "baseline", "evaluate"])
-    def test_repos_that_map_to_one_clone_are_refused(self, tmp_path, capsys, monkeypatch,
-                                                     command):
-        # Forks share a name: torvalds/linux and a stable tree named linux both clone to linux.
-        first, second = ((tmp_path / fork / "repo").as_uri() for fork in ("a", "b"))
-        ds = write_dataset(tmp_path / "ds.jsonl", [
-            {"repo": url, "fix_commit": "c" * 40, "bics": ["d" * 40], "case_id": f"x:{i}"}
-            for i, url in enumerate([first, first, second])
-        ])
-        repos, runs = tmp_path / "repos", tmp_path / "runs"
-        spawned = []
-        monkeypatch.setattr(gitio, "_spawn", lambda *a: spawned.append(a))
-        monkeypatch.setattr(subprocess, "run", lambda *a, **k: spawned.append(a))
+    def test_repos_that_map_to_one_clone_are_refused(self, tmp_path, capsys, command):
+        # Forks share a name: two repositories named repo run side by side, each on its own
+        # clone. Fixture dates are pinned, so both share the seed and the BIC, but each fix
+        # exists only in its own fork.
+        rows, clones = [], []
+        for fork in ("a", "b"):
+            rb = RepoBuilder(tmp_path / fork / "repo")
+            rb.commit({"m.c": "keep\nold line\n"}, "seed")
+            bic = rb.commit({"m.c": "keep\nbuggy line\n"}, "introduce")
+            fix = rb.commit({"m.c": f"keep\n{fork} fixed line\n"}, "fix")
+            clones.append(tmp_path / "repos" / Path(rb.path).relative_to("/"))
+            rows.append({"repo": Path(rb.path).as_uri(), "fix_commit": fix, "bics": [bic],
+                         "case_id": f"{fork}:1"})
+        ds = write_dataset(tmp_path / "ds.jsonl", rows)
+        repos, out = tmp_path / "repos", tmp_path / "b.jsonl"
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {bic}"}])
+        baseline = ["baseline", "--algorithm", "b", "--dataset", ds, "--repos-dir", str(repos),
+                    "--out", str(out)]
+        fetch = ["fetch-datasets", "--dataset", ds, "--dest", str(repos)]
+        if command != "fetch-datasets":
+            assert main(fetch) == 0
+        if command == "evaluate":
+            assert main(baseline) == 0
+        capsys.readouterr()
         assert main({
-            "fetch-datasets": ["fetch-datasets", "--dataset", ds, "--dest", str(repos)],
-            "batch": ["batch", "--dataset", ds, "--repos-dir", str(repos), "--run-dir", str(runs)],
-            "baseline": ["baseline", "--algorithm", "b", "--dataset", ds, "--repos-dir", str(repos),
-                         "--out", str(tmp_path / "b.jsonl")],
-            "evaluate": ["evaluate", "--dataset", ds, "--repos-dir", str(repos),
-                         "--results", str(tmp_path / "b.jsonl")],
-        }[command]) == 1
-        assert capsys.readouterr().err == (
-            f"error: repos {first} and {second} would share the file name {repos / 'repo'}\n")
-        assert spawned == [] and not repos.exists() and not runs.exists()
-        assert not (tmp_path / "b.jsonl").exists()
+            "fetch-datasets": fetch,
+            "batch": ["batch", "--dataset", ds, "--repos-dir", str(repos), "--run-dir",
+                      str(tmp_path / "runs"), "--run-id", "r", "--backend", f"scripted:{script}"],
+            "baseline": baseline,
+            "evaluate": ["evaluate", "--dataset", ds, "--repos-dir", str(repos), "--results", str(out)],
+        }[command]) == 0
+        if command == "fetch-datasets":
+            assert [(clone / "m.c").read_text() for clone in clones] == [
+                "keep\na fixed line\n", "keep\nb fixed line\n"]
+        elif command == "evaluate":
+            assert "recall:    1.0000" in capsys.readouterr().out
+        else:
+            _, results = read_results(str(tmp_path / "runs" / "r" / "results.jsonl")
+                                      if command == "batch" else str(out))
+            assert [(r.case_id, r.error, r.predicted) for r in results] == [
+                ("a:1", None, [bic]), ("b:1", None, [bic])]
 
 
 class TestReadOnly:

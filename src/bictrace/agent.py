@@ -5,12 +5,12 @@ strictly in order: the model either calls a tool (executed through the
 compression pipeline) or gives a final structured answer. Two backends
 share one contract, so the same loop runs live against a chat-completions
 endpoint or deterministically from a scripted step list. A scripted
-step list never depends on what it observes, so a scripted run starts
-its tool calls' git work at the outset, up to the CPU count at once; its
-transcript, cache hits and git process count stay those of the
-sequential loop. A replay is a scripted run of a recorded
-transcript's steps, and it reproduces the recording when every line of its
-own transcript after the header is the recording's line.
+step list never depends on what it observes, so as a scripted run reaches
+each run of consecutive tool calls it starts their git work at once, up
+to the CPU count at a time; its transcript, cache hits and git process
+count stay those of the sequential loop. A replay is a scripted run of a
+recorded transcript's steps, and it reproduces the recording when every
+line of its own transcript after the header is the recording's line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import zip_longest
+from itertools import islice, takewhile, zip_longest
 
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context, read_json_lines
@@ -290,29 +290,24 @@ def _cpu_count() -> int:
 
 
 def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixContext,
-                 max_turns: int, tau: int) -> deque:
-    """The (step, args, started) tool calls a scripted run makes, in order, their git work begun.
+                 budget: int, tau: int, started_keys: set) -> deque:
+    """The (step, args, started) run of tool calls a scripted backend sends next, git work begun.
 
-    The remaining steps are read by the loop's stopping rules. `started` is
-    the future of the call's `fresh_observation` at the first occurrence of
-    its canonical arguments, else None: a repeat is a cache hit, or runs
-    fresh in the loop, as the sequential loop runs it. Any other backend
-    makes no calls known in advance.
+    The loop takes a run of tool calls whole, up to its `budget` of tool
+    turns: a tool call neither ends the loop nor counts toward the
+    malformed-step limit. `started` is the future of the call's
+    `fresh_observation` at the first occurrence of its canonical arguments
+    in the case (`started_keys`), else None: a repeat is a cache hit, or
+    runs fresh in the loop, as the sequential loop runs it. Any other
+    backend makes no calls known in advance.
     """
-    calls, seen, malformed = deque(), set(), 0
-    for step in backend.steps[backend.index:] if isinstance(backend, ScriptedBackend) else ():
-        if len(calls) >= max_turns or step.kind == "final":
-            break
-        if step.kind != "tool_call":
-            malformed += 1
-            if malformed > MALFORMED_RETRIES:
-                break
-            continue
-        malformed = 0
+    steps = backend.steps[backend.index:] if isinstance(backend, ScriptedBackend) else ()
+    calls = deque()
+    for step in islice(takewhile(lambda step: step.kind == "tool_call", steps), budget):
         step, args = _bind(step, fc.fix_date)
         started: Future | None = None
-        if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in seen:
-            seen.add(key)
+        if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in started_keys:
+            started_keys.add(key)
             started = pool.submit(fresh_observation, repo, args, fc, tau)
         calls.append((step, args, started))
     return calls
@@ -337,12 +332,12 @@ def run_investigation(
     A backend failure, or a timeout while resolving the answer, ends the
     case with `transcript.error` set.
 
-    With a ScriptedBackend, the git work of every tool call the loop will
-    run starts once the prompt is assembled, up to the CPU count at once.
-    The loop still takes each observation in turn, so the transcript,
-    cache hits and `repo.process_count` are those of a sequential run. A
-    case that ends by an exception stops `repo`: its running git processes
-    are killed.
+    With a ScriptedBackend, the git work of each run of consecutive tool
+    calls starts when the loop reaches the run, before its first step is
+    sent, up to the CPU count at a time. The loop still takes each
+    observation in turn, so the transcript, cache hits and
+    `repo.process_count` are those of a sequential run. A case that ends by
+    an exception stops `repo`: its running git processes are killed.
     """
     ctx = assemble_initial_context(fc)
     cache: dict[str, tuple[str, bool]] = {}
@@ -353,15 +348,18 @@ def run_investigation(
     ]
     prediction: Prediction | None = None
     consecutive_malformed = 0
+    calls, started_keys = deque(), set()
 
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
-        calls = _start_calls(pool, backend, repo, fc, max_turns, tau)
         while transcript.tool_turns < max_turns:
+            if not calls:
+                calls = _start_calls(pool, backend, repo, fc, max_turns - transcript.tool_turns,
+                                     tau, started_keys)
             step = backend.send(conversation, ctx.tool_specs)
             if step.kind == "tool_call":
                 consecutive_malformed = 0
-                # A scripted run's calls were bound, and their git work begun, before the loop.
+                # A scripted run's calls were bound, and their git work begun, at their run's start.
                 step, args, started = calls.popleft() if calls else (*_bind(step, fc.fix_date), None)
                 if isinstance(args, SchemaError):
                     observation = Observation(

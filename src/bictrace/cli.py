@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -125,13 +126,18 @@ def load_script(path: str) -> list[ModelStep]:
 
 
 def make_backend(config: RunConfig):
-    """Backend factory; called once per case so sessions stay independent."""
+    """Backend factory, called once per case; a bad spec or setting fails here, before any case.
+
+    A scripted backend holds its place in the step list, so each case gets
+    its own. The live backend keeps no per-case state, so its cases share one.
+    """
     spec = config.backend
     if spec.startswith("scripted:"):
         steps = load_script(spec.split(":", 1)[1])
         return lambda: ScriptedBackend(steps)
     if spec == "live":
-        return lambda: LiveBackend(config.endpoint_url, config.model, config.api_key)
+        backend = LiveBackend(config.endpoint_url, config.model, config.api_key)
+        return lambda: backend
     raise ValueError(f"unknown backend spec: {spec}")
 
 
@@ -199,18 +205,17 @@ def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
     return repo_field
 
 
-def _open_case(case: CaseSpec, method) -> tuple[object, float]:
+def _open_case(case: CaseSpec, repo: RepoHandle, method) -> tuple[object, float]:
     """`method(repo, fc)`'s result and its seconds (fix read plus method)."""
     start = time.monotonic()
-    repo = RepoHandle(case.repo_path)
     outcome = method(repo, load_fix_context(repo, case.fix_commit))
     return outcome, time.monotonic() - start
 
 
 def _investigate_one(
-    case: CaseSpec, config: RunConfig, backend_factory, paths: dict
+    case: CaseSpec, repo: RepoHandle, config: RunConfig, backend_factory, paths: dict
 ) -> tuple[Prediction, CaseResult]:
-    (prediction, transcript), seconds = _open_case(case, lambda repo, fc: run_investigation(
+    (prediction, transcript), seconds = _open_case(case, repo, lambda repo, fc: run_investigation(
         case, repo, fc, backend_factory(), max_turns=config.max_turns, tau=config.tau,
     ))
 
@@ -251,29 +256,53 @@ def _print_outcome(case: CaseSpec, prediction: Prediction, result: CaseResult) -
 def cmd_investigate(args: argparse.Namespace) -> int:
     case = CaseSpec(repo_path=args.repo, fix_commit=args.fix, dataset_tag=args.tag or "adhoc")
     config = build_run_config(args)
-    return _print_outcome(case, *_investigate_one(case, config, make_backend(config), _run_paths(config)))
+    backend_factory = make_backend(config)
+    return _print_outcome(case, *_investigate_one(case, RepoHandle(case.repo_path), config,
+                                                  backend_factory, _run_paths(config)))
 
 
 def _run_dataset(cases: list[CaseSpec], repos_dir: str | None, out: str, method: str,
                  run_case, workers: int = 1) -> int:
     """Run each case on its clone; append its line to `out` once it and every case before it finished.
 
-    A case's failure becomes its error. A run that dies keeps every case before the first unfinished one.
+    A case's failure becomes its error. A run that dies keeps every case
+    before the first unfinished one: it cancels the queued cases, stops the
+    running cases' git work (`RepoHandle.stop`) and re-raises without
+    waiting for them.
     """
+    handles: list[RepoHandle] | None = []  # each started case's; None once the run died
+    lock = threading.Lock()
+
     def run_on_clone(case: CaseSpec) -> CaseResult:
         try:
-            return run_case(replace(case, repo_path=_materialize_repo(case.repo_path, repos_dir)))
+            path = _materialize_repo(case.repo_path, repos_dir)
+            repo = RepoHandle(path)
+            with lock:
+                if handles is None:
+                    repo.stop()
+                else:
+                    handles.append(repo)
+            return run_case(replace(case, repo_path=path), repo)
         except Exception as exc:  # noqa: BLE001 - a dataset run must survive any case
             return CaseResult(case_id=case.case_id, error=str(exc))
 
     ev.write_results(out, method)
     failures = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    try:
         for i, result in enumerate(pool.map(run_on_clone, cases), start=1):
             ev.append_result(out, result)
             failures += bool(result.error)
             print(f"[{i}/{len(cases)}] {result.case_id}: "
                   f"{'error: ' + result.error if result.error else ','.join(result.predicted) or 'no prediction'}")
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        with lock:
+            for repo in handles:
+                repo.stop()
+            handles = None
+        raise
+    pool.shutdown()
     print(f"results: {out}")
     if failures:
         print(f"{failures} case(s) failed infrastructure-wise", file=sys.stderr)
@@ -289,7 +318,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     paths = _run_paths(config)
     return _run_dataset(cases, args.repos_dir, os.path.join(paths["base"], "results.jsonl"),
                         f"agent-{config.backend.split(':', 1)[0]}",
-                        lambda case: _investigate_one(case, config, backend_factory, paths)[1],
+                        lambda case, repo: _investigate_one(case, repo, config, backend_factory,
+                                                            paths)[1],
                         config.parallelism)
 
 
@@ -297,8 +327,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     cases = load_dataset(args.dataset)
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
-    def run_case(case: CaseSpec) -> CaseResult:
-        outcome, seconds = _open_case(case, algorithm)
+    def run_case(case: CaseSpec, repo: RepoHandle) -> CaseResult:
+        outcome, seconds = _open_case(case, repo, algorithm)
         return CaseResult(
             case_id=case.case_id,
             predicted=sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else []),
@@ -373,8 +403,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if config.run_id and os.path.exists(target) and os.path.samefile(target, args.transcript):
         raise ValueError(f"replay would overwrite its recording {args.transcript}; "
                          "pass another --run-id or --run-dir")
-    prediction, result = _investigate_one(case, config, lambda: ScriptedBackend(steps),
-                                          _run_paths(config))
+    prediction, result = _investigate_one(case, RepoHandle(case.repo_path), config,
+                                          lambda: ScriptedBackend(steps), _run_paths(config))
     require_recording(recording, args.transcript, result.transcript_ref)
     return _print_outcome(case, prediction, result)
 
@@ -422,10 +452,16 @@ def cmd_fetch_datasets(args: argparse.Namespace) -> int:
         if os.path.isdir(target):
             print(f"exists: {target}")
             continue
+        created, parent = [], os.path.dirname(target)  # the directories git clone will make
+        while not os.path.exists(parent):  # args.dest exists
+            created.append(parent)
+            parent = os.path.dirname(parent)
         print(f"cloning {url} -> {target}")
         proc = subprocess.run(["git", "clone", "--quiet", url, target], check=False)
         if proc.returncode != 0:
             failures += 1
+            for path in created:  # deepest first; git removes the clone directory itself
+                os.rmdir(path)
     return 1 if failures else 0
 
 

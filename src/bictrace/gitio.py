@@ -110,9 +110,11 @@ class RepoHandle:
         self.root_path = os.path.abspath(self.root_path)
 
     def stop(self):
-        """Kill this handle's running git processes, and each later one as it starts (GitStopped).
+        """Kill this handle's running git processes, and each later one as it starts.
 
-        For a case that ends early: the git work it started on other threads ends at once.
+        For a case that ends early: the git work it started on other threads
+        ends at once. Each git call running or started since raises GitStopped,
+        never an outcome a caller could misread.
         """
         with self._lock:
             for proc in self._running or ():
@@ -129,8 +131,9 @@ class RepoHandle:
     def _untrack(self, proc: subprocess.Popen):
         # Before the reap, so `stop` never signals a reaped process's id.
         with self._lock:
-            if self._running is not None:
-                self._running.discard(proc)
+            if self._running is None:  # `stop` may have killed it: what it printed is no answer
+                raise GitStopped(f"git work on {self.root_path} was stopped")
+            self._running.discard(proc)
 
 
 def _pinned_env() -> dict:

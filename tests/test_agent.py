@@ -271,6 +271,19 @@ LOOK_AHEAD_SCRIPTS = {
         tool_step(ToolName.GREP, search_string="dispatch"),
         final_step(f"BIC: {info['bic']}"),
     ], 15, 1),
+    "a malformed step first": (lambda info: [
+        MALFORMED,
+        tool_step(ToolName.SHOW, commit=info["bic"]),
+        tool_step(ToolName.GREP, search_string="dispatch"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 2),
+    # The first run started the blame; its error is not cached, so the repeat spawns again.
+    "file_not_found, repeated across two runs": (lambda info: [
+        tool_step(ToolName.BLAME, file_path="no/such.c"),
+        MALFORMED,
+        tool_step(ToolName.BLAME, file_path="no/such.c"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 2),
     "more tool calls than max_turns": (lambda info: [
         tool_step(ToolName.GREP, search_string="dispatch"),
         MALFORMED,

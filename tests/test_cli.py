@@ -4,8 +4,11 @@ import concurrent.futures
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,21 @@ class TestInvestigate:
         err = capsys.readouterr().err
         assert code == 1
         assert "not configured" in err
+
+    @pytest.mark.parametrize("command", ["investigate", "batch"])
+    def test_unconfigured_live_backend_fails_before_any_case(self, cross_file_repo, tmp_path,
+                                                             capsys, monkeypatch, command):
+        rb, info = cross_file_repo
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": info["fix"], "bics": [info["bic"]]}])
+        monkeypatch.setattr(cli, "load_fix_context", lambda *args: pytest.fail("a fix was read"))
+        runs = tmp_path / "runs"
+        where = {"investigate": ["--repo", rb.path, "--fix", info["fix"]], "batch": ["--dataset", ds]}
+        assert main([command, *where[command], "--backend", "live", "--run-dir", str(runs)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: live backend not configured: missing endpoint URL, "
+                                  "model name, API key\n")
+        assert not runs.exists()
 
     @pytest.mark.parametrize("command", [["investigate", "--repo", ".", "--fix", "HEAD"],
                                          ["batch", "--dataset"]])
@@ -954,6 +972,56 @@ class TestBaselineCmd:
         assert results[1].predicted == [shas[1]]
         assert capsys.readouterr().err == "1 case(s) failed infrastructure-wise\n"
 
+    @pytest.mark.parametrize("command", ["batch", "baseline"])
+    def test_interrupt_stops_the_running_case_without_waiting(self, linear_repo, tmp_path,
+                                                              monkeypatch, command):
+        rb, shas = linear_repo
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]], "case_id": f"x:{i}"}
+            for i in range(2)
+        ])
+        script = write_script(tmp_path / "s.json", [
+            {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "a.c"}},
+            {"kind": "final", "text": f"BIC: {shas[1]}"},
+        ])
+        slow_started, procs, sent = threading.Event(), [], []
+        real_init = subprocess.Popen.__init__
+
+        def init(self, args, **kwargs):  # each blame takes 3 s
+            slow = "blame" in args
+            real_init(self, ["sleep", "3"] if slow else args, **kwargs)
+            procs.append(self)
+            if slow:
+                slow_started.set()
+
+        def interrupt():  # Ctrl-C, once the first case's blame runs
+            if slow_started.wait(10):
+                sent.append(time.monotonic())
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", init)
+        runs, out = tmp_path / "runs", tmp_path / "b.jsonl"
+        argv = {"batch": ["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                          "--run-dir", str(runs), "--run-id", "r"],
+                "baseline": ["baseline", "--algorithm", "b", "--dataset", ds, "--out", str(out)]}
+        threads = set(threading.enumerate())
+        interrupter = threading.Thread(target=interrupt)
+        interrupter.start()
+        with pytest.raises(KeyboardInterrupt):
+            main(argv[command])
+        assert sent and time.monotonic() - sent[0] < 1.5
+        interrupter.join(10)
+        assert not interrupter.is_alive()
+        for thread in set(threading.enumerate()) - threads:  # the stopped case ends at once too
+            thread.join(1.5)
+            assert not thread.is_alive()
+        # The fix read and the blame of the first case; the second case never started.
+        assert len(procs) == 2 and all(proc.returncode is not None for proc in procs)
+        results = runs / "r" / "results.jsonl" if command == "batch" else out
+        assert read_results(str(results))[1] == []
+        if command == "batch":  # the stopped case recorded nothing
+            assert list((runs / "r" / "transcripts").iterdir()) == []
+
     def test_interrupted_baseline_keeps_the_finished_cases(self, linear_repo, tmp_path,
                                                            monkeypatch, capsys):
         rb, shas = linear_repo
@@ -1087,14 +1155,16 @@ class TestUnreadableInput:
 class TestFailedCaseFlags:
     def test_desynced_case_counts_in_every_category(self, cross_file_repo, tmp_path, capsys):
         rb, info = cross_file_repo
-        # no_live_env clears the BICTRACE_* settings, so the live backend fails the agent case.
-        runs = tmp_path / "runs"
+        # The agent case fails: its repository is not there yet when batch runs.
+        runs, clone = tmp_path / "runs", tmp_path / "clone"
         ds = write_dataset(tmp_path / "ds.jsonl",
-                           [{"repo": rb.path, "fix_commit": info["fix"], "bics": [info["bic"]]}])
-        assert main(["batch", "--dataset", ds, "--backend", "live",
+                           [{"repo": str(clone), "fix_commit": info["fix"], "bics": [info["bic"]]}])
+        script = write_script(tmp_path / "s.json", [{"kind": "final", "text": f"BIC: {info['bic']}"}])
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
                      "--run-dir", str(runs), "--run-id", "rep"]) == 0
         (failed,) = read_results(str(runs / "rep" / "results.jsonl"))[1]
-        assert failed.error.startswith("live backend not configured")
+        assert failed.error.startswith(f"{clone} is not a git repository")
+        shutil.copytree(rb.path, clone)
         # The flags come from evaluate alone, never from a method's results line.
         (line,) = (runs / "rep" / "results.jsonl").read_text().splitlines()[1:]
         assert "category_flags" not in json.loads(line)
@@ -1105,7 +1175,7 @@ class TestFailedCaseFlags:
         assert main(["evaluate", "--dataset", ds, "--out", reports, "--results",
                      str(runs / "rep" / "results.jsonl"), b_path]) == 3
         agent, baseline = (json.loads(Path(os.path.join(reports, f"{name}.report.json")).read_text())
-                           for name in ("agent-live", "b-szz"))
+                           for name in ("agent-scripted", "b-szz"))
         for category in ("ghost", "cross_file"):
             assert (agent["category_recall"][category]["n_cases"]
                     == baseline["category_recall"][category]["n_cases"])
@@ -1698,6 +1768,16 @@ class TestFetchDatasets:
             assert main(["evaluate", "--dataset", ds, "--repos-dir", repos,
                          "--results", results]) == 0
             assert "recall:    1.0000" in capsys.readouterr().out
+
+    def test_failed_clone_leaves_no_directories(self, tmp_path, capfd):
+        absent = tmp_path / "nowhere" / "absent"
+        ds = write_dataset(tmp_path / "ds.jsonl", [
+            {"repo": absent.as_uri(), "fix_commit": "a" * 40, "bics": ["b" * 40]}])
+        dest = tmp_path / "repos"
+        (dest / "other").mkdir(parents=True)
+        assert main(["fetch-datasets", "--dataset", ds, "--dest", str(dest)]) == 1
+        assert capfd.readouterr().err.startswith("fatal: ")
+        assert [path.relative_to(dest) for path in dest.rglob("*")] == [Path("other")]
 
     def test_missing_local_path_fails(self, tmp_path, capsys):
         ds = write_dataset(

@@ -180,14 +180,20 @@ def test_stopped_handle_kills_running_and_later_git(linear_handle, monkeypatch):
         started.set()
 
     monkeypatch.setattr(subprocess.Popen, "__init__", init)
-    outcome = []
-    worker = threading.Thread(target=lambda: outcome.append(
-        gitio.run_git(repo, ["show", "-s", "HEAD"])))
+    raised = []
+
+    def run():  # the killed git's outcome (a nonzero exit) is never handed back
+        try:
+            gitio.run_git(repo, ["show", "-s", "HEAD"])
+        except GitStopped as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run)
     worker.start()
     assert started.wait(10)
     repo.stop()
     worker.join(10)
-    assert not worker.is_alive() and outcome[0].status is GitStatus.NONZERO_EXIT
+    assert not worker.is_alive() and len(raised) == 1
     with pytest.raises(GitStopped):
         gitio.run_git(repo, ["show", "-s", "HEAD"])
     assert [proc.returncode for proc in procs] == [-9, -9]

@@ -7,10 +7,14 @@ share one contract, so the same loop runs live against a chat-completions
 endpoint or deterministically from a scripted step list. A scripted
 step list never depends on what it observes, so as a scripted run reaches
 each run of consecutive tool calls it starts their git work at once, up
-to the CPU count at a time; its transcript, cache hits and git process
-count stay those of the sequential loop. A replay is a scripted run of a
-recorded transcript's steps, and it reproduces the recording when every
-line of its own transcript after the header is the recording's line.
+to the CPU count at a time. Those threads run git alone: formatting,
+extraction and the cache run on the loop's thread as it takes each
+observation, so its transcript, cache hits and git process count stay
+those of the sequential loop. A `git_show` of the fix by its full id is
+rendered from the fix read and starts no git. A replay is a scripted run
+of a recorded transcript's steps, and it reproduces the recording when
+every line of its own transcript after the header is the recording's
+line.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from itertools import islice, takewhile, zip_longest
 
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context, read_json_lines
-from .compress import TAU, Observation, canonicalize_args, execute_compressed, fresh_observation
+from .compress import TAU, Observation, canonicalize_args, execute_compressed
 from .gitio import GitTimeout, RepoHandle
 from .resolve import ResolutionTrace
-from .tools import SchemaError, ToolArgs, ToolName, enforce_search_bound, parse_args
+from .tools import SchemaError, ToolArgs, ToolName, enforce_search_bound, execute_raw, parse_args
 
 TRANSCRIPT_SCHEMA = "bictrace-transcript/v2"
 
@@ -290,16 +294,16 @@ def _cpu_count() -> int:
 
 
 def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixContext,
-                 budget: int, tau: int, started_keys: set) -> deque:
+                 budget: int, started_keys: set) -> deque:
     """The (step, args, started) run of tool calls a scripted backend sends next, git work begun.
 
     The loop takes a run of tool calls whole, up to its `budget` of tool
     turns: a tool call neither ends the loop nor counts toward the
     malformed-step limit. `started` is the future of the call's
-    `fresh_observation` at the first occurrence of its canonical arguments
-    in the case (`started_keys`), else None: a repeat is a cache hit, or
-    runs fresh in the loop, as the sequential loop runs it. Any other
-    backend makes no calls known in advance.
+    `execute_raw`, git alone, at the first occurrence of its canonical
+    arguments in the case (`started_keys`), else None: a repeat is a cache
+    hit, or runs fresh in the loop, as the sequential loop runs it. Any
+    other backend makes no calls known in advance.
     """
     steps = backend.steps[backend.index:] if isinstance(backend, ScriptedBackend) else ()
     calls = deque()
@@ -308,7 +312,7 @@ def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixCon
         started: Future | None = None
         if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in started_keys:
             started_keys.add(key)
-            started = pool.submit(fresh_observation, repo, args, fc, tau)
+            started = pool.submit(execute_raw, repo, args, fc)
         calls.append((step, args, started))
     return calls
 
@@ -334,10 +338,13 @@ def run_investigation(
 
     With a ScriptedBackend, the git work of each run of consecutive tool
     calls starts when the loop reaches the run, before its first step is
-    sent, up to the CPU count at a time. The loop still takes each
-    observation in turn, so the transcript, cache hits and
-    `repo.process_count` are those of a sequential run. A case that ends by
-    an exception stops `repo`: its running git processes are killed.
+    sent, up to the CPU count at a time. Those threads run only
+    `tools.execute_raw`; layers 2 and 3 and the cache run here, as the
+    loop takes each observation in turn, so the transcript, cache hits and
+    `repo.process_count` are those of a sequential run. A `git_show` of
+    the fix by its full id is `fc`'s rendering, with no git process. A
+    case that ends by an exception stops `repo`: its running git
+    processes are killed.
     """
     ctx = assemble_initial_context(fc)
     cache: dict[str, tuple[str, bool]] = {}
@@ -355,7 +362,7 @@ def run_investigation(
         while transcript.tool_turns < max_turns:
             if not calls:
                 calls = _start_calls(pool, backend, repo, fc, max_turns - transcript.tool_turns,
-                                     tau, started_keys)
+                                     started_keys)
             step = backend.send(conversation, ctx.tool_specs)
             if step.kind == "tool_call":
                 consecutive_malformed = 0

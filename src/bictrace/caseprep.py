@@ -22,6 +22,10 @@ from .tools import tool_schemas
 HASH_PLACEHOLDER = "[commit-ref-removed]"
 
 _FIXES_LINE_RE = re.compile(r"^\s*Fixes:\s", re.IGNORECASE)
+# A message line whose tabs render_message expands: printable ASCII and tabs.
+_TAB_LINE_RE = re.compile(r"[\t\x20-\x7e]*")
+# Pathspec characters that match more than the name they spell.
+_PATHSPEC_GLOB = set("*?[\\")
 HEX_TOKEN_RE = re.compile(r"\b[0-9a-fA-F]{7,40}\b")
 
 TRAILER_KEYS = (
@@ -109,6 +113,37 @@ class FixContext:
     diff_text: str
     changed_files: list[str]  # names as git's argv takes them: an invalid UTF-8 byte is a lone surrogate
     deleted_or_modified_lines: dict[str, list[tuple[int, str]]] = field(default_factory=dict)
+    # What `git show --no-color <fix>` prints before its diff, or None where only git
+    # can print it: a merge, an encoding header, notes or a message line render_message
+    # refuses.
+    show_header: str | None = None
+    # Per `diff --git` section of diff_text, the names of its --raw entry: old and new
+    # for a rename or copy, else one.
+    section_paths: list[tuple[str, ...]] = field(default_factory=list)
+
+    def git_show(self, file_filter: str | None = None) -> str | None:
+        """`git show --no-color <fix> [-- <file_filter>]` as run_git reads it; None where git must run.
+
+        A filter is served when it names a file the fix touches exactly and
+        that file's section is no rename or copy: a pathspec limits rename
+        detection, so git would print the new name as a created file.
+        """
+        if self.show_header is None:
+            return None
+        diff = self.diff_text
+        if file_filter:
+            if file_filter.startswith(":") or _PATHSPEC_GLOB & set(file_filter):
+                return None
+            kept = []
+            for names, text in zip(self.section_paths, re.split(r"(?m)^(?=diff --git )", diff)[1:]):
+                if file_filter in names and len(names) == 1:
+                    kept.append(text)
+                elif file_filter in names or any(n.startswith(file_filter + "/") for n in names):
+                    return None
+            if not kept:
+                return None
+            diff = "".join(kept)
+        return self.show_header + "\n" + diff if diff else self.show_header
 
 
 @dataclass
@@ -172,21 +207,44 @@ def preimage_lines_from_diff(diff_text: str, names: list[str | None]) -> dict[st
     return result
 
 
+def render_message(message: str) -> str | None:
+    """A commit message as `git show`'s medium format prints it, or None where only git can.
+
+    Git drops leading and trailing blank lines, strips each line's trailing
+    whitespace (space, tab, CR), expands its tabs to 8 columns and indents
+    it by 4 spaces. A tab's column counts display widths, which only git
+    knows beyond printable ASCII, so such a line is refused.
+    """
+    lines = [ln.rstrip(" \t\r") for ln in message.split("\n")]
+    while lines and not lines[-1]:
+        lines.pop()
+    out = []
+    for ln in lines[next((i for i, ln in enumerate(lines) if ln), len(lines)):]:
+        if "\t" in ln:
+            if not _TAB_LINE_RE.fullmatch(ln):
+                return None
+            ln = ln.expandtabs(8)
+        out.append(f"    {ln}\n")
+    return "".join(out)
+
+
 def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
     """Everything the agent and the baselines know about the fix, in one git call."""
     # A name with a leading "-" (an option) or "^", or with "..", is never one commit.
     if fix.startswith(("-", "^")) or ".." in fix:
         raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
+    # The fields of `git show`'s default header follow the id, parents and date.
     out = gitio.run_git(repo, [
-        "show", "--no-color", "--unified=3", "--format=%H%n%P%n%ct%n%B%x00",
+        "show", "--no-color", "--unified=3",
+        "--format=%H%x00%P%x00%ct%x00%e%x00%aN%x00%aE%x00%ad%x00%N%x00%B%x00",
         "--raw", "-z", "-p", "--diff-merges=first-parent", f"{fix}^{{commit}}", "--",
     ], names=True)
     if out.status is not gitio.GitStatus.OK:
         raise gitio.CommitNotFound(f"fix commit {fix!r} does not resolve")
-    # The header, NUL, NUL; then, unless the diff is empty, a newline, the
-    # NUL-terminated fields of each --raw entry, one more NUL and the patch.
-    header, _, body = out.stdout.partition("\0")
-    fix_id, parents, fix_date, message = header.split("\n", 3)
+    # The fields, each NUL-terminated; NUL; then, unless the diff is empty, a newline,
+    # the NUL-terminated fields of each --raw entry, one more NUL and the patch.
+    fix_id, parents, fix_date, encoding, author, email, date, notes, message, body = (
+        out.stdout.split("\0", 9))
     # Blame porcelain, the answer probe and dataset bics all read 40-hex ids.
     if not gitio.COMMIT_ID_RE.match(fix_id):
         raise gitio.RepoUnavailable(f"{repo.root_path}: fix commit id {fix_id} has {len(fix_id)} hex "
@@ -198,14 +256,17 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
 
     # An entry: metadata (status letter last), then its path, or old and new for a rename
     # or copy. A type change (file <-> symlink) prints two sections: deletion, creation.
-    changed_files, section_names = [], []
+    changed_files, section_paths, section_names = [], [], []
     fields = iter(raw.split("\0") if raw else ())
     for meta in fields:
         status = meta.rsplit(" ", 1)[-1][0]
-        old = next(fields)
-        changed_files.append(next(fields) if status in "RC" else old)
-        section_names += {"A": [None], "T": [old, None]}.get(status, [old])
+        names = (next(fields), next(fields)) if status in "RC" else (next(fields),)
+        changed_files.append(names[-1])
+        section_paths += [names] * (2 if status == "T" else 1)
+        section_names += {"A": [None], "T": [names[0], None]}.get(status, [names[0]])
 
+    # A merge prints a combined diff, and an encoding header or notes change the header.
+    shown = None if " " in parents or encoding or notes else render_message(message)
     return FixContext(
         fix_id=fix_id,
         fix_parent=parents.split()[0],
@@ -214,6 +275,10 @@ def load_fix_context(repo: RepoHandle, fix: str) -> FixContext:
         diff_text=diff,
         changed_files=changed_files,
         deleted_or_modified_lines=preimage_lines_from_diff(diff, section_names),
+        show_header=None if shown is None else gitio.readable(
+            f"commit {fix_id}\nAuthor: {author} <{email}>\nDate:   {date}\n"
+            + ("\n" + shown if shown else "")),
+        section_paths=section_paths,
     )
 
 

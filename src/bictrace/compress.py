@@ -311,17 +311,20 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, tau: int
 
 
 def fresh_observation(
-    repo: RepoHandle, args: ToolArgs, fc: FixContext, tau: int = TAU
+    repo: RepoHandle, args: ToolArgs, fc: FixContext, tau: int = TAU,
+    started: Callable[[], str] | None = None,
 ) -> tuple[Observation, bool]:
     """Run one tool call through git, format and extract, bypassing the cache.
 
-    Returns the observation and whether the cache may keep it. Tool
-    failures come back as readable observations, never exceptions: the
-    agent must be able to read the error and self-correct. Timed-out calls
-    and tool errors may not be cached, so a retry executes fresh.
+    `started` returns the call's raw output (or raises its error) when the
+    caller began its git work earlier. Returns the observation and whether
+    the cache may keep it. Tool failures come back as readable
+    observations, never exceptions: the agent must be able to read the
+    error and self-correct. Timed-out calls and tool errors may not be
+    cached, so a retry executes fresh.
     """
     try:
-        raw = tk.execute_raw(repo, args, fc.fix_parent)
+        raw = started() if started else tk.execute_raw(repo, args, fc)
     except GitTimeout:
         return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False), False
     except ToolError as exc:
@@ -344,7 +347,7 @@ def execute_compressed(
     fc: FixContext,
     cache: dict[str, tuple[str, bool]],
     tau: int = TAU,
-    fresh: Callable[[], tuple[Observation, bool]] | None = None,
+    started: Callable[[], str] | None = None,
 ) -> Observation:
     """Run one tool call through cache, format and extract.
 
@@ -352,14 +355,14 @@ def execute_compressed(
 
     `cache` is case-scoped: canonical arguments -> the finished observation's
     (text, truncated), so a hit costs no git process, formatting or extraction.
-    On a miss the call's `fresh_observation` is computed here, or read from
-    `fresh` when the caller started it earlier.
+    On a miss the call's `fresh_observation` is computed here, from the raw
+    output `started` returns when the caller began the git work earlier.
     """
     key = canonicalize_args(args)
     if key in cache:
         text, truncated = cache[key]
         return Observation(text, truncated=truncated, cache_hit=True)
-    observation, cacheable = fresh() if fresh else fresh_observation(repo, args, fc, tau)
+    observation, cacheable = fresh_observation(repo, args, fc, tau, started)
     if cacheable:
         cache[key] = (observation.text, observation.truncated)
     return observation

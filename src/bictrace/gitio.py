@@ -136,10 +136,33 @@ class RepoHandle:
             self._running.discard(proc)
 
 
+# Repository config keys pinned to git's own defaults, at command-line precedence.
+# The fix's `git_show` is rendered from the fix read (caseprep), which holds only
+# while `git show` prints the medium format with full ids, default dates, no
+# decorations or signatures, mailmapped authors as %aN/%aE print them, the fix
+# read's 3 lines of context, and messages in UTF-8 as %B prints them.
+_PINNED_CONFIG = (
+    ("format.pretty", "medium"),
+    ("log.abbrevCommit", "false"),
+    ("log.date", "default"),
+    ("log.decorate", "no"),
+    ("log.showSignature", "false"),
+    ("log.mailmap", "true"),
+    ("diff.context", "3"),
+    ("i18n.logOutputEncoding", "UTF-8"),
+)
+_CONFIG_ENV = {
+    "GIT_CONFIG_COUNT": str(len(_PINNED_CONFIG)),
+    **{f"GIT_CONFIG_KEY_{n}": key for n, (key, _) in enumerate(_PINNED_CONFIG)},
+    **{f"GIT_CONFIG_VALUE_{n}": value for n, (_, value) in enumerate(_PINNED_CONFIG)},
+}
+
+
 def _pinned_env() -> dict:
     # Fixed locale, no user/system config, no pager: output must be
     # byte-identical across machines for golden tests and replay.
     return {
+        **_CONFIG_ENV,
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
         "LC_ALL": "C",
         "LANG": "C",

@@ -18,10 +18,13 @@ import re
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from . import gitio
 from .gitio import GitStatus, RepoHandle
+
+if TYPE_CHECKING:  # caseprep imports this module
+    from .caseprep import FixContext
 
 
 class ToolName(Enum):
@@ -252,24 +255,30 @@ def enforce_search_bound(args: ToolArgs, fix_date: int) -> ToolArgs:
     return args
 
 
-def execute_raw(repo: RepoHandle, args: ToolArgs, fix_parent: str) -> str:
+def execute_raw(repo: RepoHandle, args: ToolArgs, fc: FixContext) -> str:
     """One tool call's raw output.
 
     History starts at the fix's parent, so the fix and every later commit
-    stay out of it; blame and grep default to the same revision.
+    stay out of it; blame and grep default to the same revision. A
+    `git_show` that asks for the fix read's own diff, by the fix's full id,
+    is the fix read's rendering and starts no git.
     """
     tool = args.tool
     if tool is ToolName.SHOW:
+        if args.commit == fc.fix_id and not args.stat_only and args.context_lines in (None, 3):
+            shown = fc.git_show(args.file_filter)
+            if shown is not None:
+                return shown
         return exec_git_show(repo, args)
     if tool is ToolName.BLAME:
         bounded = args.line_start is not None or args.line_end is not None
         ranges = [(args.line_start or 1, args.line_end)] if bounded else []
-        return exec_git_blame(repo, args.file_path, args.commit or fix_parent, ranges)
+        return exec_git_blame(repo, args.file_path, args.commit or fc.fix_parent, ranges)
     if tool is ToolName.LOG_S:
-        return exec_git_log_s(repo, args, fix_parent)
+        return exec_git_log_s(repo, args, fc.fix_parent)
     if tool is ToolName.LOG_FUNC:
-        return exec_git_log_func(repo, args, fix_parent)
-    return exec_git_grep(repo, args, fix_parent)
+        return exec_git_log_func(repo, args, fc.fix_parent)
+    return exec_git_grep(repo, args, fc.fix_parent)
 
 
 def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:

@@ -331,6 +331,27 @@ class TestLookAhead:
                     for obs in (turn["observation"] for turn in transcript.turns) if obs]
         assert observed == expected
 
+    def test_look_ahead_threads_run_only_git(self, cross_file_repo, monkeypatch):
+        from bictrace import compress
+
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc = open_case(rb.path, info["fix"])
+        threads = []
+        for tool, format_raw in compress._FORMATTERS.items():
+            monkeypatch.setitem(compress._FORMATTERS, tool, lambda raw, f=format_raw: (
+                threads.append(threading.current_thread()) or f(raw)))
+        steps = [
+            tool_step(ToolName.GREP, search_string="dispatch"),
+            tool_step(ToolName.SHOW, commit=info["bic"]),
+            tool_step(ToolName.BLAME, file_path="driver/hotplug.c"),
+            final_step(f"BIC: {info['bic']}"),
+        ]
+        prediction, transcript = run_investigation(case, repo, fc, ScriptedBackend(steps))
+        assert transcript.tool_turns == 3
+        # Layer 2 (and so layer 3 and the cache after it) runs where the loop takes the observation.
+        assert threads == [threading.main_thread()] * 3
+
     def test_early_exit_neither_leaks_nor_waits(self, cross_file_repo, monkeypatch):
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")

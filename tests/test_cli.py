@@ -782,6 +782,34 @@ class TestSpawnBudget:
                            "show", "blame", "log", "log", "grep",
                            "show"]
 
+    @pytest.mark.parametrize("spelling", ["full id", "12 characters"])
+    def test_scripted_case_showing_the_fix(self, linear_repo, tmp_path, spawned, spelling):
+        rb, shas = linear_repo
+        fix = shas[2] if spelling == "full id" else shas[2][:12]
+        script = write_script(
+            tmp_path / "s.json",
+            [
+                {"kind": "tool_call", "tool": "git_show", "args": {"commit": fix}},
+                {"kind": "tool_call", "tool": "git_blame", "args": {"file_path": "a.c"}},
+                {"kind": "tool_call", "tool": "git_log_s", "args": {"search_string": "b + 1"}},
+                {"kind": "tool_call", "tool": "git_log_func",
+                 "args": {"function_name": "add", "file_path": "a.c"}},
+                {"kind": "tool_call", "tool": "git_grep", "args": {"search_string": "return"}},
+                {"kind": "final", "text": f"BIC: {shas[1]}\nConfidence: high\nReasoning: r"},
+            ],
+        )
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]]}])
+        runs = tmp_path / "runs"
+        assert main(["batch", "--dataset", ds, "--backend", f"scripted:{script}",
+                     "--run-dir", str(runs), "--run-id", "b"]) == 0
+        # The fix read renders a git_show of the fix by its full id; any other spelling is git's.
+        shown = ["show"] if spelling == "12 characters" else []
+        assert spawned == ["show", *shown, "blame", "log", "log", "grep", "show"]
+        transcripts = list((runs / "b" / "transcripts").iterdir())
+        observation = json.loads(transcripts[0].read_text().split("\n")[2])
+        assert observation["text"].startswith(f"commit {shas[2]}\nAuthor: ")
+
     def test_baseline_op(self, linear_repo, tmp_path, spawned):
         rb, shas = linear_repo
         ds = write_dataset(tmp_path / "ds.jsonl",

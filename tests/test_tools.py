@@ -4,7 +4,7 @@ from datetime import datetime
 
 import pytest
 
-from repo_helpers import BASE_EPOCH, RepoBuilder
+from repo_helpers import BASE_EPOCH, RepoBuilder, parent_context
 
 from bictrace import tools
 from bictrace.gitio import GitStatus, RepoHandle, run_git
@@ -240,8 +240,9 @@ class TestExec:
     def test_blame_defaults_to_given_commit(self, toolbox_repo):
         rb, shas = toolbox_repo
         repo = RepoHandle(rb.path)
-        explicit = tools.execute_raw(repo, BlameArgs(file_path="a.c", commit=shas[1]), shas[0])
-        defaulted = tools.execute_raw(repo, BlameArgs(file_path="a.c"), shas[1])
+        explicit = tools.execute_raw(repo, BlameArgs(file_path="a.c", commit=shas[1]),
+                                     parent_context(shas[0]))
+        defaulted = tools.execute_raw(repo, BlameArgs(file_path="a.c"), parent_context(shas[1]))
         assert explicit == defaulted == tools.exec_git_blame(repo, "a.c", shas[1], [])
 
     def test_blame_of_two_ranges_and_of_the_whole_file(self, toolbox_repo):

@@ -7,8 +7,9 @@ share one contract, so the same loop runs live against a chat-completions
 endpoint or deterministically from a scripted step list. A scripted
 step list never depends on what it observes, so as a scripted run reaches
 each run of consecutive tool calls it starts their git work at once, up
-to the CPU count at a time. Those threads run git alone: formatting,
-extraction and the cache run on the loop's thread as it takes each
+to the CPU count at a time, and the case's call cache holds each started
+call's future until the loop takes it. Those threads run git alone:
+formatting and extraction run on the loop's thread as it takes each
 observation, so its transcript, cache hits and git process count stay
 those of the sequential loop. A `git_show` of the fix by its full id is
 rendered from the fix read and starts no git. A replay is a scripted run
@@ -294,26 +295,25 @@ def _cpu_count() -> int:
 
 
 def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixContext,
-                 budget: int, started_keys: set) -> deque:
-    """The (step, args, started) run of tool calls a scripted backend sends next, git work begun.
+                 budget: int, cache: dict) -> deque:
+    """The bound (step, args) run of tool calls a scripted backend sends next, git work begun.
 
     The loop takes a run of tool calls whole, up to its `budget` of tool
     turns: a tool call neither ends the loop nor counts toward the
-    malformed-step limit. `started` is the future of the call's
-    `execute_raw`, git alone, at the first occurrence of its canonical
-    arguments in the case (`started_keys`), else None: a repeat is a cache
-    hit, or runs fresh in the loop, as the sequential loop runs it. Any
+    malformed-step limit. For each call whose canonical arguments the
+    case's `cache` holds no entry for, it stores there the future of the
+    call's `execute_raw`, git alone, and `execute_compressed` formats its
+    output when the loop takes the call: a repeat is a cache hit, or runs
+    fresh in the loop after an error, as the sequential loop runs it. Any
     other backend makes no calls known in advance.
     """
     steps = backend.steps[backend.index:] if isinstance(backend, ScriptedBackend) else ()
     calls = deque()
     for step in islice(takewhile(lambda step: step.kind == "tool_call", steps), budget):
         step, args = _bind(step, fc.fix_date)
-        started: Future | None = None
-        if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in started_keys:
-            started_keys.add(key)
-            started = pool.submit(execute_raw, repo, args, fc)
-        calls.append((step, args, started))
+        if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in cache:
+            cache[key] = pool.submit(execute_raw, repo, args, fc)
+        calls.append((step, args))
     return calls
 
 
@@ -338,8 +338,9 @@ def run_investigation(
 
     With a ScriptedBackend, the git work of each run of consecutive tool
     calls starts when the loop reaches the run, before its first step is
-    sent, up to the CPU count at a time. Those threads run only
-    `tools.execute_raw`; layers 2 and 3 and the cache run here, as the
+    sent, up to the CPU count at a time, for each call the case's cache
+    holds no entry for; the cache then holds the call's future. Those
+    threads run only `tools.execute_raw`; layers 2 and 3 run here, as the
     loop takes each observation in turn, so the transcript, cache hits and
     `repo.process_count` are those of a sequential run. A `git_show` of
     the fix by its full id is `fc`'s rendering, with no git process. A
@@ -347,7 +348,7 @@ def run_investigation(
     processes are killed.
     """
     ctx = assemble_initial_context(fc)
-    cache: dict[str, tuple[str, bool]] = {}
+    cache: dict[str, tuple[str, bool] | Future] = {}
     transcript = Transcript(case_id=case.case_id, repo_path=case.repo_path, fix_commit=fc.fix_id)
     conversation: list[dict] = [
         {"role": "system", "content": ctx.system_prompt},
@@ -355,27 +356,24 @@ def run_investigation(
     ]
     prediction: Prediction | None = None
     consecutive_malformed = 0
-    calls, started_keys = deque(), set()
+    calls = deque()
 
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
         while transcript.tool_turns < max_turns:
             if not calls:
-                calls = _start_calls(pool, backend, repo, fc, max_turns - transcript.tool_turns,
-                                     started_keys)
+                calls = _start_calls(pool, backend, repo, fc, max_turns - transcript.tool_turns, cache)
             step = backend.send(conversation, ctx.tool_specs)
             if step.kind == "tool_call":
                 consecutive_malformed = 0
                 # A scripted run's calls were bound, and their git work begun, at their run's start.
-                step, args, started = calls.popleft() if calls else (*_bind(step, fc.fix_date), None)
+                step, args = calls.popleft() if calls else _bind(step, fc.fix_date)
                 if isinstance(args, SchemaError):
                     observation = Observation(
                         f"Error (schema): {args}", truncated=False, cache_hit=False
                     )
                 else:
-                    observation = execute_compressed(
-                        repo, args, fc, cache, tau, started and started.result
-                    )
+                    observation = execute_compressed(repo, args, fc, cache, tau)
                 call_id = f"call_{transcript.total_turns + 1}"
                 conversation.append(
                     {

@@ -1,7 +1,8 @@
 """Observation pipeline: cache, per-tool formatting, structured extraction.
 
 Raw tool output passes through three layers before the agent sees it:
-a call-level cache (layer 1), tool-specific reformatting with line caps
+a call-level cache (layer 1), which also holds the git work a caller
+started ahead of the call, tool-specific reformatting with line caps
 (layer 2), and, above a character threshold, a structural extractor that
 keeps hashes, change markers and counts while dropping bulk (layer 3).
 A final character clamp guarantees the size bound even for adversarially
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
+from concurrent.futures import Future
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -310,25 +311,35 @@ def compress_formatted(tool: ToolName, formatted: str, truncated: bool, tau: int
     return text, truncated
 
 
-def fresh_observation(
-    repo: RepoHandle, args: ToolArgs, fc: FixContext, tau: int = TAU,
-    started: Callable[[], str] | None = None,
-) -> tuple[Observation, bool]:
-    """Run one tool call through git, format and extract, bypassing the cache.
+def execute_compressed(
+    repo: RepoHandle,
+    args: ToolArgs,
+    fc: FixContext,
+    cache: dict[str, tuple[str, bool] | Future],
+    tau: int = TAU,
+) -> Observation:
+    """Run one tool call through cache, format and extract.
 
-    `started` returns the call's raw output (or raises its error) when the
-    caller began its git work earlier. Returns the observation and whether
-    the cache may keep it. Tool failures come back as readable
-    observations, never exceptions: the agent must be able to read the
-    error and self-correct. Timed-out calls and tool errors may not be
-    cached, so a retry executes fresh.
+    The caller bounds `args` with `tools.enforce_search_bound` first.
+
+    `cache` is case-scoped: canonical arguments -> the finished observation's
+    (text, truncated), so a hit costs no git process, formatting or
+    extraction, or -> the `Future` of the call's `tools.execute_raw` when the
+    caller began its git work earlier, whose raw output is formatted here.
+    Tool failures come back as readable observations, never exceptions: the
+    agent must be able to read the error and self-correct. A timed-out call
+    or tool error keeps no entry, so a retry executes fresh.
     """
+    key = canonicalize_args(args)
+    entry = cache.get(key)
+    if isinstance(entry, tuple):
+        return Observation(*entry, cache_hit=True)
     try:
-        raw = started() if started else tk.execute_raw(repo, args, fc)
-    except GitTimeout:
-        return Observation(TIMEOUT_HINT, truncated=False, cache_hit=False), False
-    except ToolError as exc:
-        return Observation(f"Error ({exc.kind}): {exc}", truncated=False, cache_hit=False), False
+        raw = entry.result() if entry else tk.execute_raw(repo, args, fc)
+    except (GitTimeout, ToolError) as exc:
+        cache.pop(key, None)
+        text = TIMEOUT_HINT if isinstance(exc, GitTimeout) else f"Error ({exc.kind}): {exc}"
+        return Observation(text, truncated=False, cache_hit=False)
     try:
         formatted, truncated = _FORMATTERS[args.tool](raw)
     except tk.MalformedPorcelain as exc:
@@ -338,31 +349,5 @@ def fresh_observation(
         text, truncated = compress_formatted(args.tool, formatted, truncated, tau)
         if not text.strip():
             text = "(no output)"
-    return Observation(text, truncated=truncated, cache_hit=False), True
-
-
-def execute_compressed(
-    repo: RepoHandle,
-    args: ToolArgs,
-    fc: FixContext,
-    cache: dict[str, tuple[str, bool]],
-    tau: int = TAU,
-    started: Callable[[], str] | None = None,
-) -> Observation:
-    """Run one tool call through cache, format and extract.
-
-    The caller bounds `args` with `tools.enforce_search_bound` first.
-
-    `cache` is case-scoped: canonical arguments -> the finished observation's
-    (text, truncated), so a hit costs no git process, formatting or extraction.
-    On a miss the call's `fresh_observation` is computed here, from the raw
-    output `started` returns when the caller began the git work earlier.
-    """
-    key = canonicalize_args(args)
-    if key in cache:
-        text, truncated = cache[key]
-        return Observation(text, truncated=truncated, cache_hit=True)
-    observation, cacheable = fresh_observation(repo, args, fc, tau, started)
-    if cacheable:
-        cache[key] = (observation.text, observation.truncated)
-    return observation
+    cache[key] = (text, truncated)
+    return Observation(text, truncated=truncated, cache_hit=False)

@@ -103,7 +103,7 @@ class CaseResult:
     case_id: str
     predicted: list[str] = field(default_factory=list)
     transcript_ref: str | None = None
-    cost: dict = field(default_factory=dict)  # tokens, turns, seconds, dollars?
+    cost: dict = field(default_factory=dict)  # tokens, turns, seconds; aggregate_report prices the tokens
     error: str | None = None
 
     def to_dict(self) -> dict:

@@ -1,6 +1,7 @@
 """Loop behavior: turn budget, malformed recovery, parsing, record/replay."""
 
 import json
+import os
 import re
 import subprocess
 import threading
@@ -20,6 +21,7 @@ from bictrace.agent import (
     SchemaMismatch,
     ScriptedBackend,
     Transcript,
+    _cpu_count,
     final_step,
     parse_final_output,
     read_transcript,
@@ -284,6 +286,13 @@ LOOK_AHEAD_SCRIPTS = {
         tool_step(ToolName.BLAME, file_path="no/such.c"),
         final_step(f"BIC: {info['bic']}"),
     ], 15, 2),
+    # The first run's timed-out log keeps no cache entry, so the second run starts it again.
+    "timed-out call, repeated across two runs": (lambda info: [
+        tool_step(ToolName.LOG_S, search_string="core_alloc_event"),
+        MALFORMED,
+        tool_step(ToolName.LOG_S, search_string="core_alloc_event"),
+        final_step(f"BIC: {info['bic']}"),
+    ], 15, 2),
     "more tool calls than max_turns": (lambda info: [
         tool_step(ToolName.GREP, search_string="dispatch"),
         MALFORMED,
@@ -384,6 +393,13 @@ class TestLookAhead:
         assert time.monotonic() - start < 1.5
         assert threading.active_count() == threads
         assert len(procs) == 2 and all(proc.returncode is not None for proc in procs)
+
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cpu_count() == 1
 
 
 class TestSearchBoundInTranscript:

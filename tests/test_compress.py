@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from concurrent.futures import Future
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -511,6 +512,16 @@ class TestExtractLogAndGrep:
         assert len(kept) == 50
 
 
+def started(call) -> Future:
+    """A finished Future of `call`, as a look-ahead thread leaves it."""
+    future = Future()
+    try:
+        future.set_result(call())
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 @pytest.fixture
 def pipeline_repo(tmp_path):
     rb = RepoBuilder(tmp_path / "pipeline")
@@ -632,6 +643,42 @@ class TestExecuteCompressed:
             assert obs.text.startswith("Error (commit_not_found)")
             assert not obs.cache_hit
         assert len(cache) == 0
+
+    def test_a_started_call_is_formatted_here_then_a_hit(self, pipeline_repo):
+        repo, shas, _ = pipeline_repo
+        args, fc = BlameArgs(file_path="f.c"), parent_context(shas[1])
+        fresh = execute_compressed(repo, args, fc, {})
+        key = canonicalize_args(args)
+        cache = {key: started(lambda: tools.execute_raw(repo, args, fc))}
+        count = repo.process_count
+        first = execute_compressed(repo, args, fc, cache)
+        assert (first.text, first.truncated, first.cache_hit) == (fresh.text, fresh.truncated, False)
+        assert cache == {key: (first.text, first.truncated)}
+        second = execute_compressed(repo, args, fc, cache)
+        assert second.cache_hit and (second.text, second.truncated) == (first.text, first.truncated)
+        assert repo.process_count == count
+
+    @pytest.mark.parametrize("times_out", [False, True])
+    def test_a_started_call_that_failed_keeps_no_entry(self, pipeline_repo, time_out_git,
+                                                       times_out):
+        repo, shas, _ = pipeline_repo
+        fc = parent_context(shas[1])
+        if times_out:
+            args = LogSArgs(search_string="return")
+            time_out_git(lambda argv: argv[0] == "log")
+        else:
+            args = ShowArgs(commit="deadbeef" * 5)
+        fresh = execute_compressed(repo, args, fc, {})
+        key = canonicalize_args(args)
+        cache = {key: started(lambda: tools.execute_raw(repo, args, fc))}
+        count = repo.process_count
+        obs = execute_compressed(repo, args, fc, cache)
+        assert (obs.text, obs.truncated, obs.cache_hit) == (fresh.text, False, False)
+        assert obs.text.startswith(TIMEOUT_HINT if times_out else "Error (commit_not_found)")
+        assert repo.process_count == count and cache == {}
+        # The repeat executes fresh: one more git process.
+        execute_compressed(repo, args, fc, cache)
+        assert repo.process_count == count + 1
 
     def test_search_bound_applied_once_per_call_at_the_entry_points(
         self, tmp_path, monkeypatch, capsys

@@ -290,6 +290,23 @@ class TestUnusualDiffs:
         repo, fc = loaded(rb.path, fix)
         assert b_szz(repo, fc) == {seed}
 
+    def test_a_path_git_cannot_blame_is_skipped(self, tmp_path):
+        # A fix that bumps a submodule's gitlink removes its "Subproject commit" line, which
+        # blame cannot trace (git: "no such path sub"); the regular file's line still is.
+        rb = RepoBuilder(tmp_path / "gitlink")
+        seed = rb.commit({"m.c": "keep\nkeep\n"}, "seed")
+        bic = rb.commit({"m.c": "keep\nbug\nkeep\n"}, "introduce")
+        rb.git("update-index", "--add", "--cacheinfo", f"160000,{seed},sub")
+        rb.git("commit", "-q", "-m", "add submodule", date=rb.next_date())
+        rb.write({"m.c": "keep\nkeep\n"})
+        rb.git("update-index", "--cacheinfo", f"160000,{bic},sub")
+        rb.git("add", "m.c")
+        rb.git("commit", "-q", "-m", "fix and bump submodule", date=rb.next_date())
+        repo, fc = loaded(rb.path, rb.head())
+        assert sorted(fc.deleted_or_modified_lines) == ["m.c", "sub"]
+        assert b_szz(repo, fc) == {bic}
+        assert r_szz(repo, fc) == l_szz(repo, fc) == bic
+
 
 def test_baselines_do_not_load_the_observation_pipeline():
     # A fresh interpreter: this process has imported every module already.

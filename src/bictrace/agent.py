@@ -217,6 +217,7 @@ class LiveBackend:
             usage = data.get("usage") or {}
             # A missing or null count is 0.
             tokens = {k: int(usage.get(k) or 0) for k in ("prompt_tokens", "completion_tokens")}
+            content = message.get("content") or ""  # a tool call's reasoning, or the answer
             tool_calls = message.get("tool_calls") or []
             if len(tool_calls) > 1:
                 return ModelStep(kind="malformed", raw="parallel tool calls", **tokens)
@@ -229,8 +230,7 @@ class LiveBackend:
                         raise ValueError("arguments must be an object")
                 except ValueError:  # the model's mistake: a malformed step it can correct
                     return ModelStep(kind="malformed", raw=json.dumps(tool_calls[0]), **tokens)
-                return ModelStep(kind="tool_call", tool=tool, args=args, **tokens)
-            content = message.get("content") or ""
+                return ModelStep(kind="tool_call", tool=tool, args=args, text=content, **tokens)
             if not content.strip():
                 return ModelStep(kind="malformed", raw="(empty message)", **tokens)
             return ModelStep(kind="final", text=content, **tokens)
@@ -300,7 +300,7 @@ def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixCon
 
     The loop takes a run of tool calls whole, up to its `budget` of tool
     turns: a tool call neither ends the loop nor counts toward the
-    malformed-step limit. For each call whose canonical arguments the
+    malformed-step limit. For each call whose key (`canonicalize_args`) the
     case's `cache` holds no entry for, it stores there the future of the
     call's `execute_raw`, git alone, and `execute_compressed` formats its
     output when the loop takes the call: a repeat is a cache hit, or runs
@@ -348,7 +348,7 @@ def run_investigation(
     processes are killed.
     """
     ctx = assemble_initial_context(fc)
-    cache: dict[str, tuple[str, bool] | Future] = {}
+    cache: dict[ToolArgs, tuple[str, bool] | Future] = {}
     transcript = Transcript(case_id=case.case_id, repo_path=case.repo_path, fix_commit=fc.fix_id)
     conversation: list[dict] = [
         {"role": "system", "content": ctx.system_prompt},

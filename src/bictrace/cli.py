@@ -205,19 +205,15 @@ def _materialize_repo(repo_field: str, repos_dir: str | None) -> str:
     return repo_field
 
 
-def _open_case(case: CaseSpec, repo: RepoHandle, method) -> tuple[object, float]:
-    """`method(repo, fc)`'s result and its seconds (fix read plus method)."""
-    start = time.monotonic()
-    outcome = method(repo, load_fix_context(repo, case.fix_commit))
-    return outcome, time.monotonic() - start
-
-
 def _investigate_one(
     case: CaseSpec, repo: RepoHandle, config: RunConfig, backend_factory, paths: dict
 ) -> tuple[Prediction, CaseResult]:
-    (prediction, transcript), seconds = _open_case(case, repo, lambda repo, fc: run_investigation(
-        case, repo, fc, backend_factory(), max_turns=config.max_turns, tau=config.tau,
-    ))
+    start = time.monotonic()
+    prediction, transcript = run_investigation(
+        case, repo, load_fix_context(repo, case.fix_commit), backend_factory(),
+        max_turns=config.max_turns, tau=config.tau,
+    )
+    seconds = time.monotonic() - start
 
     transcript_path = os.path.join(paths["transcripts"], _safe_name(case.case_id) + ".jsonl")
     record_transcript(transcript, prediction, transcript_path)
@@ -328,11 +324,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     algorithm = {"b": szz.b_szz, "r": szz.r_szz, "l": szz.l_szz}[args.algorithm]
 
     def run_case(case: CaseSpec, repo: RepoHandle) -> CaseResult:
-        outcome, seconds = _open_case(case, repo, algorithm)
+        start = time.monotonic()
+        outcome = algorithm(repo, load_fix_context(repo, case.fix_commit))
         return CaseResult(
             case_id=case.case_id,
             predicted=sorted(outcome) if isinstance(outcome, set) else ([outcome] if outcome else []),
-            cost={"seconds": seconds},
+            cost={"seconds": time.monotonic() - start},
         )
 
     return _run_dataset(cases, args.repos_dir, args.out, f"{args.algorithm}-szz", run_case)

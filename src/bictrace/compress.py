@@ -11,10 +11,9 @@ long lines.
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import Future
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from . import tools as tk
@@ -44,19 +43,9 @@ class Observation:
     cache_hit: bool
 
 
-def canonicalize_args(args: ToolArgs) -> str:
-    """Deterministic cache key: defaults elided, dates normalized to epochs."""
-    payload: dict = {"tool": args.tool.value}
-    for f in fields(args):
-        value = getattr(args, f.name)
-        if value == f.default:
-            continue
-        if f.name == "after":
-            value = tk.parse_date(value, end_of_day=False)
-        elif f.name == "before":
-            value = tk.parse_date(value, end_of_day=True)
-        payload[f.name] = value
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def canonicalize_args(args: ToolArgs) -> ToolArgs:
+    """The cache key: the call's arguments, each date written as the "@<epoch>" git is given."""
+    return replace(args, **{attr: f"@{epoch}" for attr, epoch in tk.date_bounds(args).items()})
 
 
 def split_lines(text: str) -> list[str]:
@@ -315,14 +304,15 @@ def execute_compressed(
     repo: RepoHandle,
     args: ToolArgs,
     fc: FixContext,
-    cache: dict[str, tuple[str, bool] | Future],
+    cache: dict[ToolArgs, tuple[str, bool] | Future],
     tau: int = TAU,
 ) -> Observation:
     """Run one tool call through cache, format and extract.
 
     The caller bounds `args` with `tools.enforce_search_bound` first.
 
-    `cache` is case-scoped: canonical arguments -> the finished observation's
+    `cache` is case-scoped: the call's arguments, each date read as its
+    epoch second (`canonicalize_args`) -> the finished observation's
     (text, truncated), so a hit costs no git process, formatting or
     extraction, or -> the `Future` of the call's `tools.execute_raw` when the
     caller began its git work earlier, whose raw output is formatted here.

@@ -99,13 +99,6 @@ class BlameArgs:
             raise SchemaError("git_blame: line_start must not exceed line_end")
 
 
-def _check_dates(args: LogSArgs | LogFuncArgs):
-    for attr in ("after", "before"):
-        v = getattr(args, attr)
-        if v is not None:
-            parse_date(v, end_of_day=(attr == "before"))
-
-
 @dataclass(frozen=True)
 class LogSArgs:
     tool: ClassVar[ToolName] = ToolName.LOG_S
@@ -122,7 +115,7 @@ class LogSArgs:
     def __post_init__(self):
         if not self.search_string:
             raise SchemaError("git_log_s: search_string must be non-empty")
-        _check_dates(self)
+        date_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ class LogFuncArgs:
     before: str | None = _param("Only commits before this date.", None)
 
     def __post_init__(self):
-        _check_dates(self)
+        date_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -215,14 +208,15 @@ def parse_args(tool: ToolName, payload: dict) -> ToolArgs:
     return ARGS_CLASS[tool](**kwargs)
 
 
-_EPOCH_RE = re.compile(r"^@(\d+)$")
+_EPOCH_RE = re.compile(r"^@(-?\d+)$")
 
 
 def parse_date(text: str, end_of_day: bool) -> int:
     """Normalize a date argument to epoch seconds (UTC).
 
     Accepts YYYY-MM-DD (expanded to start or end of that day), ISO-8601
-    datetimes, and the @<epoch> form used internally after bound capping.
+    datetimes, and the @<epoch> form that the fix-date bound and the cache
+    key write.
     """
     text = text.strip()
     m = _EPOCH_RE.match(text)
@@ -241,6 +235,19 @@ def parse_date(text: str, end_of_day: bool) -> int:
     return int(dt.timestamp())
 
 
+def date_bounds(args: ToolArgs) -> dict[str, int]:
+    """The set ends of a history search's window, in epoch seconds.
+
+    A bare `after` date starts at its first second and a bare `before`
+    date ends at its last. A tool without dates gives {}.
+    """
+    return {
+        attr: parse_date(value, end_of_day=(attr == "before"))
+        for attr in ("after", "before")
+        if (value := getattr(args, attr, None)) is not None
+    }
+
+
 def enforce_search_bound(args: ToolArgs, fix_date: int) -> ToolArgs:
     """Cap the history-search window at the fix commit's date.
 
@@ -250,7 +257,7 @@ def enforce_search_bound(args: ToolArgs, fix_date: int) -> ToolArgs:
     """
     if not isinstance(args, (LogSArgs, LogFuncArgs)):
         return args
-    if args.before is None or parse_date(args.before, end_of_day=True) > fix_date:
+    if date_bounds(args).get("before", math.inf) > fix_date:
         return replace(args, before=f"@{fix_date}")
     return args
 
@@ -278,7 +285,7 @@ def execute_raw(repo: RepoHandle, args: ToolArgs, fc: FixContext) -> str:
         return exec_git_log_s(repo, args, fc.fix_parent)
     if tool is ToolName.LOG_FUNC:
         return exec_git_log_func(repo, args, fc.fix_parent)
-    return exec_git_grep(repo, args, fc.fix_parent)
+    return exec_git_grep(repo, args, args.commit or fc.fix_parent)
 
 
 def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:
@@ -372,12 +379,7 @@ def blame_records(raw: str, limit: float = math.inf) -> tuple[list[dict], int]:
 
 
 def _date_flags(args: LogSArgs | LogFuncArgs) -> list[str]:
-    flags = []
-    if args.after:
-        flags.append(f"--after=@{parse_date(args.after, end_of_day=False)}")
-    if args.before:
-        flags.append(f"--before=@{parse_date(args.before, end_of_day=True)}")
-    return flags
+    return [f"--{attr}=@{epoch}" for attr, epoch in date_bounds(args).items()]
 
 
 _GLOB_CHARS = set("*?[")
@@ -408,8 +410,7 @@ def exec_git_log_func(repo: RepoHandle, args: LogFuncArgs, start: str) -> str:
     return _raise_for(out, "function_not_found", f"git_log_func {args.function_name}")
 
 
-def exec_git_grep(repo: RepoHandle, args: GrepArgs, default_commit: str) -> str:
-    rev = args.commit or default_commit
+def exec_git_grep(repo: RepoHandle, args: GrepArgs, rev: str) -> str:
     cmd = ["grep", "-n", "-F", "-e", args.search_string, rev]
     if args.path:
         cmd += ["--", args.path]

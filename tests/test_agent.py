@@ -507,6 +507,38 @@ class TestLiveBackend:
         step = live_backend().send([], [])
         assert step.kind == "malformed"
 
+    REASONED_CALL = {
+        "content": "Blame the removed line first.",
+        "tool_calls": [{"id": "call_1", "type": "function", "function": {
+            "name": "git_blame", "arguments": "{\"file_path\": \"driver/hotplug.c\"}"}}],
+    }
+
+    def test_a_tool_call_keeps_its_reasoning(self, monkeypatch):
+        body = {"choices": [{"message": self.REASONED_CALL}]}
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
+        step = live_backend().send([], [])
+        assert (step.kind, step.tool, step.text) == (
+            "tool_call", ToolName.BLAME, "Blame the removed line first."
+        )
+
+    def test_the_next_request_carries_the_reasoning(self, cross_file_repo, monkeypatch):
+        rb, info = cross_file_repo
+        replies = iter([self.REASONED_CALL, {"content": f"BIC: {info['bic']}"}])
+        sent = []
+
+        def fake_post(url, **kwargs):
+            sent.append(json.loads(json.dumps(kwargs["json"])))  # a copy: the loop appends to it
+            return FakeResponse({"choices": [{"message": next(replies)}]})
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc = open_case(rb.path, info["fix"])
+        prediction, _ = run_investigation(case, repo, fc, live_backend())
+        assert prediction.resolved_id == info["bic"] and len(sent) == 2
+        (assistant,) = [m for m in sent[1]["messages"] if m["role"] == "assistant"]
+        assert assistant["content"] == "Blame the removed line first."
+        assert assistant["tool_calls"][0]["function"]["name"] == "git_blame"
+
     def test_text_content_is_final(self, monkeypatch):
         monkeypatch.setattr(
             requests, "post",

@@ -744,6 +744,10 @@ class TestSha256Repository:
         assert main(["evaluate", "--dataset", ds, "--results", out]) == 3
         assert f"x:1: not classified, so in no hard-case subset: {refusal}\n" in capsys.readouterr().err
 
+    def test_the_answer_probe_finds_no_commit_of_64_hex(self, sha256_repo):
+        path, _, _ = sha256_repo
+        assert gitio.probe_commit(gitio.RepoHandle(path), "HEAD") == ("not_found", None, None)
+
 
 class TestSpawnBudget:
     """Git processes per case, counted where every one of them starts."""

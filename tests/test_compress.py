@@ -644,6 +644,14 @@ class TestExecuteCompressed:
             assert not obs.cache_hit
         assert len(cache) == 0
 
+    def test_a_git_error_of_no_known_kind_is_shown_with_its_stderr(self, pipeline_repo):
+        repo, shas, _ = pipeline_repo
+        args = BlameArgs(file_path="f.c", line_start=9)  # f.c has 3 lines
+        obs = execute_compressed(repo, args, parent_context(shas[1]), {})
+        assert obs.text == (
+            f"Error (file_not_found): git_blame f.c@{shas[1]}: fatal: file f.c has only 3 lines"
+        )
+
     def test_a_started_call_is_formatted_here_then_a_hit(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         args, fc = BlameArgs(file_path="f.c"), parent_context(shas[1])

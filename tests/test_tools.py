@@ -1,5 +1,6 @@
 """Tool schemas, argument validation, bound enforcement, git execution."""
 
+from dataclasses import replace
 from datetime import datetime
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repo_helpers import BASE_EPOCH, RepoBuilder, parent_context
 
 from bictrace import tools
+from bictrace.compress import canonicalize_args
 from bictrace.gitio import GitStatus, RepoHandle, run_git
 from bictrace.tools import (
     BlameArgs,
@@ -148,6 +150,40 @@ class TestDates:
         assert parse_date("2020-01-02T03:04:05Z", end_of_day=True) == 1577934245
         with pytest.raises(SchemaError, match="unparseable date: 'soonZ'"):
             parse_date("soonZ", end_of_day=False)
+
+
+class TestDateRule:
+    """One moment, however it is spelt, is one search window, one git argv and one cache key."""
+
+    DAY = 1578182400  # 2020-01-05T00:00:00Z
+    END = DAY + 86399  # its last second
+
+    @pytest.mark.parametrize("after, before", [
+        ("2020-01-05", "2020-01-05"),
+        ("2020-01-05T00:00:00Z", "2020-01-05T23:59:59Z"),
+        ("2020-01-05T00:00:00+00:00", "2020-01-05T23:59:59+00:00"),
+        (f"@{DAY}", f"@{END}"),
+    ])
+    def test_every_reader_agrees_across_spellings(self, after, before):
+        both = LogSArgs(search_string="x", after=after, before=before)
+        assert tools.date_bounds(both) == {"after": self.DAY, "before": self.END}
+        assert tools._date_flags(both) == [f"--after=@{self.DAY}", f"--before=@{self.END}"]
+        assert canonicalize_args(both) == LogSArgs(
+            search_string="x", after=f"@{self.DAY}", before=f"@{self.END}"
+        )
+        since = LogFuncArgs(function_name="f", file_path="a.c", after=after)
+        assert tools.date_bounds(since) == {"after": self.DAY}
+        assert tools._date_flags(since) == [f"--after=@{self.DAY}"]
+        assert canonicalize_args(since) == replace(since, after=f"@{self.DAY}")
+
+    def test_a_tool_without_dates_has_no_bounds(self):
+        args = GrepArgs(search_string="x")
+        assert tools.date_bounds(args) == {}
+        assert canonicalize_args(args) == args
+
+    def test_a_date_before_1970_keys(self):
+        args = LogSArgs(search_string="x", after="1969-12-31")
+        assert canonicalize_args(args) == replace(args, after="@-86400")
 
 
 class TestSearchBound:

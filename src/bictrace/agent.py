@@ -1,21 +1,20 @@
 """The investigation loop and its model backends.
 
 One case runs as an observe-reason-act loop that takes its observations
-strictly in order: the model either calls a tool (executed through the
-compression pipeline) or gives a final structured answer. Two backends
-share one contract, so the same loop runs live against a chat-completions
-endpoint or deterministically from a scripted step list. A scripted
-step list never depends on what it observes, so as a scripted run reaches
-each run of consecutive tool calls it starts their git work at once, up
-to the CPU count at a time, and the case's call cache holds each started
-call's future until the loop takes it. Those threads run git alone:
-formatting and extraction run on the loop's thread as it takes each
-observation, so its transcript, cache hits and git process count stay
-those of the sequential loop. A `git_show` of the fix by its full id is
-rendered from the fix read and starts no git. A replay is a scripted run
-of a recorded transcript's steps, and it reproduces the recording when
-every line of its own transcript after the header is the recording's
-line.
+strictly in order. Two backends share one contract, so the same loop runs
+live against a chat-completions endpoint or deterministically from a
+scripted step list: `send` returns the steps of one model message, a run
+of tool calls (executed through the compression pipeline) or one final
+or malformed step. The loop starts the git work of a message's calls at
+once, up to the CPU count at a time, and the case's call cache holds each
+started call's future until the loop takes it. Those threads run git
+alone: formatting and extraction run on the loop's thread as it takes
+each observation, so its transcript, cache hits and git process count
+stay those of calls taken one at a time. A `git_show` of the fix by its
+full id is rendered from the fix read and starts no git. A replay is a
+scripted run of a recorded transcript's steps, and it reproduces the
+recording when every line of its own transcript after the header is the
+recording's line.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice, takewhile, zip_longest
+from itertools import islice, zip_longest
 
 from . import resolve
 from .caseprep import HEX_TOKEN_RE, CaseSpec, FixContext, assemble_initial_context, read_json_lines
@@ -164,12 +163,22 @@ class ScriptedBackend:
         self.steps = list(steps)
         self.index = 0
 
-    def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
-        if self.index < len(self.steps):
-            step = self.steps[self.index]
+    def send(self, conversation: list[dict], tool_specs: list[dict]) -> Iterator[ModelStep]:
+        """The next run of consecutive tool calls, or one other step; past the end, an empty answer.
+
+        `index` moves past a step as the loop reads it, so the rest of a run
+        that the turn budget cuts comes first in the next message.
+        """
+        steps = self.steps[self.index:]
+        if not steps:
+            yield final_step("")
+        for n, step in enumerate(steps):
+            if n and step.kind != "tool_call":
+                return
             self.index += 1
-            return step
-        return final_step("")
+            yield step
+            if step.kind != "tool_call":
+                return
 
 
 class LiveBackend:
@@ -191,7 +200,7 @@ class LiveBackend:
         if missing:
             raise BackendUnavailable(f"live backend not configured: missing {', '.join(missing)}")
 
-    def send(self, conversation: list[dict], tool_specs: list[dict]) -> ModelStep:
+    def send(self, conversation: list[dict], tool_specs: list[dict]) -> list[ModelStep]:
         # Imported here, not at module level: this is the only HTTP call, and
         # requests with what it loads (urllib3, http.client, email) would add
         # about 12 MB and 0.1 s to every offline command on Python 3.11.
@@ -217,23 +226,24 @@ class LiveBackend:
             usage = data.get("usage") or {}
             # A missing or null count is 0.
             tokens = {k: int(usage.get(k) or 0) for k in ("prompt_tokens", "completion_tokens")}
-            content = message.get("content") or ""  # a tool call's reasoning, or the answer
-            tool_calls = message.get("tool_calls") or []
-            if len(tool_calls) > 1:
-                return ModelStep(kind="malformed", raw="parallel tool calls", **tokens)
-            if tool_calls:
-                call = tool_calls[0].get("function", {})
+            content = message.get("content") or ""  # the calls' reasoning, or the answer
+            calls = []
+            for call in message.get("tool_calls") or []:
+                function = call.get("function", {})
                 try:
-                    tool = ToolName(call.get("name"))
-                    args = json.loads(call.get("arguments") or "{}")
+                    tool = ToolName(function.get("name"))
+                    args = json.loads(function.get("arguments") or "{}")
                     if not isinstance(args, dict):
                         raise ValueError("arguments must be an object")
                 except ValueError:  # the model's mistake: a malformed step it can correct
-                    return ModelStep(kind="malformed", raw=json.dumps(tool_calls[0]), **tokens)
-                return ModelStep(kind="tool_call", tool=tool, args=args, text=content, **tokens)
+                    return [ModelStep(kind="malformed", raw=json.dumps(call), **tokens)]
+                calls.append(ModelStep(kind="tool_call", tool=tool, args=args))
+            if calls:  # the message's text and usage go on its first call
+                calls[0] = replace(calls[0], text=content, **tokens)
+                return calls
             if not content.strip():
-                return ModelStep(kind="malformed", raw="(empty message)", **tokens)
-            return ModelStep(kind="final", text=content, **tokens)
+                return [ModelStep(kind="malformed", raw="(empty message)", **tokens)]
+            return [ModelStep(kind="final", text=content, **tokens)]
         except (LookupError, TypeError, AttributeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed endpoint response: {exc!r}") from exc
 
@@ -294,29 +304,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _start_calls(pool: ThreadPoolExecutor, backend, repo: RepoHandle, fc: FixContext,
-                 budget: int, cache: dict) -> deque:
-    """The bound (step, args) run of tool calls a scripted backend sends next, git work begun.
-
-    The loop takes a run of tool calls whole, up to its `budget` of tool
-    turns: a tool call neither ends the loop nor counts toward the
-    malformed-step limit. For each call whose key (`canonicalize_args`) the
-    case's `cache` holds no entry for, it stores there the future of the
-    call's `execute_raw`, git alone, and `execute_compressed` formats its
-    output when the loop takes the call: a repeat is a cache hit, or runs
-    fresh in the loop after an error, as the sequential loop runs it. Any
-    other backend makes no calls known in advance.
-    """
-    steps = backend.steps[backend.index:] if isinstance(backend, ScriptedBackend) else ()
-    calls = deque()
-    for step in islice(takewhile(lambda step: step.kind == "tool_call", steps), budget):
-        step, args = _bind(step, fc.fix_date)
-        if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in cache:
-            cache[key] = pool.submit(execute_raw, repo, args, fc)
-        calls.append((step, args))
-    return calls
-
-
 def run_investigation(
     case: CaseSpec,
     repo: RepoHandle,
@@ -336,16 +323,16 @@ def run_investigation(
     A backend failure, or a timeout while resolving the answer, ends the
     case with `transcript.error` set.
 
-    With a ScriptedBackend, the git work of each run of consecutive tool
-    calls starts when the loop reaches the run, before its first step is
-    sent, up to the CPU count at a time, for each call the case's cache
-    holds no entry for; the cache then holds the call's future. Those
-    threads run only `tools.execute_raw`; layers 2 and 3 run here, as the
-    loop takes each observation in turn, so the transcript, cache hits and
-    `repo.process_count` are those of a sequential run. A `git_show` of
-    the fix by its full id is `fc`'s rendering, with no git process. A
-    case that ends by an exception stops `repo`: its running git
-    processes are killed.
+    The loop reads at most the tool turns left from each message; calls
+    past the budget are not run, recorded or sent back. The git work of
+    each call the case's cache holds no entry for starts as the message
+    arrives, up to the CPU count at a time, and the cache then holds the
+    call's future. Those threads run only `tools.execute_raw`; layers 2
+    and 3 run here, as the loop takes each observation in turn, so the
+    transcript, cache hits and `repo.process_count` are those of calls
+    taken one at a time. A `git_show` of the fix by its full id is `fc`'s
+    rendering, with no git process. A case that ends by an exception stops
+    `repo`: its running git processes are killed.
     """
     ctx = assemble_initial_context(fc)
     cache: dict[ToolArgs, tuple[str, bool] | Future] = {}
@@ -356,45 +343,33 @@ def run_investigation(
     ]
     prediction: Prediction | None = None
     consecutive_malformed = 0
-    calls = deque()
 
     pool = ThreadPoolExecutor(max_workers=_cpu_count())
     try:
         while transcript.tool_turns < max_turns:
-            if not calls:
-                calls = _start_calls(pool, backend, repo, fc, max_turns - transcript.tool_turns, cache)
-            step = backend.send(conversation, ctx.tool_specs)
+            steps = list(islice(backend.send(conversation, ctx.tool_specs),
+                                max_turns - transcript.tool_turns))
+            step = steps[0]
             if step.kind == "tool_call":
                 consecutive_malformed = 0
-                # A scripted run's calls were bound, and their git work begun, at their run's start.
-                step, args = calls.popleft() if calls else _bind(step, fc.fix_date)
-                if isinstance(args, SchemaError):
-                    observation = Observation(
-                        f"Error (schema): {args}", truncated=False, cache_hit=False
-                    )
-                else:
-                    observation = execute_compressed(repo, args, fc, cache, tau)
-                call_id = f"call_{transcript.total_turns + 1}"
-                conversation.append(
-                    {
-                        "role": "assistant",
-                        "content": step.text or None,
-                        "tool_calls": [
-                            {
-                                "id": call_id,
-                                "type": "function",
-                                "function": {
-                                    "name": step.tool.value,
-                                    "arguments": json.dumps(step.args, sort_keys=True),
-                                },
-                            }
-                        ],
-                    }
-                )
-                conversation.append(
-                    {"role": "tool", "tool_call_id": call_id, "content": observation.text}
-                )
-                transcript.add(step, observation)
+                calls = [(f"call_{transcript.total_turns + n}", *_bind(call, fc.fix_date))
+                         for n, call in enumerate(steps, start=1)]
+                for _, _, args in calls:
+                    if not isinstance(args, SchemaError) and (key := canonicalize_args(args)) not in cache:
+                        cache[key] = pool.submit(execute_raw, repo, args, fc)
+                conversation.append({"role": "assistant", "content": step.text or None, "tool_calls": [
+                    {"id": call_id, "type": "function", "function": {
+                        "name": call.tool.value, "arguments": json.dumps(call.args, sort_keys=True)}}
+                    for call_id, call, _ in calls]})
+                for call_id, step, args in calls:
+                    if isinstance(args, SchemaError):
+                        observation = Observation(f"Error (schema): {args}", truncated=False,
+                                                  cache_hit=False)
+                    else:
+                        observation = execute_compressed(repo, args, fc, cache, tau)
+                    conversation.append(
+                        {"role": "tool", "tool_call_id": call_id, "content": observation.text})
+                    transcript.add(step, observation)
             elif step.kind == "final":
                 conversation.append({"role": "assistant", "content": step.text})
                 transcript.add(step, None)
@@ -410,14 +385,14 @@ def run_investigation(
         # Only a spent budget ends the loop without a break.
         if transcript.tool_turns >= max_turns:
             conversation.append({"role": "user", "content": FORCED_ANSWER_MESSAGE})
-            step = backend.send(conversation, [])
+            step = next(iter(backend.send(conversation, [])))
             transcript.add(step, None)
             if step.kind == "final":
                 prediction = _finalize(repo, fc.fix_date, step.text)
     except (BackendUnavailable, GitTimeout) as exc:
         transcript.error = str(exc)
     except BaseException:
-        repo.stop()  # kills the git work started ahead of the loop
+        repo.stop()  # kills the git work started ahead of its observation
         raise
     finally:
         pool.shutdown(cancel_futures=True)

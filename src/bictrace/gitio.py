@@ -94,7 +94,7 @@ class RepoHandle:
 
     Construction starts no process: a path that is not a repository is
     reported by the first git call (RepoUnavailable). Threads may run git
-    through one handle at once, as a scripted run's look-ahead does. Its
+    through one handle at once, as the calls of one model message do. Its
     mutable state, guarded by one lock, is the spawn counter (for cost
     accounting and cache tests) and the set of running git processes,
     which `stop` kills.

@@ -6,10 +6,13 @@ import re
 import subprocess
 import threading
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
 import requests
+
+from chat_stub import ChatStub, call, reply
 
 from bictrace.agent import (
     TRANSCRIPT_SCHEMA,
@@ -224,13 +227,13 @@ class TestLoop:
 
 
 class NotScripted:
-    """The same steps from a backend the loop cannot read ahead: the sequential loop."""
+    """The same steps, one per message: the sequential loop."""
 
     def __init__(self, steps):
         self.scripted = ScriptedBackend(steps)
 
     def send(self, conversation, tool_specs):
-        return self.scripted.send(conversation, tool_specs)
+        return islice(self.scripted.send(conversation, tool_specs), 1)
 
 
 MALFORMED = ModelStep(kind="malformed", raw="???")
@@ -362,6 +365,8 @@ class TestLookAhead:
         assert threads == [threading.main_thread()] * 3
 
     def test_early_exit_neither_leaks_nor_waits(self, cross_file_repo, monkeypatch):
+        from bictrace import compress
+
         rb, info = cross_file_repo
         case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
         repo, fc = open_case(rb.path, info["fix"])
@@ -375,12 +380,12 @@ class TestLookAhead:
             if slow:
                 slow_started.set()
 
-        class Interrupted(ScriptedBackend):
-            def send(self, conversation, tool_specs):
-                assert slow_started.wait(10)
-                raise KeyboardInterrupt
+        def interrupted(raw):  # the first observation's formatting, once the slow grep runs
+            assert slow_started.wait(10)
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(subprocess.Popen, "__init__", init)
+        monkeypatch.setitem(compress._FORMATTERS, ToolName.SHOW, interrupted)
         steps = [
             tool_step(ToolName.SHOW, commit=info["bic"]),
             tool_step(ToolName.GREP, search_string="slow"),
@@ -389,7 +394,7 @@ class TestLookAhead:
         threads = threading.active_count()
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            run_investigation(case, repo, fc, Interrupted(steps))
+            run_investigation(case, repo, fc, ScriptedBackend(steps))
         assert time.monotonic() - start < 1.5
         assert threading.active_count() == threads
         assert len(procs) == 2 and all(proc.returncode is not None for proc in procs)
@@ -483,7 +488,7 @@ class TestLiveBackend:
 
         monkeypatch.setattr(requests, "post", fake_post)
         backend = live_backend()
-        step = backend.send([{"role": "user", "content": "go"}], tool_schemas())
+        [step] = backend.send([{"role": "user", "content": "go"}], tool_schemas())
         assert step.kind == "tool_call"
         assert step.tool is ToolName.BLAME
         assert step.args == {"file_path": "a.c"}
@@ -495,17 +500,22 @@ class TestLiveBackend:
             "git_show", "git_blame", "git_log_s", "git_log_func", "git_grep"
         }
 
-    def test_parallel_tool_calls_rejected(self, monkeypatch):
-        call = {
-            "id": "x", "type": "function",
-            "function": {"name": "git_grep", "arguments": "{}"},
-        }
-        monkeypatch.setattr(
-            requests, "post",
-            lambda *a, **k: FakeResponse({"choices": [{"message": {"tool_calls": [call, call]}}]}),
-        )
-        step = live_backend().send([], [])
-        assert step.kind == "malformed"
+    def test_every_tool_call_of_a_message_is_a_step(self, monkeypatch):
+        grep, show, bad = call("git_grep", search_string="a"), call("git_show", commit="HEAD"), call("git_push")
+        message = {"content": "Two reads.", "tool_calls": [grep, show]}
+        body = {"choices": [{"message": message}], "usage": {"prompt_tokens": 5, "completion_tokens": 2}}
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
+        steps = live_backend().send([], [])
+        # The message's text and usage go on its first call, so token sums stay exact.
+        assert [(s.kind, s.tool, s.args, s.text, s.prompt_tokens, s.completion_tokens)
+                for s in steps] == [
+            ("tool_call", ToolName.GREP, {"search_string": "a"}, "Two reads.", 5, 2),
+            ("tool_call", ToolName.SHOW, {"commit": "HEAD"}, "", 0, 0),
+        ]
+        # One call the model cannot make is the whole message's mistake.
+        message["tool_calls"] = [grep, bad, show]
+        [step] = live_backend().send([], [])
+        assert (step.kind, step.raw, step.prompt_tokens) == ("malformed", json.dumps(bad), 5)
 
     REASONED_CALL = {
         "content": "Blame the removed line first.",
@@ -516,7 +526,7 @@ class TestLiveBackend:
     def test_a_tool_call_keeps_its_reasoning(self, monkeypatch):
         body = {"choices": [{"message": self.REASONED_CALL}]}
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
-        step = live_backend().send([], [])
+        [step] = live_backend().send([], [])
         assert (step.kind, step.tool, step.text) == (
             "tool_call", ToolName.BLAME, "Blame the removed line first."
         )
@@ -546,7 +556,7 @@ class TestLiveBackend:
                 {"choices": [{"message": {"content": "BIC: abc1234def\nConfidence: low"}}]}
             ),
         )
-        step = live_backend().send([], [])
+        [step] = live_backend().send([], [])
         assert step.kind == "final"
         assert "abc1234def" in step.text
 
@@ -565,7 +575,7 @@ class TestLiveBackend:
         body = {"choices": [{"message": {"content": "BIC: abc1234def"}}],
                 "usage": {"prompt_tokens": None}}
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
-        step = live_backend().send([], [])
+        [step] = live_backend().send([], [])
         assert (step.kind, step.prompt_tokens, step.completion_tokens) == ("final", 0, 0)
 
     def test_http_error_raises_backend_unavailable(self, monkeypatch):
@@ -584,7 +594,7 @@ class TestLiveBackend:
             requests, "post",
             lambda *a, **k: FakeResponse({"choices": [{"message": {"tool_calls": [call]}}]}),
         )
-        step = live_backend().send([], [])
+        [step] = live_backend().send([], [])
         assert step.kind == "malformed"
 
     @pytest.mark.parametrize("message, raw", [
@@ -596,8 +606,63 @@ class TestLiveBackend:
     def test_non_object_arguments_and_empty_content_are_malformed(self, monkeypatch, message, raw):
         body = {"choices": [{"message": message}], "usage": {"prompt_tokens": 3}}
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
-        step = live_backend().send([], [])
+        [step] = live_backend().send([], [])
         assert (step.kind, step.raw, step.prompt_tokens) == ("malformed", raw, 3)
+
+
+class TestMessageOfToolCalls:
+    """A live message with several tool calls, served from a chat-completions endpoint on loopback."""
+
+    def two_calls(self, info):
+        return [
+            reply("Blame, then read the refactor.", [call("git_blame", file_path="driver/hotplug.c"),
+                                                     call("git_show", commit=info["refactor"])],
+                  usage=(40, 4)),
+            reply(f"BIC: {info['bic']}", usage=(90, 3)),
+        ]
+
+    def test_two_calls_give_two_observations_in_order(self, cross_file_repo):
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc = open_case(rb.path, info["fix"])
+        with ChatStub(self.two_calls(info)) as stub:
+            prediction, transcript = run_investigation(case, repo, fc, LiveBackend(stub.url, "m", "k"))
+        assert prediction.resolved_id == info["bic"]
+        assert (transcript.tool_turns, transcript.total_turns, transcript.total_tokens) == (2, 3, 137)
+        cache = {}
+        expected = [execute_compressed(repo, enforce_search_bound(parse_args(tool, args), fc.fix_date),
+                                       fc, cache).text
+                    for tool, args in [(ToolName.BLAME, {"file_path": "driver/hotplug.c"}),
+                                       (ToolName.SHOW, {"commit": info["refactor"]})]]
+        assert [turn["observation"].text for turn in transcript.turns[:2]] == expected
+        # One assistant message carries both calls, and one tool message answers each id in turn.
+        _, request = stub.requests[1]
+        assistant, *answers = request["messages"][2:]
+        assert assistant["content"] == "Blame, then read the refactor."
+        ids = [c["id"] for c in assistant["tool_calls"]]
+        assert [c["function"]["name"] for c in assistant["tool_calls"]] == ["git_blame", "git_show"]
+        assert len(set(ids)) == 2
+        assert [(m["role"], m["tool_call_id"], m["content"]) for m in answers] == [
+            ("tool", call_id, text) for call_id, text in zip(ids, expected)]
+
+    def test_both_calls_start_their_git_before_the_first_observation(self, cross_file_repo,
+                                                                      monkeypatch):
+        from bictrace import agent
+
+        rb, info = cross_file_repo
+        case = CaseSpec(repo_path=rb.path, fix_commit=info["fix"], dataset_tag="t")
+        repo, fc = open_case(rb.path, info["fix"])
+        barrier, execute_raw = threading.Barrier(2, timeout=10), agent.execute_raw
+
+        def meet(*args):  # each call's git work waits until the other's has started too
+            barrier.wait()
+            return execute_raw(*args)
+
+        monkeypatch.setattr(agent, "execute_raw", meet)
+        monkeypatch.setattr(agent, "_cpu_count", lambda: 2)
+        with ChatStub(self.two_calls(info)) as stub:
+            prediction, transcript = run_investigation(case, repo, fc, LiveBackend(stub.url, "m", "k"))
+        assert prediction.resolved_id == info["bic"] and transcript.tool_turns == 2
 
 
 class TestRecordReplay:

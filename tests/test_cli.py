@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from chat_stub import DROP, ChatStub, Delay, Status, call, reply
 from oracle import AttributionOracle
 from repo_helpers import RepoBuilder, object_set_digest
 
-from bictrace import cli, compress, evaluate, gitio, szz
+from bictrace import agent, cli, compress, evaluate, gitio, szz
 from bictrace.agent import TRANSCRIPT_SCHEMA, BackendUnavailable
+from bictrace.caseprep import CaseSpec
 from bictrace.cli import build_parser, build_run_config, main, make_backend
 from bictrace.evaluate import read_results
 
@@ -438,6 +440,116 @@ class TestLiveSettings:
             self.live_backend(monkeypatch, "--endpoint-url", "")
 
 
+class TestLiveEndpoint:
+    """`--backend live` end to end against a chat-completions endpoint on loopback."""
+
+    @pytest.fixture
+    def endpoint(self, monkeypatch):
+        def serve(replies):
+            stub = ChatStub(replies)
+            monkeypatch.setenv("BICTRACE_ENDPOINT", stub.url)
+            monkeypatch.setenv("BICTRACE_API_KEY", "sk-stub")
+            monkeypatch.setenv("BICTRACE_MODEL", "stub-model")
+            return stub
+
+        return serve
+
+    @staticmethod
+    def read_records(path):
+        return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+    def test_record_live_then_replay(self, cross_file_repo, tmp_path, capsys, endpoint):
+        rb, info = cross_file_repo
+        runs = str(tmp_path / "runs")
+        with endpoint([
+            reply("Blame the guarded line.", [call("git_blame", file_path="driver/hotplug.c")],
+                  usage=(100, 10)),
+            reply(None, [call("git_show", commit=info["refactor"][:12])], usage=(200, 10)),
+            reply(f"BIC: {info['bic']}\nConfidence: high\nReasoning: r", usage=(300, 20)),
+        ]) as stub:
+            assert main(["investigate", "--repo", rb.path, "--fix", info["fix"], "--backend", "live",
+                         "--run-dir", runs, "--run-id", "live"]) == 0
+        out = capsys.readouterr().out
+        assert "status: resolved" in out and info["bic"] in out
+        transcript = out.split("transcript: ")[1].strip()
+        records = self.read_records(transcript)
+        assert records[-1]["total_tokens"] == 640 and records[-1]["error"] is None
+        observations = [r["text"] for r in records if r.get("event") == "observation"]
+        # Each request carries the model's messages and the observations before it.
+        assert len(stub.requests) == 3
+        for headers, body in stub.requests:
+            assert headers["Authorization"] == "Bearer sk-stub" and body["model"] == "stub-model"
+            assert len(body["tools"]) == 5
+        for n, (_, body) in enumerate(stub.requests):
+            assert [m["content"] for m in body["messages"] if m["role"] == "tool"] == observations[:n]
+        assert stub.requests[1][1]["messages"][2]["content"] == "Blame the guarded line."
+        assert main(["replay", "--transcript", transcript, "--run-dir", runs, "--run-id", "rep"]) == 0
+        ds = write_dataset(tmp_path / "ds.jsonl", [{"repo": rb.path, "fix_commit": info["fix"],
+                                                    "bics": [info["bic"]], "case_id": "x"}])
+        with endpoint([reply(f"BIC: {info['bic']}")]):
+            assert main(["batch", "--dataset", ds, "--backend", "live",
+                         "--run-dir", runs, "--run-id", "batch"]) == 0
+        (result,) = read_results(os.path.join(runs, "batch", "results.jsonl"))[1]
+        assert (result.predicted, result.error) == ([info["bic"]], None)
+
+    def test_calls_past_the_budget_are_dropped(self, cross_file_repo, tmp_path, capsys, endpoint,
+                                               monkeypatch):
+        rb, info = cross_file_repo
+        runs = str(tmp_path / "runs")
+        spawned, spawn = [], gitio._spawn
+        monkeypatch.setattr(gitio, "_spawn", lambda root, args, timeout: (
+            spawned.append(args[0]) or spawn(root, args, timeout)))
+        with endpoint([
+            reply("Three reads.", [call("git_grep", search_string="dispatch"),
+                                   call("git_show", commit=info["bic"]),
+                                   call("git_blame", file_path="driver/hotplug.c")]),
+            reply(f"BIC: {info['bic']}"),
+        ]) as stub:
+            assert main(["investigate", "--repo", rb.path, "--fix", info["fix"], "--backend", "live",
+                         "--max-turns", "2", "--run-dir", runs, "--run-id", "live"]) == 0
+        transcript = capsys.readouterr().out.split("transcript: ")[1].strip()
+        # The third call never ran, and neither the transcript nor the next request holds it.
+        assert "blame" not in spawned
+        records = self.read_records(transcript)
+        assert [(r["event"], r.get("step", {}).get("tool")) for r in records[1:]] == [
+            ("model_step", "git_grep"), ("observation", None),
+            ("model_step", "git_show"), ("observation", None),
+            ("model_step", None), ("result", None)]
+        assert records[-1]["prediction"]["resolved_id"] == info["bic"]
+        _, forced = stub.requests[1]
+        assert "tools" not in forced
+        assistant, *tools, last = forced["messages"][2:]
+        assert [c["function"]["name"] for c in assistant["tool_calls"]] == ["git_grep", "git_show"]
+        assert [m["tool_call_id"] for m in tools] == [c["id"] for c in assistant["tool_calls"]]
+        assert last == {"role": "user", "content": agent.FORCED_ANSWER_MESSAGE}
+        assert main(["replay", "--transcript", transcript, "--max-turns", "2",
+                     "--run-dir", runs, "--run-id", "rep"]) == 0
+
+    @pytest.mark.parametrize("failure, error", [
+        (Status(429, {"Retry-After": "1"}, "slow down"), "429 Client Error: Too Many Requests"),
+        (Status(503, body="overloaded"), "503 Server Error: Service Unavailable"),
+        (Delay(5, reply("BIC: 0000000")), "Read timed out. (read timeout=0.2)"),
+        (DROP, "Remote end closed connection without response"),
+    ], ids=["429", "503", "read timeout", "dropped connection"])
+    def test_endpoint_failure_is_the_case_error(self, linear_repo, tmp_path, capsys, endpoint,
+                                                monkeypatch, failure, error):
+        rb, shas = linear_repo
+        monkeypatch.setattr(agent, "ENDPOINT_TIMEOUT", 0.2)
+        ds = write_dataset(tmp_path / "ds.jsonl",
+                           [{"repo": rb.path, "fix_commit": shas[2], "bics": [shas[1]], "case_id": "x"}])
+        runs = tmp_path / "runs"
+        with endpoint([reply(None, [call("git_show", commit=shas[1])]), failure]) as stub:
+            assert main(["batch", "--dataset", ds, "--backend", "live",
+                         "--run-dir", str(runs), "--run-id", "b"]) == 0
+        assert len(stub.requests) == 2
+        (result,) = read_results(str(runs / "b" / "results.jsonl"))[1]
+        assert result.error.startswith("model endpoint failure: ") and error in result.error
+        assert result.predicted == []
+        records = self.read_records(runs / "b" / "transcripts" / "x.jsonl")
+        assert records[-1]["error"] == result.error and records[-1]["tool_turns"] == 1
+        assert "1 case(s) failed infrastructure-wise" in capsys.readouterr().err
+
+
 class TestBatchCmd:
     def test_missing_clone_is_a_case_error(self, linear_repo, tmp_path):
         rb, shas = linear_repo
@@ -505,6 +617,36 @@ class TestBatchCmd:
             evaluate.append_result(rewritten, result)
         assert out.read_bytes() == Path(rewritten).read_bytes()
         capsys.readouterr()
+
+    def test_a_clone_opened_after_the_run_died_is_stopped(self, linear_repo, tmp_path, monkeypatch):
+        rb, shas = linear_repo
+        cases = [CaseSpec(repo_path=path, fix_commit=shas[2], case_id=path) for path in ("a", "late")]
+        started, reraised, opened = threading.Event(), threading.Event(), threading.Event()
+        stopped = []
+
+        def materialize(repo_field, repos_dir):  # the late case opens its clone once the run died
+            if repo_field == "late":
+                started.set()
+                assert reraised.wait(10)
+            return rb.path
+
+        def run_case(case, repo):
+            if case.case_id == "a":  # Ctrl-C, once the late case has left the queue
+                assert started.wait(10)
+                raise KeyboardInterrupt
+            try:
+                gitio.run_git(repo, ["show", "-s", shas[2]])
+            except gitio.GitStopped as exc:
+                stopped.append(exc)
+            finally:
+                opened.set()
+
+        monkeypatch.setattr(cli, "_materialize_repo", materialize)
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_dataset(cases, None, str(tmp_path / "out.jsonl"), "m", run_case, workers=2)
+        reraised.set()
+        assert opened.wait(10)
+        assert [str(exc) for exc in stopped] == [f"git work on {rb.path} was stopped"]
 
     def test_case_ids_that_share_a_file_name_are_refused(self, linear_repo, tmp_path, capsys,
                                                          monkeypatch):

@@ -3,18 +3,21 @@
 Raw tool output passes through three layers before the agent sees it:
 a call-level cache (layer 1), which also holds the git work a caller
 started ahead of the call, tool-specific reformatting with line caps
-(layer 2), and, above a character threshold, a structural extractor that
-keeps hashes, change markers and counts while dropping bulk (layer 3).
-A final character clamp guarantees the size bound even for adversarially
-long lines.
+(layer 2), and, above a character threshold, a structural extraction
+that keeps hashes, change markers and counts while dropping bulk (layer
+3). Layer 3 picks from what layer 2 parsed, never from its text. A final
+character clamp guarantees the size bound even for adversarially long
+lines.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 
 from . import tools as tk
 from .caseprep import FixContext, strip_trailers
@@ -90,54 +93,73 @@ LINE_CAPS = {  # lines each tool's formatted output keeps
 }
 
 
-def format_show(raw: str) -> tuple[str, bool]:
+# Layer 3's extraction of what a formatter parsed: the text and whether it elided.
+Extraction = Callable[[], tuple[str, bool]]
+
+
+def format_show(raw: str) -> tuple[str, bool, Extraction]:
     lines = split_lines(raw)
     diff_start = next(
         (i for i, ln in enumerate(lines) if ln.startswith("diff --git")), len(lines)
     )
-    head = split_lines(strip_trailers("\n".join(lines[:diff_start])))
-    return _cap_lines(head + lines[diff_start:], LINE_CAPS[ToolName.SHOW])
+    lines = split_lines(strip_trailers("\n".join(lines[:diff_start]))) + lines[diff_start:]
+    cap = LINE_CAPS[ToolName.SHOW]
+    return *_cap_lines(lines, cap), partial(extract_show, lines[:cap])
 
 
-def format_blame(raw: str) -> tuple[str, bool]:
+def _l_line(rec: dict) -> str:
+    return f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}"
+
+
+def _legend(shown: list[dict]) -> dict[str, list]:
+    """Short id -> [lines it blames, "<date> <summary>"] of each commit in `shown`, first seen first."""
+    legend: dict[str, list] = {}
+    for rec in shown:
+        entry = legend.get(rec["commit"][:12])
+        if entry:
+            entry[0] += 1
+        else:
+            when = datetime.fromtimestamp(int(rec.get("committer-time", "0")), tz=timezone.utc)
+            legend[rec["commit"][:12]] = [1, f"{when:%Y-%m-%d} {rec.get('summary', '')}"]
+    return legend
+
+
+def format_blame(raw: str) -> tuple[str, bool, Extraction]:
     """`L{n}: {hash} | {code}` lines plus a commit legend.
 
     Every record is checked, but only those within the line cap are built
     and rendered; the rest count towards the truncation notice.
     """
-    if not raw or raw.isspace():  # unlike raw.strip(), copies nothing
-        return "", False
     cap = LINE_CAPS[ToolName.BLAME]
-    shown, total = tk.blame_records(raw, cap)
-    body = [f"L{rec['final_line']}: {rec['commit'][:12]} | {rec['content']}" for rec in shown]
+    blank = not raw or raw.isspace()  # unlike raw.strip(), copies nothing
+    shown, total = ([], 0) if blank else tk.blame_records(raw, cap)
+    body = [_l_line(rec) for rec in shown]
     truncated = total > cap
     if truncated:
         body.append(_truncation_notice(cap, total))
-    legend, seen = [], set()
-    for rec in shown:
-        short = rec["commit"][:12]
-        if short not in seen:
-            seen.add(short)
-            when = datetime.fromtimestamp(
-                int(rec.get("committer-time", "0")), tz=timezone.utc
-            ).strftime("%Y-%m-%d")
-            legend.append(f"{short} {when} {rec.get('summary', '')}".rstrip())
     text = "\n".join(body)
-    if legend:
+    if shown:
+        legend = [f"{short} {about}".rstrip() for short, (_, about) in _legend(shown).items()]
         text += "\nCommits:\n" + "\n".join(legend)
-    return text, truncated
+    return text, truncated, partial(extract_blame, shown)
 
 
-def format_log_s(raw: str) -> tuple[str, bool]:
-    return _cap_lines(split_lines(raw), LINE_CAPS[ToolName.LOG_S])
+def format_log_s(raw: str) -> tuple[str, bool, Extraction]:
+    lines = split_lines(raw)
+    cap = LINE_CAPS[ToolName.LOG_S]
+    return *_cap_lines(lines, cap), partial(extract_log, lines[:cap])
 
 
-def format_log_func(raw: str) -> tuple[str, bool]:
-    return _cap_lines(split_lines(strip_trailers(raw)), LINE_CAPS[ToolName.LOG_FUNC])
+def format_log_func(raw: str) -> tuple[str, bool, Extraction]:
+    lines = split_lines(strip_trailers(raw))
+    cap = LINE_CAPS[ToolName.LOG_FUNC]
+    return *_cap_lines(lines, cap), partial(extract_log, lines[:cap])
 
 
-def format_grep(raw: str) -> tuple[str, bool]:
-    return _cap_lines(split_lines(raw), LINE_CAPS[ToolName.GREP])
+def format_grep(raw: str) -> tuple[str, bool, Extraction]:
+    lines = split_lines(raw)
+    cap = LINE_CAPS[ToolName.GREP]
+    return *_cap_lines(lines, cap), partial(extract_grep, lines[:cap])
 
 
 # -- Layer 3: structured extraction ------------------------------------------
@@ -166,9 +188,9 @@ _DIFF_KEEP_PREFIXES = (
 )
 
 
-def extract_show(formatted: str) -> tuple[str, bool]:
+def extract_show(lines: list[str]) -> tuple[str, bool]:
     kept, in_diff = [], False
-    for ln in split_lines(formatted):
+    for ln in lines:
         if ln.startswith("diff --git"):
             in_diff = True
         if not in_diff or ln.startswith(_DIFF_KEEP_PREFIXES):
@@ -177,28 +199,11 @@ def extract_show(formatted: str) -> tuple[str, bool]:
     return "\n".join(body), elided
 
 
-_L_LINE_RE = re.compile(r"^L\d+: ([0-9a-f]{6,40}) \| ")
-_LEGEND_RE = re.compile(r"^([0-9a-f]{6,40}) (\d{4}-\d{2}-\d{2})(?: (.*))?$")
-
-
-def extract_blame(formatted: str) -> tuple[str, bool]:
-    l_lines, legend = [], {}
-    for ln in split_lines(formatted):
-        if _L_LINE_RE.match(ln):
-            l_lines.append(ln)
-        else:
-            m = _LEGEND_RE.match(ln)
-            if m:
-                legend[m.group(1)] = (m.group(2), m.group(3) or "")
-    counts: dict[str, int] = {}
-    for ln in l_lines:
-        short = _L_LINE_RE.match(ln).group(1)
-        counts[short] = counts.get(short, 0) + 1
-    summary = [f"Commits in blame ({len(counts)} distinct):"]
-    for short, n in counts.items():
-        when, subject = legend.get(short, ("", ""))
-        summary.append(f"  {short} ({n} lines) {when} {subject}".rstrip())
-    body, elided = _head_tail(l_lines, BLAME_KEEP)
+def extract_blame(shown: list[dict]) -> tuple[str, bool]:
+    legend = _legend(shown)
+    summary = [f"Commits in blame ({len(legend)} distinct):"]
+    summary += [f"  {short} ({n} lines) {about}".rstrip() for short, (n, about) in legend.items()]
+    body, elided = _head_tail([_l_line(rec) for rec in shown], BLAME_KEEP)
     return "\n".join(summary + body), elided
 
 
@@ -219,10 +224,10 @@ def _split_entries(lines: list[str]) -> list[list[str]]:
     return blocks
 
 
-def extract_log(formatted: str) -> tuple[str, bool]:
-    entries = _split_entries(split_lines(formatted))
+def extract_log(lines: list[str]) -> tuple[str, bool]:
+    entries = _split_entries(lines)
     if len(entries) <= LOG_KEEP:
-        return formatted, False
+        return "\n".join(lines), False
     kept = entries[:LOG_KEEP]
     omitted = len(entries) - LOG_KEEP
     out = [ln for block in kept for ln in block]
@@ -233,10 +238,10 @@ def extract_log(formatted: str) -> tuple[str, bool]:
     return "\n".join(out), True
 
 
-def extract_grep(formatted: str) -> tuple[str, bool]:
+def extract_grep(lines: list[str]) -> tuple[str, bool]:
     matches = []  # (file, line_text)
-    for ln in split_lines(formatted):
-        if not ln.strip() or ln.startswith(_NOTICE_PREFIX):
+    for ln in lines:
+        if not ln.strip():
             continue
         parts = ln.split(":")
         if len(parts) >= 4 and parts[2].isdigit():
@@ -273,23 +278,13 @@ _FORMATTERS = {
 }
 
 
-_EXTRACTORS = {
-    ToolName.SHOW: extract_show,
-    ToolName.BLAME: extract_blame,
-    ToolName.LOG_S: extract_log,
-    ToolName.LOG_FUNC: extract_log,
-    ToolName.GREP: extract_grep,
-}
-
-
 _GENERIC_NOTICE = "[output truncated; retry with narrower parameters to see more]"
 
 
-def compress_formatted(tool: ToolName, formatted: str, truncated: bool, tau: int) -> tuple[str, bool]:
-    """Layer 3 plus the final size clamp, applied to layer-2 output."""
-    text = formatted
+def compress_formatted(text: str, truncated: bool, extract: Extraction, tau: int) -> tuple[str, bool]:
+    """Layer 3 plus the final size clamp, applied to a formatter's text, flag and extraction."""
     if len(text) > tau:
-        text, elided = _EXTRACTORS[tool](text)
+        text, elided = extract()
         truncated = truncated or elided
     if len(text) > tau:
         text = text[:tau] + "\n" + _CLAMP_NOTICE
@@ -331,12 +326,12 @@ def execute_compressed(
         text = TIMEOUT_HINT if isinstance(exc, GitTimeout) else f"Error ({exc.kind}): {exc}"
         return Observation(text, truncated=False, cache_hit=False)
     try:
-        formatted, truncated = _FORMATTERS[args.tool](raw)
+        formatted = _FORMATTERS[args.tool](raw)
     except tk.MalformedPorcelain as exc:
         # Cached like any output git produced: a repeat is a hit.
         text, truncated = f"Error (malformed_output): {exc}", False
     else:
-        text, truncated = compress_formatted(args.tool, formatted, truncated, tau)
+        text, truncated = compress_formatted(*formatted, tau)
         if not text.strip():
             text = "(no output)"
     cache[key] = (text, truncated)

@@ -109,8 +109,7 @@ def test_c02_compression_constants_and_bounds():
         rng = random.Random(0xACC0 + hash(tool.value) % 1000)
         for trial in range(200):
             raw = synth_raw(tool, rng)
-            formatted, truncated = _FORMATTERS[tool](raw)
-            text, truncated = compress_formatted(tool, formatted, truncated, TAU)
+            text, truncated = compress_formatted(*_FORMATTERS[tool](raw), TAU)
             assert len(text) <= TAU + MAX_OBS_OVERHEAD, (tool.value, trial)
             raw_tokens = set(HEX_TOKEN_RE.findall(raw))
             for token in HEX_TOKEN_RE.findall(text):

@@ -21,11 +21,11 @@ from bictrace.compress import (
     canonicalize_args,
     compress_formatted,
     execute_compressed,
-    extract_blame,
     extract_grep,
     extract_log,
     extract_show,
     format_blame,
+    format_show,
     split_lines,
 )
 from bictrace.gitio import RepoHandle
@@ -152,7 +152,7 @@ class TestFormatBlame:
         rng = random.Random(7)
         sha_a, sha_b = random_hash(rng), random_hash(rng)
         raw = make_porcelain([(sha_a, 1, "one"), (sha_b, 2, "two"), (sha_a, 3, "three")])
-        text, truncated = format_blame(raw)
+        text, truncated, _ = format_blame(raw)
         lines = text.splitlines()
         assert lines[0] == f"L1: {sha_a[:12]} | one"
         assert lines[1] == f"L2: {sha_b[:12]} | two"
@@ -165,14 +165,14 @@ class TestFormatBlame:
         assert not truncated
 
     def test_empty_input(self):
-        text, truncated = format_blame("")
+        text, truncated, _ = format_blame("")
         assert text == "" and not truncated
 
     def test_cap_and_notice(self):
         rng = random.Random(8)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"line {i}") for i in range(1, 501)])
-        text, truncated = format_blame(raw)
+        text, truncated, _ = format_blame(raw)
         l_lines = [ln for ln in text.splitlines() if ln.startswith("L")]
         assert truncated
         assert len(l_lines) == compress.LINE_CAPS[ToolName.BLAME]
@@ -184,7 +184,7 @@ class TestFormatBlame:
         records = [(sha_a, 1, "first")] + [(sha_b, i, f"line {i}") for i in range(2, 251)]
         raw = make_short_porcelain(records)
         assert raw.count(f"summary subject for {sha_b[:8]}") == 1
-        text, truncated = format_blame(raw)
+        text, truncated, _ = format_blame(raw)
         lines = text.splitlines()
         legend = lines[lines.index("Commits:") + 1 :]
         assert legend == [
@@ -193,7 +193,7 @@ class TestFormatBlame:
         ]
         assert truncated
         assert "showing 200 of 250 lines" in text
-        assert (text, truncated) == format_blame(make_porcelain(records))
+        assert (text, truncated) == format_blame(make_porcelain(records))[:2]
 
     def test_malformed_record_past_cap_rejected(self):
         rng = random.Random(13)
@@ -261,6 +261,32 @@ def reference_format_blame(raw, cap):
     return text, truncated
 
 
+# Layer 3 before it read what layer 2 parsed: it parsed layer 2's text back.
+_REF_L_LINE_RE = re.compile(r"^L\d+: ([0-9a-f]{6,40}) \| ")
+_REF_LEGEND_RE = re.compile(r"^([0-9a-f]{6,40}) (\d{4}-\d{2}-\d{2})(?: (.*))?$")
+
+
+def reference_extract_blame(formatted):
+    l_lines, legend = [], {}
+    for ln in split_lines(formatted):
+        if _REF_L_LINE_RE.match(ln):
+            l_lines.append(ln)
+        else:
+            m = _REF_LEGEND_RE.match(ln)
+            if m:
+                legend[m.group(1)] = (m.group(2), m.group(3) or "")
+    counts = {}
+    for ln in l_lines:
+        short = _REF_L_LINE_RE.match(ln).group(1)
+        counts[short] = counts.get(short, 0) + 1
+    summary = [f"Commits in blame ({len(counts)} distinct):"]
+    for short, n in counts.items():
+        when, subject = legend.get(short, ("", ""))
+        summary.append(f"  {short} ({n} lines) {when} {subject}".rstrip())
+    body, elided = compress._head_tail(l_lines, compress.BLAME_KEEP)
+    return "\n".join(summary + body), elided
+
+
 # Content characters include tabs, form feeds, carriage returns and the other
 # characters str.splitlines() breaks at; none of them ends a porcelain line.
 _CONTENT_CHARS = "ab \t\x0c\r\x0b\x1c\x85 é-"
@@ -309,12 +335,18 @@ def outcome(fn, *args):
 
 
 class TestFormatBlameMatchesFullParse:
-    """The formatter builds only the records it shows, with the old output."""
+    """The formatter builds only the records it shows, with the old output.
+
+    Its extraction gives what layer 3 gave when it parsed the text back.
+    """
 
     def check(self, raw, cap):
         expected = outcome(reference_format_blame, raw, cap)
         with mock.patch.dict(compress.LINE_CAPS, {ToolName.BLAME: cap}):
-            assert outcome(format_blame, raw) == expected
+            got = outcome(format_blame, raw)
+        assert got[:2] == expected
+        if callable(got[-1]):
+            assert got[2]() == reference_extract_blame(got[0])
         assert outcome(lambda r: tools.blame_records(r)[0], raw) == outcome(reference_parse, raw)
         return expected
 
@@ -396,7 +428,7 @@ class TestExtractShow:
             + "".join(f" context line {i}\n" for i in range(40))
         )
         assert len(formatted) > 200
-        text, _ = compress_formatted(ToolName.SHOW, formatted, False, 200)
+        text, _ = compress_formatted(*format_show(formatted), 200)
         assert text.split("\n")[-2:] == ["-b\x0cc", "-e\rf"]
 
     def test_context_stripped_changes_kept(self):
@@ -415,19 +447,19 @@ class TestExtractShow:
             + "".join(f" context line {i}\n" for i in range(10))
             + "-removed one\n-removed two\n+added one\n+added two\n"
         )
-        text, _ = extract_show(diff)
+        text, _ = extract_show(split_lines(diff))
         assert "-removed one" in text and "+added two" in text
         assert "@@ -1,12 +1,6 @@" in text
         assert "context line 3" not in text
         assert "1111222233334444555566667777888899990000" in text
 
     def test_short_output_no_elision(self):
-        text, elided = extract_show("commit abc\n+x\n-y\n")
+        text, elided = extract_show(["commit abc", "+x", "-y"])
         assert not elided and "..." not in text
 
     def test_head_tail_elision(self):
         body = "\n".join(f"+line {i}" for i in range(200))  # 80 kept at each end
-        text, elided = extract_show(body)
+        text, elided = extract_show(split_lines(body))
         assert elided
         assert "[40 lines elided]" in text
 
@@ -438,8 +470,8 @@ class TestExtractBlame:
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"l{i}") for i in range(1, 401)])
         with mock.patch.dict(compress.LINE_CAPS, {ToolName.BLAME: 500}):
-            formatted, _ = format_blame(raw)
-        text, _ = extract_blame(formatted)
+            formatted, _, extract = format_blame(raw)
+        text, _ = extract()
         head = text.splitlines()[0]
         assert "1 distinct" in head
         assert f"{sha[:12]} (400 lines)" in text
@@ -448,8 +480,8 @@ class TestExtractBlame:
         rng = random.Random(9)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, f"l{i}") for i in range(1, 401)])
-        formatted, _ = format_blame(raw)
-        text, _ = extract_blame(formatted)
+        formatted, _, extract = format_blame(raw)
+        text, _ = extract()
         assert f"{sha[:12]} (200 lines)" in text  # layer-2 cap kept 200
 
     def test_all_hashes_survive_in_summary(self):
@@ -458,8 +490,8 @@ class TestExtractBlame:
         # 60 lines are kept at each end; shas[2:] blame only elided lines.
         owners = [0] * 60 + [2 + i % 6 for i in range(80)] + [1] * 60
         records = [(shas[k], i + 1, f"line {i}") for i, k in enumerate(owners)]
-        formatted, _ = format_blame(make_porcelain(records))
-        text, elided = extract_blame(formatted)
+        formatted, _, extract = format_blame(make_porcelain(records))
+        text, elided = extract()
         assert elided
         for sha in shas:
             assert sha[:12] in text
@@ -468,15 +500,15 @@ class TestExtractBlame:
         rng = random.Random(11)
         sha = random_hash(rng)
         raw = make_porcelain([(sha, i, "x" * 30) for i in range(1, 301)])
-        formatted, _ = format_blame(raw)
-        text, _ = extract_blame(formatted)
+        formatted, _, extract = format_blame(raw)
+        text, _ = extract()
         assert len(text) < len(formatted)
 
 
 class TestExtractLogAndGrep:
     def test_log_entry_cap_with_omitted_note(self):
         formatted = "\n".join(f"{i:07x} 2020-01-01 subject {i}" for i in range(100))
-        text, truncated = extract_log(formatted)
+        text, truncated = extract_log(split_lines(formatted))
         entry_lines = [ln for ln in text.splitlines() if not ln.startswith("[output truncated")]
         assert truncated and len(entry_lines) == 30
         assert "70 omitted" in text
@@ -485,20 +517,20 @@ class TestExtractLogAndGrep:
         blocks = []
         for i in range(35):
             blocks.append(f"commit {i:040x}\n    message {i}\n+change {i}")
-        text, truncated = extract_log("\n".join(blocks))
+        text, truncated = extract_log(split_lines("\n".join(blocks)))
         assert truncated
         assert text.count("commit ") == 30
         assert "5 omitted" in text
 
     def test_log_under_cap_identity(self):
         formatted = "\n".join(f"{i:07x} 2020-01-01 s" for i in range(5))
-        text, truncated = extract_log(formatted)
+        text, truncated = extract_log(split_lines(formatted))
         assert text == formatted and not truncated
 
     def test_grep_grouping(self):
         lines = [f"abc1234:src/one.c:{i}: hit {i}" for i in range(1, 4)]
         lines += [f"abc1234:src/two.c:{i}: hit {i}" for i in range(1, 3)]
-        text, truncated = extract_grep("\n".join(lines))
+        text, truncated = extract_grep(lines)
         headers = [ln for ln in text.splitlines() if ln.startswith("== ")]
         assert len(headers) == 2
         assert "src/one.c (3 matches)" in headers[0]
@@ -506,7 +538,7 @@ class TestExtractLogAndGrep:
 
     def test_grep_cap(self):
         lines = [f"abc1234:f{i % 2}.c:{i}: m" for i in range(1, 61)]
-        text, truncated = extract_grep("\n".join(lines))
+        text, truncated = extract_grep(lines)
         assert truncated
         kept = [ln for ln in text.splitlines() if not ln.startswith(("==", "[output"))]
         assert len(kept) == 50
@@ -625,9 +657,8 @@ class TestExecuteCompressed:
             repo, ShowArgs(commit=shas[0]), parent_context(shas[1]), {},
         )
         from bictrace.tools import exec_git_show
-        from bictrace.compress import format_show
 
-        formatted, _ = format_show(exec_git_show(repo, ShowArgs(commit=shas[0])))
+        formatted, _, _ = format_show(exec_git_show(repo, ShowArgs(commit=shas[0])))
         assert len(formatted) <= 3000
         assert obs.text == formatted
         assert not obs.truncated
@@ -767,8 +798,7 @@ class TestSizeBoundProperty:
         rng = random.Random(hash(tool.value) & 0xFFFF)
         for trial in range(200):
             raw = synth_raw(tool, rng)
-            formatted, truncated = compress._FORMATTERS[tool](raw)
-            text, truncated = compress.compress_formatted(tool, formatted, truncated, compress.TAU)
+            text, truncated = compress.compress_formatted(*compress._FORMATTERS[tool](raw), compress.TAU)
             assert len(text) <= compress.TAU + MAX_OBS_OVERHEAD, (tool, trial)
             raw_tokens = set(HEX_TOKEN_RE.findall(raw))
             for token in HEX_TOKEN_RE.findall(text):

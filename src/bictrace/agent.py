@@ -34,7 +34,7 @@ from .gitio import GitTimeout, RepoHandle
 from .resolve import ResolutionTrace
 from .tools import SchemaError, ToolArgs, ToolName, enforce_search_bound, execute_raw, parse_args
 
-TRANSCRIPT_SCHEMA = "bictrace-transcript/v2"
+TRANSCRIPT_SCHEMA = "bictrace-transcript/v3"
 
 DEFAULT_MAX_TURNS = 15
 MALFORMED_RETRIES = 2  # corrective prompts in a row before the case gives up
@@ -219,7 +219,14 @@ class LiveBackend:
             response.raise_for_status()
             data = response.json()
         except (requests.RequestException, ValueError) as exc:
-            raise BackendUnavailable(f"model endpoint failure: {exc}") from exc
+            error, reply = str(exc), getattr(exc, "response", None)
+            if reply is not None:  # the endpoint's own explanation, on the error's one line
+                body = " ".join(reply.text.split())
+                if body:
+                    error += f"; endpoint said: {body[:200]}" + ("..." if len(body) > 200 else "")
+                if "Retry-After" in reply.headers:
+                    error += f"; Retry-After: {reply.headers['Retry-After']}"
+            raise BackendUnavailable(f"model endpoint failure: {error}") from exc
 
         try:
             message = data["choices"][0]["message"]

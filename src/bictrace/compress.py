@@ -13,6 +13,7 @@ lines.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
@@ -69,10 +70,11 @@ def _truncation_notice(shown: int, total: int) -> str:
     )
 
 
-def _cap_lines(lines: list[str], cap: int) -> tuple[str, bool]:
-    if len(lines) <= cap:
-        return "\n".join(lines), False
-    return "\n".join(lines[:cap] + [_truncation_notice(cap, len(lines))]), True
+def _capped(kept: list[str], total: int) -> tuple[str, bool]:
+    """The `kept` first lines of `total`, and whether any were cut; a notice says how many."""
+    if len(kept) >= total:
+        return "\n".join(kept), False
+    return "\n".join([*kept, _truncation_notice(len(kept), total)]), True
 
 
 def _head_tail(lines: list[str], keep: int) -> tuple[list[str], bool]:
@@ -102,9 +104,11 @@ def format_show(raw: str) -> tuple[str, bool, Extraction]:
     diff_start = next(
         (i for i, ln in enumerate(lines) if ln.startswith("diff --git")), len(lines)
     )
-    lines = split_lines(strip_trailers("\n".join(lines[:diff_start]))) + lines[diff_start:]
-    cap = LINE_CAPS[ToolName.SHOW]
-    return *_cap_lines(lines, cap), partial(extract_show, lines[:cap])
+    # Each header line ends in "\n", so the blank line before the diff stays.
+    head = split_lines(strip_trailers("".join(f"{ln}\n" for ln in lines[:diff_start])))
+    lines = head + lines[diff_start:]
+    kept = lines[:LINE_CAPS[ToolName.SHOW]]
+    return *_capped(kept, len(lines)), partial(extract_show, kept)
 
 
 def _l_line(rec: dict) -> str:
@@ -133,33 +137,26 @@ def format_blame(raw: str) -> tuple[str, bool, Extraction]:
     cap = LINE_CAPS[ToolName.BLAME]
     blank = not raw or raw.isspace()  # unlike raw.strip(), copies nothing
     shown, total = ([], 0) if blank else tk.blame_records(raw, cap)
-    body = [_l_line(rec) for rec in shown]
-    truncated = total > cap
-    if truncated:
-        body.append(_truncation_notice(cap, total))
-    text = "\n".join(body)
+    text, truncated = _capped([_l_line(rec) for rec in shown], total)
     if shown:
         legend = [f"{short} {about}".rstrip() for short, (_, about) in _legend(shown).items()]
         text += "\nCommits:\n" + "\n".join(legend)
-    return text, truncated, partial(extract_blame, shown)
+    return text, truncated, partial(extract_blame, shown, total)
 
 
 def format_log_s(raw: str) -> tuple[str, bool, Extraction]:
     lines = split_lines(raw)
-    cap = LINE_CAPS[ToolName.LOG_S]
-    return *_cap_lines(lines, cap), partial(extract_log, lines[:cap])
+    return *_capped(lines[:LINE_CAPS[ToolName.LOG_S]], len(lines)), partial(extract_log, lines)
 
 
 def format_log_func(raw: str) -> tuple[str, bool, Extraction]:
     lines = split_lines(strip_trailers(raw))
-    cap = LINE_CAPS[ToolName.LOG_FUNC]
-    return *_cap_lines(lines, cap), partial(extract_log, lines[:cap])
+    return *_capped(lines[:LINE_CAPS[ToolName.LOG_FUNC]], len(lines)), partial(extract_log, lines)
 
 
 def format_grep(raw: str) -> tuple[str, bool, Extraction]:
     lines = split_lines(raw)
-    cap = LINE_CAPS[ToolName.GREP]
-    return *_cap_lines(lines, cap), partial(extract_grep, lines[:cap])
+    return *_capped(lines[:LINE_CAPS[ToolName.GREP]], len(lines)), partial(extract_grep, lines)
 
 
 # -- Layer 3: structured extraction ------------------------------------------
@@ -199,9 +196,10 @@ def extract_show(lines: list[str]) -> tuple[str, bool]:
     return "\n".join(body), elided
 
 
-def extract_blame(shown: list[dict]) -> tuple[str, bool]:
+def extract_blame(shown: list[dict], total: int) -> tuple[str, bool]:
     legend = _legend(shown)
-    summary = [f"Commits in blame ({len(legend)} distinct):"]
+    of_total = f", in the first {len(shown)} of {total} lines" if total > len(shown) else ""
+    summary = [f"Commits in blame ({len(legend)} distinct{of_total}):"]
     summary += [f"  {short} ({n} lines) {about}".rstrip() for short, (n, about) in legend.items()]
     body, elided = _head_tail([_l_line(rec) for rec in shown], BLAME_KEEP)
     return "\n".join(summary + body), elided
@@ -243,16 +241,14 @@ def extract_grep(lines: list[str]) -> tuple[str, bool]:
     for ln in lines:
         if not ln.strip():
             continue
-        parts = ln.split(":")
+        parts = ln.split(":", 3)
         if len(parts) >= 4 and parts[2].isdigit():
             matches.append((parts[1], ln))
         elif len(parts) >= 3 and parts[1].isdigit():
             matches.append((parts[0], ln))
         else:
             matches.append(("(other)", ln))
-    totals: dict[str, int] = {}
-    for path, _ in matches:
-        totals[path] = totals.get(path, 0) + 1
+    totals = Counter(path for path, _ in matches)
     kept = matches[:GREP_KEEP]
     out, seen = [], set()
     for path, ln in kept:

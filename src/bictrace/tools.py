@@ -297,6 +297,8 @@ def _raise_for(out: gitio.GitOutcome, not_found_kind: str, context: str) -> str:
         if ("no such path" in low or "there is no path" in low or "does not exist" in low
                 or "exists on disk, but not in" in low):
             raise ToolError("file_not_found", f"{context}: {err}")
+        if re.search(r"^fatal: file .* has only \d+ lines?$", err, re.M):
+            raise ToolError("line_out_of_range", f"{context}: {err}")
         raise ToolError(not_found_kind, f"{context}: {err}")
     return out.stdout
 

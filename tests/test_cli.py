@@ -397,6 +397,17 @@ class TestReplayCmd:
             f"error: {transcript} is not a {TRANSCRIPT_SCHEMA} file"
         ]
 
+    def test_v2_transcript_is_refused_by_its_header(self, recorded, tmp_path, capsys):
+        # v2 git_show observations lack the blank line before the diff, so they would desync.
+        rb, transcript = recorded
+        header, *rest = Path(transcript).read_text().splitlines()
+        old = {**json.loads(header), "schema": "bictrace-transcript/v2"}
+        Path(transcript).write_text("\n".join([json.dumps(old), *rest]) + "\n")
+        assert self.replay(transcript, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {transcript} is not a {TRANSCRIPT_SCHEMA} file"
+        ]
+
     @pytest.mark.parametrize("record", [
         {"event": "model_step"},
         {"event": "model_step", "step": {"kind": "final", "text": "x", "usage": 5}},
@@ -525,14 +536,17 @@ class TestLiveEndpoint:
         assert main(["replay", "--transcript", transcript, "--max-turns", "2",
                      "--run-dir", runs, "--run-id", "rep"]) == 0
 
-    @pytest.mark.parametrize("failure, error", [
-        (Status(429, {"Retry-After": "1"}, "slow down"), "429 Client Error: Too Many Requests"),
-        (Status(503, body="overloaded"), "503 Server Error: Service Unavailable"),
-        (Delay(5, reply("BIC: 0000000")), "Read timed out. (read timeout=0.2)"),
-        (DROP, "Remote end closed connection without response"),
-    ], ids=["429", "503", "read timeout", "dropped connection"])
+    @pytest.mark.parametrize("failure, errors", [
+        (Status(429, {"Retry-After": "1"}, "slow\n  down"),
+         ["429 Client Error: Too Many Requests", "slow down", "Retry-After: 1"]),
+        (Status(503, body="overloaded"), ["503 Server Error: Service Unavailable", "overloaded"]),
+        (Status(400, body="context too long " * 40),
+         ["400 Client Error: Bad Request", f"endpoint said: {('context too long ' * 12)[:200]}..."]),
+        (Delay(5, reply("BIC: 0000000")), ["Read timed out. (read timeout=0.2)"]),
+        (DROP, ["Remote end closed connection without response"]),
+    ], ids=["429", "503", "400 with a long body", "read timeout", "dropped connection"])
     def test_endpoint_failure_is_the_case_error(self, linear_repo, tmp_path, capsys, endpoint,
-                                                monkeypatch, failure, error):
+                                                monkeypatch, failure, errors):
         rb, shas = linear_repo
         monkeypatch.setattr(agent, "ENDPOINT_TIMEOUT", 0.2)
         ds = write_dataset(tmp_path / "ds.jsonl",
@@ -543,7 +557,8 @@ class TestLiveEndpoint:
                          "--run-dir", str(runs), "--run-id", "b"]) == 0
         assert len(stub.requests) == 2
         (result,) = read_results(str(runs / "b" / "results.jsonl"))[1]
-        assert result.error.startswith("model endpoint failure: ") and error in result.error
+        assert result.error.startswith("model endpoint failure: ")
+        assert all(error in result.error for error in errors) and "\n" not in result.error
         assert result.predicted == []
         records = self.read_records(runs / "b" / "transcripts" / "x.jsonl")
         assert records[-1]["error"] == result.error and records[-1]["tool_turns"] == 1

@@ -345,8 +345,12 @@ class TestFormatBlameMatchesFullParse:
         with mock.patch.dict(compress.LINE_CAPS, {ToolName.BLAME: cap}):
             got = outcome(format_blame, raw)
         assert got[:2] == expected
-        if callable(got[-1]):
-            assert got[2]() == reference_extract_blame(got[0])
+        if callable(got[-1]):  # plus the count of all lines, which the text's re-parse lost
+            ref_text, ref_elided = reference_extract_blame(got[0])
+            total = len(reference_parse(raw))
+            of_total = f", in the first {cap} of {total} lines" if total > cap else ""
+            ref_text = ref_text.replace(" distinct):", f" distinct{of_total}):", 1)
+            assert got[2]() == (ref_text, ref_elided)
         assert outcome(lambda r: tools.blame_records(r)[0], raw) == outcome(reference_parse, raw)
         return expected
 
@@ -496,6 +500,14 @@ class TestExtractBlame:
         for sha in shas:
             assert sha[:12] in text
 
+    def test_summary_gives_the_length_of_a_whole_file(self):
+        sha = random_hash(random.Random(14))
+        raw = make_short_porcelain([(sha, i, f"line {i}") for i in range(1, 5001)])
+        text, truncated = compress_formatted(*compress._FORMATTERS[ToolName.BLAME](raw),
+                                             compress.TAU)
+        assert truncated and text.splitlines()[0] == (
+            "Commits in blame (1 distinct, in the first 200 of 5000 lines):")
+
     def test_output_shrinks(self):
         rng = random.Random(11)
         sha = random_hash(rng)
@@ -535,6 +547,20 @@ class TestExtractLogAndGrep:
         assert len(headers) == 2
         assert "src/one.c (3 matches)" in headers[0]
         assert not truncated
+
+    def test_log_counts_every_entry_git_printed(self):
+        raw = "".join(f"{i:07x} 2020-01-01 subject {i}\n" for i in range(200))
+        text, truncated = compress_formatted(*compress._FORMATTERS[ToolName.LOG_S](raw),
+                                             compress.TAU)
+        assert truncated and text.count(" 2020-01-01 subject ") == 30
+        assert "showing first 30 entries, 170 omitted" in text
+
+    def test_grep_counts_every_match_git_printed(self):
+        raw = "".join(f"abc1234:src/one.c:{i}: int needle = {i};\n" for i in range(1, 501))
+        text, truncated = compress_formatted(*compress._FORMATTERS[ToolName.GREP](raw),
+                                             compress.TAU)
+        assert truncated and text.count(": int needle = ") == 50
+        assert "== src/one.c (500 matches)" in text and "first 50 of 500 matches" in text
 
     def test_grep_cap(self):
         lines = [f"abc1234:f{i % 2}.c:{i}: m" for i in range(1, 61)]
@@ -651,6 +677,13 @@ class TestExecuteCompressed:
         assert obs.truncated and len(obs.text) <= compress.TAU
         assert obs.text.endswith("\n" + compress._GENERIC_NOTICE)
 
+    def test_show_keeps_the_blank_line_before_the_diff(self, pipeline_repo):
+        repo, shas, _ = pipeline_repo
+        obs = execute_compressed(repo, ShowArgs(commit=shas[0]), parent_context(shas[1]), {})
+        lines = obs.text.split("\n")
+        at = lines.index("    add f")
+        assert lines[at:at + 3] == ["    add f", "", "diff --git a/f.c b/f.c"]
+
     def test_small_output_unchanged_by_layer3(self, pipeline_repo):
         repo, shas, _ = pipeline_repo
         obs = execute_compressed(
@@ -680,7 +713,7 @@ class TestExecuteCompressed:
         args = BlameArgs(file_path="f.c", line_start=9)  # f.c has 3 lines
         obs = execute_compressed(repo, args, parent_context(shas[1]), {})
         assert obs.text == (
-            f"Error (file_not_found): git_blame f.c@{shas[1]}: fatal: file f.c has only 3 lines"
+            f"Error (line_out_of_range): git_blame f.c@{shas[1]}: fatal: file f.c has only 3 lines"
         )
 
     def test_a_started_call_is_formatted_here_then_a_hit(self, pipeline_repo):
